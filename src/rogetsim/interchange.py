@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 from .errors import ParseError
 from .taxonomy import Level, PartOfSpeech, Reference, TaxonomyNode, Thesaurus
+from .taxonomy import build_index, normalize  # noqa: F401  (public names)
 
 RECORD_LEVELS = {
     "C": Level.CLASS,
@@ -44,15 +45,6 @@ RECORD_NAMES = {
     Level.PARAGRAPH: "paragraph",
     Level.SEMICOLON_GROUP: "semicolon group",
 }
-
-
-def normalize(text):
-    """Normalize entry text for index lookup.
-
-    Trims surrounding whitespace, collapses internal whitespace runs to a
-    single space and lowercases.  No stemming or lemmatization.
-    """
-    return " ".join(text.split()).lower()
 
 
 def parse_interchange(source):
@@ -162,9 +154,6 @@ def parse_interchange(source):
 def serialize(thesaurus):
     """Render a Thesaurus back to interchange text."""
     lines = []
-    by_group = {}
-    for ref in thesaurus.references:
-        by_group.setdefault(ref.semicolon_group, []).append(ref.entry_text)
 
     def emit(node):
         if node.level == Level.CLASS:
@@ -182,21 +171,14 @@ def serialize(thesaurus):
         elif node.level == Level.PARAGRAPH:
             lines.append("Q %d" % node.ordinal)
         elif node.level == Level.SEMICOLON_GROUP:
-            lines.append("; %s" % " | ".join(by_group.get(node.id, [])))
+            lines.append("; %s" % " | ".join(
+                r.entry_text for r in thesaurus.members[node.id]))
         for child in node.children:
             emit(thesaurus.nodes[child])
 
     for child in thesaurus.root.children:
         emit(thesaurus.nodes[child])
     return "\n".join(lines) + "\n"
-
-
-def build_index(thesaurus):
-    """Map each normalized entry text to its references, in document order."""
-    index = {}
-    for ref in thesaurus.references:
-        index.setdefault(normalize(ref.entry_text), []).append(ref)
-    return index
 
 
 @dataclass
@@ -264,12 +246,10 @@ def validate_structure(thesaurus):
                 report.violations.append(
                     "duplicate head number %d" % node.head_number)
             head_numbers.add(node.head_number)
-        if node.level == Level.SEMICOLON_GROUP:
-            count = sum(1 for r in thesaurus.references
-                        if r.semicolon_group == node.id)
-            if count == 0:
-                report.violations.append(
-                    "semicolon group %d has no entries" % node.id)
+        if (node.level == Level.SEMICOLON_GROUP
+                and not thesaurus.members[node.id]):
+            report.violations.append(
+                "semicolon group %d has no entries" % node.id)
     report.entries = len(thesaurus.references)
     if report.classes == 0:
         report.violations.append("no classes")
@@ -278,22 +258,16 @@ def validate_structure(thesaurus):
 
 def structure_signature(thesaurus):
     """Nested-tuple fingerprint of the tree, for structural equality tests."""
-    by_group = {}
-    for ref in thesaurus.references:
-        by_group.setdefault(ref.semicolon_group, []).append(ref.entry_text)
-
     def sig(node):
         return (int(node.level), node.ordinal, node.label, node.head_number,
                 node.pos.value if node.pos else None,
-                tuple(by_group.get(node.id, ())),
+                tuple(r.entry_text for r in thesaurus.members[node.id]),
                 tuple(sig(thesaurus.nodes[c]) for c in node.children))
 
     return sig(thesaurus.root)
 
 
 def load(path):
-    """Parse the interchange file at ``path`` and build its index."""
+    """Parse the interchange file at ``path``."""
     with open(path, encoding="utf-8") as handle:
-        thesaurus = parse_interchange(handle)
-    thesaurus.index  # force index construction
-    return thesaurus
+        return parse_interchange(handle)

@@ -1,4 +1,4 @@
-"""Immutable 9-level thesaurus taxonomy and edge-counting distance.
+"""Immutable 9-level thesaurus taxonomy, entry index and edge distance.
 
 The tree runs Root -> Class -> Section -> Sub-Section -> Head Group ->
 Head -> POS paragraph -> Paragraph -> Semicolon group.  Words and phrases
@@ -13,6 +13,8 @@ which is always an even number in [0, 16].
 
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from itertools import groupby
+from operator import attrgetter
 
 from .errors import InvalidNodeError, InvalidReferenceError
 
@@ -43,7 +45,7 @@ class PartOfSpeech(Enum):
         return self.value + "."
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reference:
     """One occurrence of a word or phrase at a specific semicolon group.
 
@@ -62,7 +64,7 @@ class Reference:
         return "%s %d %s" % (self.keyword, self.head_number, self.pos.display)
 
 
-@dataclass
+@dataclass(slots=True)
 class TaxonomyNode:
     id: int
     level: Level
@@ -83,8 +85,39 @@ class TaxonomyNode:
         return self.label
 
 
+def normalize(text):
+    """Normalize entry text for index lookup.
+
+    Trims surrounding whitespace, collapses internal whitespace runs to a
+    single space and lowercases.  No stemming or lemmatization.
+    """
+    return " ".join(text.split()).lower()
+
+
+def build_index(thesaurus):
+    """Map each normalized entry text to its references, in document order."""
+    index = {}
+    for ref in thesaurus.references:
+        index.setdefault(normalize(ref.entry_text), []).append(ref)
+    return index
+
+
+def _shared_level(chain1, chain2):
+    """Deepest level at which two root-first ancestor chains agree."""
+    level, end = 1, min(len(chain1), len(chain2))
+    while level < end and chain1[level] == chain2[level]:
+        level += 1
+    return level - 1
+
+
 class Thesaurus:
     """A read-only taxonomy tree plus the references it defines.
+
+    ``nodes`` must list parents before children and ``references`` each
+    group's entries together, as ``parse_interchange`` does.  Per node id,
+    ``chains`` holds the ids from the root down to the node and ``members``
+    the references of a semicolon group (empty for other levels);
+    ``index`` is ``build_index(self)``.
 
     Instances are immutable after construction; every query method is
     safe to call concurrently.
@@ -94,7 +127,16 @@ class Thesaurus:
         self.nodes = nodes
         self.references = references
         self.root_id = 0
-        self._index = None
+        self.chains = chains = []
+        for node in nodes:
+            chains.append(chains[node.parent] + (node.id,)
+                          if node.parent >= 0 else (node.id,))
+        self.members = members = [()] * len(nodes)
+        group_level = Level.SEMICOLON_GROUP
+        for group, refs in groupby(references, attrgetter("semicolon_group")):
+            if 0 <= group < len(nodes) and nodes[group].level == group_level:
+                members[group] += tuple(refs)
+        self.index = build_index(self)
 
     def node(self, node_id):
         if not isinstance(node_id, int) or not 0 <= node_id < len(self.nodes):
@@ -113,42 +155,36 @@ class Thesaurus:
 
     def ancestors(self, node_id):
         """Path of nodes from the given node up to (and including) Root."""
-        node = self.node(node_id)
-        path = [node]
-        while node.parent >= 0:
-            node = self.nodes[node.parent]
-            path.append(node)
-        return path
+        chain = self.chains[self.node(node_id).id]
+        return [self.nodes[i] for i in reversed(chain)]
 
     def lowest_common_ancestor(self, a, b):
-        """Deepest node that is an ancestor-or-self of both semicolon groups."""
-        na, nb = self.node(a), self.node(b)
-        while na.level > nb.level:
-            na = self.nodes[na.parent]
-        while nb.level > na.level:
-            nb = self.nodes[nb.parent]
-        while na.id != nb.id:
-            na = self.nodes[na.parent]
-            nb = self.nodes[nb.parent]
-        return na
+        """Deepest node that is an ancestor-or-self of both nodes."""
+        chain_a = self.chains[self.node(a).id]
+        chain_b = self.chains[self.node(b).id]
+        return self.nodes[chain_a[_shared_level(chain_a, chain_b)]]
 
-    def _check_reference(self, ref):
+    def _chain(self, ref):
+        """Ancestor chain of a reference's group, if it is a member."""
         try:
-            node = self.node(ref.semicolon_group)
-        except InvalidNodeError:
-            raise InvalidReferenceError(
-                "reference %r does not belong to this thesaurus" % (ref,))
-        if node.level != Level.SEMICOLON_GROUP:
-            raise InvalidReferenceError(
-                "reference %r does not point at a semicolon group" % (ref,))
-        return node
+            members = self.members[ref.semicolon_group]
+        except (IndexError, TypeError):
+            members = ()
+        # Identity first: Reference equality is a Python-level call, and
+        # the references queried are nearly always this thesaurus's own.
+        for member in members:
+            if member is ref:
+                return self.chains[ref.semicolon_group]
+        if ref in members:
+            return self.chains[ref.semicolon_group]
+        raise InvalidReferenceError(
+            "reference %r is not a member of its semicolon group in this "
+            "thesaurus" % (ref,))
 
     def reference_distance(self, r1, r2):
         """Edges on the shortest tree path between two references' groups."""
-        self._check_reference(r1)
-        self._check_reference(r2)
-        lca = self.lowest_common_ancestor(r1.semicolon_group, r2.semicolon_group)
-        return 2 * (Level.SEMICOLON_GROUP - lca.level)
+        level = _shared_level(self._chain(r1), self._chain(r2))
+        return MAX_DISTANCE - 2 * level
 
     def tree_path(self, r1, r2):
         """The unique path between two references, as display labels.
@@ -162,23 +198,13 @@ class Thesaurus:
         the sequence is just the two entry texts.
 
         Returns (labels, apex_index) where apex_index is the position of
-        the lowest common ancestor's label (0 for the distance-0 case).
+        the lowest common ancestor's label (1, r2's entry, at distance 0).
         """
-        self._check_reference(r1)
-        self._check_reference(r2)
-        lca = self.lowest_common_ancestor(r1.semicolon_group, r2.semicolon_group)
-        labels = [r1.entry_text]
-        if lca.level < Level.SEMICOLON_GROUP:
-            up = [n for n in self.ancestors(r1.semicolon_group)
-                  if lca.level <= n.level <= Level.PARAGRAPH]
-            down = [n for n in self.ancestors(r2.semicolon_group)
-                    if lca.level < n.level <= Level.PARAGRAPH]
-            labels.extend(n.display_label for n in up)
-            labels.extend(n.display_label for n in reversed(down))
-        apex = 1 if lca.level == Level.SEMICOLON_GROUP else \
-            1 + (Level.PARAGRAPH - lca.level)
-        labels.append(r2.entry_text)
-        return labels, apex
+        chain1, chain2 = self._chain(r1), self._chain(r2)
+        level = _shared_level(chain1, chain2)
+        up = [self.nodes[i].display_label for i in reversed(chain1[level:-1])]
+        down = [self.nodes[i].display_label for i in chain2[level + 1:-1]]
+        return [r1.entry_text] + up + down + [r2.entry_text], max(len(up), 1)
 
     def render_path(self, r1, r2):
         """Arrow rendering of tree_path: up-arrows to the apex, then down."""
@@ -189,16 +215,6 @@ class Thesaurus:
             parts.append(" %s %s" % (arrow, label))
         return "".join(parts)
 
-    # Index access; the mapping itself is built in rogetsim.interchange.
-
-    @property
-    def index(self):
-        if self._index is None:
-            from .interchange import build_index
-            self._index = build_index(self)
-        return self._index
-
     def lookup(self, text):
-        """References whose normalized entry text equals normalize(text)."""
-        from .interchange import normalize
-        return self.index.get(normalize(text), [])
+        """New list of references whose normalized text is normalize(text)."""
+        return list(self.index.get(normalize(text), ()))

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from rogetsim import (ParseError, build_index, normalize, parse_interchange,
-                      serialize, structure_signature, validate_structure)
+from rogetsim import (ParseError, Thesaurus, build_index, normalize,
+                      parse_interchange, serialize, structure_signature,
+                      validate_structure)
 
 MINIMAL = """\
 C 1 Class one
@@ -89,6 +90,14 @@ def test_index_lookup_counts(thesaurus):
     assert thesaurus.lookup("zzzz") == []
 
 
+def test_lookup_result_is_the_callers_own(thesaurus):
+    found = thesaurus.lookup("lynx")
+    found.append(thesaurus.lookup("feline")[0])
+    thesaurus.lookup("zzzz").append(found[0])
+    assert len(thesaurus.lookup("lynx")) == 2
+    assert thesaurus.lookup("zzzz") == []
+
+
 def test_index_keys_match_normalized_entries(thesaurus):
     for key, refs in build_index(thesaurus).items():
         for ref in refs:
@@ -116,6 +125,12 @@ def test_validate_structure_fixture_counts(thesaurus):
     assert report.paragraphs == 37
     assert report.semicolon_groups == 55
     assert report.entries == 116
+
+
+def test_validate_reports_group_without_entries():
+    nodes = parse_interchange(MINIMAL).nodes
+    report = validate_structure(Thesaurus(nodes, []))
+    assert report.violations == ["semicolon group 8 has no entries"]
 
 
 def test_validate_empty_thesaurus():

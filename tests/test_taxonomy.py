@@ -1,12 +1,14 @@
 """Tree queries: LCA, edge distance, path rendering."""
 
+import dataclasses
 import random
 from collections import deque
 
 import pytest
 
 from rogetsim import (InvalidNodeError, InvalidReferenceError, Level,
-                      Reference, word_min_distance)
+                      Reference, enumerate_shortest_paths, parse_interchange,
+                      word_min_distance)
 from tests.conftest import TIER_PAIRS
 
 
@@ -64,11 +66,24 @@ def test_distance_same_reference_is_zero(thesaurus):
 
 
 def test_distance_rejects_foreign_reference(thesaurus):
-    stray = Reference(entry_text="x", semicolon_group=10 ** 9,
-                      pos=thesaurus.references[0].pos, head_number=1,
-                      keyword="x")
-    with pytest.raises(InvalidReferenceError):
-        thesaurus.reference_distance(thesaurus.references[0], stray)
+    out_of_range = Reference(entry_text="x", semicolon_group=10 ** 9,
+                             pos=thesaurus.references[0].pos, head_number=1,
+                             keyword="x")
+    # A real group id, but the reference is not one of that group's entries.
+    not_a_member = dataclasses.replace(
+        thesaurus.lookup("nag")[0], entry_text="zzz",
+        semicolon_group=thesaurus.lookup("feline")[0].semicolon_group)
+    for stray in (out_of_range, not_a_member):
+        with pytest.raises(InvalidReferenceError):
+            thesaurus.reference_distance(thesaurus.references[0], stray)
+        with pytest.raises(InvalidReferenceError):
+            thesaurus.tree_path(stray, thesaurus.references[0])
+
+
+def test_distance_accepts_an_equal_copy(thesaurus, fixture_text):
+    copy = parse_interchange(fixture_text).lookup("feline")[0]
+    assert copy is not thesaurus.lookup("feline")[0]
+    assert thesaurus.reference_distance(copy, thesaurus.lookup("lynx")[0]) == 2
 
 
 @pytest.mark.parametrize("expected,w1,w2", TIER_PAIRS)
@@ -130,6 +145,11 @@ def test_render_feline_lynx_shortest(thesaurus):
     assert result.min_distance == 2
     r1, r2 = result.achieving_pairs[0]
     assert thesaurus.render_path(r1, r2) == "feline → cat ← lynx"
+
+
+def test_render_distance_zero(thesaurus):
+    paths = enumerate_shortest_paths(thesaurus, "journey's end", "terminus")
+    assert paths == ["journey's end → terminus"]
 
 
 def test_render_feline_lynx_longest_passes_root(thesaurus):
