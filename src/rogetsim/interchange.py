@@ -250,6 +250,12 @@ def validate_structure(thesaurus):
                 and not thesaurus.members[node.id]):
             report.violations.append(
                 "semicolon group %d has no entries" % node.id)
+    inside = {id(r) for refs in thesaurus.members for r in refs}
+    for ref in thesaurus.references:
+        if id(ref) not in inside:
+            report.violations.append(
+                "reference %r at node %r is not in a semicolon group at "
+                "depth 8" % (ref.entry_text, ref.semicolon_group))
     report.entries = len(thesaurus.references)
     if report.classes == 0:
         report.violations.append("no classes")

@@ -8,9 +8,13 @@ number of tree edges on the unique path between their semicolon groups:
 
     distance = 2 * (8 - level(lowest common ancestor))
 
-which is always an even number in [0, 16].
+which is always an even number in [0, 16].  Each node's root-first
+ancestor ids are packed into one int key at fixed bit positions, so the
+level of the lowest common ancestor of two groups is read off the top set
+bit of their keys' XOR (see ``Thesaurus``).
 """
 
+import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from itertools import groupby
@@ -89,9 +93,12 @@ def normalize(text):
     """Normalize entry text for index lookup.
 
     Trims surrounding whitespace, collapses internal whitespace runs to a
-    single space and lowercases.  No stemming or lemmatization.
+    single space and lowercases; non-ASCII text is then put in Unicode NFC,
+    so a decomposed "café" finds a composed entry and vice versa.  ASCII
+    text is returned without that step.  No stemming or lemmatization.
     """
-    return " ".join(text.split()).lower()
+    folded = " ".join(text.split()).lower()
+    return folded if folded.isascii() else unicodedata.normalize("NFC", folded)
 
 
 def build_index(thesaurus):
@@ -102,40 +109,58 @@ def build_index(thesaurus):
     return index
 
 
-def _shared_level(chain1, chain2):
-    """Deepest level at which two root-first ancestor chains agree."""
-    level, end = 1, min(len(chain1), len(chain2))
-    while level < end and chain1[level] == chain2[level]:
-        level += 1
-    return level - 1
-
-
 class Thesaurus:
     """A read-only taxonomy tree plus the references it defines.
 
-    ``nodes`` must list parents before children and ``references`` each
-    group's entries together, as ``parse_interchange`` does.  Per node id,
-    ``chains`` holds the ids from the root down to the node and ``members``
-    the references of a semicolon group (empty for other levels);
-    ``index`` is ``build_index(self)``.
+    ``nodes`` must list parents before children, with each node's id equal
+    to its position, and ``references`` each group's entries together, as
+    ``parse_interchange`` does.
 
-    Instances are immutable after construction; every query method is
-    safe to call concurrently.
+    Per node id, ``keys`` holds one int packing the node's root-first
+    ancestor ids at fixed bit positions: ``bits = len(nodes).bit_length()``
+    (at least 1) bits per level, the level-d ancestor's id shifted left by
+    ``bits * (8 - d)``.  Levels below the node hold 0, which is the root's
+    id, so the lowest set bit gives the node's depth.  Two depth-8 groups
+    first differ at the level that holds the top set bit of ``k1 ^ k2``, so
+    a reference distance is one table lookup.  A tree deeper than nine
+    levels gets correspondingly wider keys.  ``members`` holds the
+    references of each semicolon group at depth 8 (empty for every other
+    node); ``index`` is ``build_index(self)``.
+
+    Instances are immutable after construction (``keys`` and ``members``
+    are tuples); every query method is safe to call concurrently.
     """
 
     def __init__(self, nodes, references):
         self.nodes = nodes
         self.references = references
         self.root_id = 0
-        self.chains = chains = []
-        for node in nodes:
-            chains.append(chains[node.parent] + (node.id,)
-                          if node.parent >= 0 else (node.id,))
-        self.members = members = [()] * len(nodes)
         group_level = Level.SEMICOLON_GROUP
+        self._bits = bits = len(nodes).bit_length() or 1
+        top = int(group_level)
+        keys, depths = [], []
+        for node in nodes:
+            if node.parent < 0:
+                depth, key = 0, 0
+            else:
+                depth, key = depths[node.parent] + 1, keys[node.parent]
+                if depth > top:  # deeper than nine levels: widen every key
+                    keys = [k << bits * (depth - top) for k in keys]
+                    key, top = keys[node.parent], depth
+            keys.append(key | node.id << bits * (top - depth))
+            depths.append(depth)
+        self.keys = tuple(keys)
+        self._top, self._mask = top, (1 << bits) - 1
+        # Indexed by the bit length of k1 ^ k2 for two depth-8 groups.
+        self._distance = tuple(
+            MAX_DISTANCE - 2 * min(self._level(length), group_level)
+            for length in range(bits * (top + 1) + 1))
+        members = [()] * len(nodes)
         for group, refs in groupby(references, attrgetter("semicolon_group")):
-            if 0 <= group < len(nodes) and nodes[group].level == group_level:
+            if (0 <= group < len(nodes) and nodes[group].level == group_level
+                    and depths[group] == group_level):
                 members[group] += tuple(refs)
+        self.members = tuple(members)
         self.index = build_index(self)
 
     def node(self, node_id):
@@ -153,19 +178,35 @@ class Thesaurus:
     def nodes_at_level(self, level):
         return [n for n in self.nodes if n.level == level]
 
+    def _level(self, length):
+        """Deepest level shared by two keys whose XOR has this bit length.
+
+        Equal keys give the deepest level a key holds.
+        """
+        return max(self._top - 1 - (length - 1) // self._bits, 0)
+
+    def _chain(self, key):
+        """The root-first ancestor ids packed in a key."""
+        low = (key & -key).bit_length() - 1
+        depth = self._top - low // self._bits if key else 0
+        return [key >> self._bits * (self._top - d) & self._mask
+                for d in range(depth + 1)]
+
     def ancestors(self, node_id):
         """Path of nodes from the given node up to (and including) Root."""
-        chain = self.chains[self.node(node_id).id]
+        chain = self._chain(self.keys[self.node(node_id).id])
         return [self.nodes[i] for i in reversed(chain)]
 
     def lowest_common_ancestor(self, a, b):
         """Deepest node that is an ancestor-or-self of both nodes."""
-        chain_a = self.chains[self.node(a).id]
-        chain_b = self.chains[self.node(b).id]
-        return self.nodes[chain_a[_shared_level(chain_a, chain_b)]]
+        key_a = self.keys[self.node(a).id]
+        key_b = self.keys[self.node(b).id]
+        chain_a = self._chain(key_a)
+        level = self._level((key_a ^ key_b).bit_length())
+        return self.nodes[chain_a[min(level, len(chain_a) - 1)]]
 
-    def _chain(self, ref):
-        """Ancestor chain of a reference's group, if it is a member."""
+    def _key(self, ref):
+        """Key of a reference's group, if the reference is a member."""
         try:
             members = self.members[ref.semicolon_group]
         except (IndexError, TypeError):
@@ -174,17 +215,16 @@ class Thesaurus:
         # the references queried are nearly always this thesaurus's own.
         for member in members:
             if member is ref:
-                return self.chains[ref.semicolon_group]
+                return self.keys[ref.semicolon_group]
         if ref in members:
-            return self.chains[ref.semicolon_group]
+            return self.keys[ref.semicolon_group]
         raise InvalidReferenceError(
             "reference %r is not a member of its semicolon group in this "
             "thesaurus" % (ref,))
 
     def reference_distance(self, r1, r2):
         """Edges on the shortest tree path between two references' groups."""
-        level = _shared_level(self._chain(r1), self._chain(r2))
-        return MAX_DISTANCE - 2 * level
+        return self._distance[(self._key(r1) ^ self._key(r2)).bit_length()]
 
     def tree_path(self, r1, r2):
         """The unique path between two references, as display labels.
@@ -200,8 +240,9 @@ class Thesaurus:
         Returns (labels, apex_index) where apex_index is the position of
         the lowest common ancestor's label (1, r2's entry, at distance 0).
         """
-        chain1, chain2 = self._chain(r1), self._chain(r2)
-        level = _shared_level(chain1, chain2)
+        key1, key2 = self._key(r1), self._key(r2)
+        chain1, chain2 = self._chain(key1), self._chain(key2)
+        level = self._level((key1 ^ key2).bit_length())
         up = [self.nodes[i].display_label for i in reversed(chain1[level:-1])]
         down = [self.nodes[i].display_label for i in chain2[level + 1:-1]]
         return [r1.entry_text] + up + down + [r2.entry_text], max(len(up), 1)

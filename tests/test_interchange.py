@@ -1,10 +1,13 @@
 """Interchange parsing, index construction and validation."""
 
+import dataclasses
 import random
+import unicodedata
 
 import pytest
 
-from rogetsim import (ParseError, Thesaurus, build_index, normalize,
+from rogetsim import (InvalidReferenceError, Level, ParseError, TaxonomyNode,
+                      Thesaurus, build_index, normalize,
                       parse_interchange, serialize, structure_signature,
                       validate_structure)
 
@@ -79,9 +82,18 @@ def test_comments_and_blank_lines_ignored():
     ("Lynx", "lynx"),
     ("like greased lightning", "like greased lightning"),
     ("", ""),
+    ("Cafe\u0301", "caf\u00e9"),
 ])
 def test_normalize(raw, expected):
     assert normalize(raw) == expected
+
+
+@pytest.mark.parametrize("form", ["NFC", "NFD"])
+def test_lookup_matches_either_unicode_form(form):
+    entry = unicodedata.normalize(form, "café")
+    thesaurus = parse_interchange(MINIMAL.replace("word", entry))
+    for query in ("café", unicodedata.normalize("NFD", "Café")):
+        assert [r.entry_text for r in thesaurus.lookup(query)] == [entry]
 
 
 def test_index_lookup_counts(thesaurus):
@@ -131,6 +143,32 @@ def test_validate_reports_group_without_entries():
     nodes = parse_interchange(MINIMAL).nodes
     report = validate_structure(Thesaurus(nodes, []))
     assert report.violations == ["semicolon group 8 has no entries"]
+
+
+def test_validate_reports_reference_outside_members():
+    parsed = parse_interchange(MINIMAL)
+    pos_paragraph = parsed.nodes[6].id
+    ref = dataclasses.replace(parsed.references[0],
+                              semicolon_group=pos_paragraph)
+    thesaurus = Thesaurus(parsed.nodes, [ref])
+    assert thesaurus.lookup("word") == [ref]
+    with pytest.raises(InvalidReferenceError):
+        thesaurus.reference_distance(ref, ref)
+    assert validate_structure(thesaurus).violations == [
+        "semicolon group 8 has no entries",
+        "reference 'word' at node 6 is not in a semicolon group at depth 8"]
+
+
+def test_validate_reports_group_at_depth_seven():
+    parsed = parse_interchange(MINIMAL)
+    group = TaxonomyNode(id=7, level=Level.SEMICOLON_GROUP, label="word",
+                         parent=6)
+    ref = dataclasses.replace(parsed.references[0], semicolon_group=7)
+    report = validate_structure(Thesaurus(parsed.nodes[:7] + [group], [ref]))
+    assert report.violations == [
+        "node 7 (semicolon group) skips a level under POS paragraph",
+        "semicolon group 7 has no entries",
+        "reference 'word' at node 7 is not in a semicolon group at depth 8"]
 
 
 def test_validate_empty_thesaurus():

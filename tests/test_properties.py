@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rogetsim import parse_interchange, serialize, structure_signature
-from tests.test_taxonomy import bfs_distance
+from tests.test_taxonomy import (bfs_distance, tree_from_parents,
+                                 walk_ancestors, walk_lca)
 
 KEYWORDS = "CSUGHPQ;"  # levels 1..8
 TEXT = st.text(alphabet="abcé -", min_size=1, max_size=6)
@@ -38,6 +39,14 @@ def thesauri(draw):
     return parse_interchange("\n".join(lines) + "\n")
 
 
+@st.composite
+def shaped_trees(draw):
+    """A directly built tree of any shape and depth, deeper than 9 too."""
+    parents = [draw(st.one_of(st.just(i), st.integers(0, i)))
+               for i in range(draw(st.integers(0, 40)))]
+    return tree_from_parents(parents)
+
+
 @settings(deadline=None)
 @given(thesauri())
 def test_serialize_round_trip(thesaurus):
@@ -56,3 +65,16 @@ def test_reference_distance_is_an_ultrametric(thesaurus, data):
     assert d(a, c) <= max(d(a, b), d(b, c))
     assert d(a, b) == bfs_distance(thesaurus, a.semicolon_group,
                                    b.semicolon_group)
+
+
+@settings(deadline=None)
+@given(st.one_of(thesauri(), shaped_trees()), st.data())
+def test_ancestors_and_lca_match_a_parent_walk(thesaurus, data):
+    node_ids = st.integers(0, len(thesaurus.nodes) - 1)
+    b = data.draw(node_ids)
+    above_b = data.draw(st.sampled_from(walk_ancestors(thesaurus, b))).id
+    for a in (b, above_b, data.draw(node_ids)):
+        assert thesaurus.ancestors(a) == walk_ancestors(thesaurus, a)
+        for x, y in ((a, b), (b, a)):
+            assert (thesaurus.lowest_common_ancestor(x, y)
+                    is walk_lca(thesaurus, x, y))

@@ -7,7 +7,8 @@ from collections import deque
 import pytest
 
 from rogetsim import (InvalidNodeError, InvalidReferenceError, Level,
-                      Reference, enumerate_shortest_paths, parse_interchange,
+                      Reference, TaxonomyNode, Thesaurus,
+                      enumerate_shortest_paths, parse_interchange,
                       word_min_distance)
 from tests.conftest import TIER_PAIRS
 
@@ -31,6 +32,32 @@ def bfs_distance(thesaurus, a, b):
                 seen[neighbor] = seen[current] + 1
                 queue.append(neighbor)
     raise AssertionError("tree is disconnected")
+
+
+def walk_ancestors(thesaurus, node_id):
+    """Independent oracle: follow parent links from a node up to the root."""
+    chain = [thesaurus.nodes[node_id]]
+    while chain[-1].parent >= 0:
+        chain.append(thesaurus.nodes[chain[-1].parent])
+    return chain
+
+
+def walk_lca(thesaurus, a, b):
+    """Independent oracle: first ancestor of b that is an ancestor of a."""
+    above_a = {node.id for node in walk_ancestors(thesaurus, a)}
+    return next(node for node in walk_ancestors(thesaurus, b)
+                if node.id in above_a)
+
+
+def tree_from_parents(parents):
+    """A directly built Thesaurus whose node i hangs under parents[i - 1]."""
+    nodes = [TaxonomyNode(id=0, level=Level.ROOT, label="T")]
+    for child, parent in enumerate(parents, start=1):
+        level = Level(min(nodes[parent].level + 1, Level.SEMICOLON_GROUP))
+        nodes.append(TaxonomyNode(id=child, level=level, label=str(child),
+                                  parent=parent))
+        nodes[parent].children.append(child)
+    return Thesaurus(nodes, [])
 
 
 def test_lca_identity(thesaurus):
@@ -172,3 +199,38 @@ def test_no_level_skipping(thesaurus):
 def test_head_numbers_unique(thesaurus):
     numbers = [n.head_number for n in thesaurus.nodes_at_level(Level.HEAD)]
     assert len(numbers) == len(set(numbers))
+
+
+def test_tree_deeper_than_nine_levels_keeps_its_answers():
+    # A 14-deep spine (node i under i - 1) with a side branch at every level.
+    spine = list(range(14))
+    thesaurus = tree_from_parents(spine + spine)
+    for a in range(len(thesaurus.nodes)):
+        assert thesaurus.ancestors(a) == walk_ancestors(thesaurus, a)
+        for b in range(len(thesaurus.nodes)):
+            assert (thesaurus.lowest_common_ancestor(a, b)
+                    is walk_lca(thesaurus, a, b))
+
+
+def test_group_at_depth_seven_is_not_a_member():
+    # A semicolon group hung directly under a POS paragraph (depth 7).
+    nodes = [TaxonomyNode(id=0, level=Level.ROOT, label="T")]
+    for level in list(Level)[1:Level.PARAGRAPH] + [Level.SEMICOLON_GROUP]:
+        nodes.append(TaxonomyNode(id=len(nodes), level=level, label="x",
+                                  parent=len(nodes) - 1))
+    group = nodes[-1].id
+    refs = [Reference(entry_text=text, semicolon_group=group, pos=None,
+                      head_number=1, keyword="a") for text in ("a", "b")]
+    thesaurus = Thesaurus(nodes, refs)
+    assert thesaurus.members[group] == ()
+    assert thesaurus.lookup("a") == refs[:1]
+    with pytest.raises(InvalidReferenceError):
+        thesaurus.reference_distance(refs[0], refs[1])
+
+
+def test_keys_and_members_are_read_only(thesaurus):
+    group = thesaurus.lookup("feline")[0].semicolon_group
+    with pytest.raises(TypeError):
+        thesaurus.keys[group] = 0
+    with pytest.raises(TypeError):
+        thesaurus.members[group] = ()
