@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CorrelationUndefinedError, ParseError, WordNotFoundError
+from .interchange import data_lines
 from .similarity import similarity, similarity_tier
 
 POLICY_SKIP = "skip"
@@ -152,14 +153,9 @@ def load_pairs(source):
     ``word1<TAB>word2<TAB>human_score`` row per line, '#' comments.
     Returns (PairScale, [ScoredPair, ...]).
     """
-    if isinstance(source, str):
-        source = source.splitlines()
     scale = None
     pairs = []
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for line_no, line in data_lines(source):
         fields = line.split("\t")
         if scale is None:
             if fields[0] != "scale" or len(fields) != 3:

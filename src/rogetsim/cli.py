@@ -15,7 +15,7 @@ import sys
 from . import bench as bench_mod
 from . import solver as solver_mod
 from .errors import (CorrelationUndefinedError, GutenbergImportError,
-                     ParseError, ReportError, RogetError, WordNotFoundError)
+                     ParseError, RogetError)
 from .gutenberg import import_gutenberg_1911
 from .interchange import load, validate_structure
 from .similarity import path_headers, similarity_tier, word_min_distance
@@ -27,6 +27,16 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_INPUT = 2
 
+# Output line of the sim and distance commands, per command and format.
+_PAIR_LINES = {
+    ("sim", "text"): "sim({w1}, {w2}) = {sim} [distance {distance}, "
+                     "{paths} shortest path(s), tier {tier}]",
+    ("sim", "tsv"): "{sim}\t{paths}\t{tier}",
+    ("distance", "text"): "distance({w1}, {w2}) = {distance} "
+                          "[{paths} shortest path(s), tier {tier}]",
+    ("distance", "tsv"): "{distance}\t{paths}\t{tier}",
+}
+
 
 class CommandError(Exception):
     def __init__(self, message, code):
@@ -34,13 +44,24 @@ class CommandError(Exception):
         self.code = code
 
 
-def _read_file(path):
+def _parse_file(path, parse):
+    """``parse`` the text of the file at ``path``; input errors exit 2."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return handle.read()
+            text = handle.read()
     except OSError as exc:
         raise CommandError("cannot read %s: %s" % (path, exc.strerror),
                            EXIT_INPUT)
+    try:
+        return parse(text)
+    except (ParseError, GutenbergImportError) as exc:
+        raise CommandError("%s: %s" % (path, exc), EXIT_INPUT)
+
+
+def _write_rows(out, rows, tsv):
+    """Write ``Label: value`` report rows, as ``Label<TAB>value`` in TSV."""
+    for row in rows:
+        out.write((row.replace(": ", "\t", 1) if tsv else row) + "\n")
 
 
 def _load_thesaurus(args):
@@ -58,11 +79,7 @@ def _load_thesaurus(args):
 
 
 def cmd_import(args, out, err):
-    text = _read_file(args.source)
-    try:
-        document, report = import_gutenberg_1911(text)
-    except GutenbergImportError as exc:
-        raise CommandError("%s: %s" % (args.source, exc), EXIT_INPUT)
+    document, report = _parse_file(args.source, import_gutenberg_1911)
     out.write(document)
     for line in report.lines():
         err.write(line + "\n")
@@ -71,54 +88,26 @@ def cmd_import(args, out, err):
 
 def cmd_validate(args, out, err):
     thesaurus = _load_thesaurus(args)
-    report = validate_structure(thesaurus)
-    for line in report.lines():
-        if args.format == "tsv":
-            line = line.replace(": ", "\t", 1)
-        out.write(line + "\n")
+    _write_rows(out, validate_structure(thesaurus).lines(),
+                args.format == "tsv")
     return EXIT_OK
 
 
-def _lookup_pair(thesaurus, w1, w2):
-    try:
-        return word_min_distance(thesaurus, w1, w2)
-    except WordNotFoundError as exc:
-        raise CommandError(str(exc), EXIT_DOMAIN)
-
-
-def cmd_distance(args, out, err):
+def cmd_pair(args, out, err):
+    """The sim and distance commands."""
     thesaurus = _load_thesaurus(args)
-    result = _lookup_pair(thesaurus, args.word1, args.word2)
-    tier = similarity_tier(MAX_DISTANCE - result.min_distance).value
-    if args.format == "tsv":
-        out.write("%d\t%d\t%s\n" % (result.min_distance, result.pair_count, tier))
-    else:
-        out.write("distance(%s, %s) = %d [%d shortest path(s), tier %s]\n"
-                  % (args.word1, args.word2, result.min_distance,
-                     result.pair_count, tier))
-    return EXIT_OK
-
-
-def cmd_sim(args, out, err):
-    thesaurus = _load_thesaurus(args)
-    result = _lookup_pair(thesaurus, args.word1, args.word2)
+    result = word_min_distance(thesaurus, args.word1, args.word2)
     value = MAX_DISTANCE - result.min_distance
-    tier = similarity_tier(value).value
-    if args.format == "tsv":
-        out.write("%d\t%d\t%s\n" % (value, result.pair_count, tier))
-    else:
-        out.write("sim(%s, %s) = %d [distance %d, %d shortest path(s), tier %s]\n"
-                  % (args.word1, args.word2, value, result.min_distance,
-                     result.pair_count, tier))
+    out.write(_PAIR_LINES[args.command, args.format].format(
+        w1=args.word1, w2=args.word2, sim=value,
+        distance=result.min_distance, paths=result.pair_count,
+        tier=similarity_tier(value).value) + "\n")
     return EXIT_OK
 
 
 def cmd_paths(args, out, err):
     thesaurus = _load_thesaurus(args)
-    try:
-        groups = path_headers(thesaurus, args.word1, args.word2)
-    except WordNotFoundError as exc:
-        raise CommandError(str(exc), EXIT_DOMAIN)
+    groups = path_headers(thesaurus, args.word1, args.word2)
     for header, paths in groups:
         out.write(header + "\n")
         for path in paths:
@@ -137,17 +126,10 @@ def _choice_line(problem, evaluation):
 
 def cmd_solve(args, out, err):
     thesaurus = _load_thesaurus(args)
-    text = _read_file(args.questions)
-    try:
-        questions = solver_mod.load_questions(text)
-    except ParseError as exc:
-        raise CommandError("%s: %s" % (args.questions, exc), EXIT_INPUT)
+    questions = _parse_file(args.questions, solver_mod.load_questions)
     if args.nouns_only:
         questions = solver_mod.filter_noun_only(thesaurus, questions)
-    try:
-        report = solver_mod.score_test(thesaurus, questions)
-    except ReportError as exc:
-        raise CommandError(str(exc), EXIT_DOMAIN)
+    report = solver_mod.score_test(thesaurus, questions)
     tsv = args.format == "tsv"
     for result in report.results:
         q = result.question
@@ -164,23 +146,15 @@ def cmd_solve(args, out, err):
             out.write("%s\n" % _choice_line(q.problem, evaluation))
         out.write("→ Roget thinks that %s means %s: %s\n"
                   % (q.problem, q.choices[result.chosen_index], result.verdict))
-    if tsv:
-        for line in report.summary_lines():
-            out.write(line.replace(": ", "\t", 1) + "\n")
-    else:
+    if not tsv:
         out.write("\n")
-        for line in report.summary_lines():
-            out.write(line + "\n")
+    _write_rows(out, report.summary_lines(), tsv)
     return EXIT_OK
 
 
 def cmd_bench(args, out, err):
     thesaurus = _load_thesaurus(args)
-    text = _read_file(args.pairs)
-    try:
-        scale, pairs = bench_mod.load_pairs(text)
-    except ParseError as exc:
-        raise CommandError("%s: %s" % (args.pairs, exc), EXIT_INPUT)
+    scale, pairs = _parse_file(args.pairs, bench_mod.load_pairs)
     try:
         report = bench_mod.evaluate_pairs(thesaurus, pairs, scale,
                                           policy=args.policy)
@@ -219,12 +193,12 @@ def build_parser():
                                         "two words")
     p.add_argument("word1")
     p.add_argument("word2")
-    p.set_defaults(func=cmd_distance)
+    p.set_defaults(func=cmd_pair)
 
     p = sub.add_parser("sim", help="semantic similarity (16 - distance)")
     p.add_argument("word1")
     p.add_argument("word2")
-    p.set_defaults(func=cmd_sim)
+    p.set_defaults(func=cmd_pair)
 
     p = sub.add_parser("paths", help="show all shortest paths between "
                                      "two words")

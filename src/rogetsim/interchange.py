@@ -1,7 +1,9 @@
 """Parsing, serialization and validation of the thesaurus interchange format.
 
 The format is UTF-8 and line-oriented: a leading keyword, a single space,
-then the payload.  ``#`` lines are comments, blank lines are ignored.
+then the payload.  ``#`` lines are comments, blank lines are ignored, and
+lines end at ``\n``, ``\r\n`` or ``\r``, whether the document is given as
+a string or as a text stream.
 
     C <ordinal> <label>        Class
     S <ordinal> <label>        Section
@@ -19,39 +21,56 @@ are duplicate head numbers and empty semicolon groups.
 
 import io
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ParseError
 from .taxonomy import Level, PartOfSpeech, Reference, TaxonomyNode, Thesaurus
 from .taxonomy import build_index, normalize  # noqa: F401  (public names)
 
-RECORD_LEVELS = {
-    "C": Level.CLASS,
-    "S": Level.SECTION,
-    "U": Level.SUB_SECTION,
-    "G": Level.HEAD_GROUP,
-    "H": Level.HEAD,
-    "P": Level.POS_PARAGRAPH,
-    "Q": Level.PARAGRAPH,
-    ";": Level.SEMICOLON_GROUP,
-}
 
-RECORD_NAMES = {
-    Level.CLASS: "class",
-    Level.SECTION: "section",
-    Level.SUB_SECTION: "sub-section",
-    Level.HEAD_GROUP: "head group",
-    Level.HEAD: "head",
-    Level.POS_PARAGRAPH: "POS paragraph",
-    Level.PARAGRAPH: "paragraph",
-    Level.SEMICOLON_GROUP: "semicolon group",
+class _Record(NamedTuple):
+    keyword: str  # leading keyword in the interchange format
+    name: str     # record name in messages
+    counter: str  # StructureReport counter field
+    row: str      # StructureReport.lines() row label
+
+
+_RECORDS = {
+    Level.CLASS: _Record("C", "class", "classes", "Classes"),
+    Level.SECTION: _Record("S", "section", "sections", "Sections"),
+    Level.SUB_SECTION: _Record("U", "sub-section", "sub_sections",
+                               "Sub-Sections"),
+    Level.HEAD_GROUP: _Record("G", "head group", "head_groups",
+                              "Head Groups"),
+    Level.HEAD: _Record("H", "head", "heads", "Heads"),
+    Level.POS_PARAGRAPH: _Record("P", "POS paragraph", "pos_paragraphs",
+                                 "POS paragraphs"),
+    Level.PARAGRAPH: _Record("Q", "paragraph", "paragraphs", "Paragraphs"),
+    Level.SEMICOLON_GROUP: _Record(";", "semicolon group",
+                                   "semicolon_groups", "Semicolon groups"),
 }
+_KEYWORD_LEVELS = {record.keyword: level for level, record in _RECORDS.items()}
+
+
+def data_lines(source):
+    """Yield (1-based line number, line) for each non-blank, non-'#' line.
+
+    ``source`` is a string or a text stream.  A string is read as a stream
+    with universal newlines, so it splits into lines exactly as a file
+    opened in text mode does.  The line keeps its whitespace but not its
+    line ending.
+    """
+    if isinstance(source, str):
+        source = io.StringIO(source, newline=None)
+    for line_no, raw in enumerate(source, start=1):
+        line = raw.rstrip("\n").rstrip("\r")
+        text = line.lstrip()
+        if text and text[0] != "#":
+            yield line_no, line
 
 
 def parse_interchange(source):
     """Parse interchange text (a string or a text stream) into a Thesaurus."""
-    if isinstance(source, str):
-        source = io.StringIO(source)
-
     root = TaxonomyNode(id=0, level=Level.ROOT, label="T")
     nodes = [root]
     references = []
@@ -64,32 +83,29 @@ def parse_interchange(source):
     def split_payload(payload, kind, line_no):
         parts = payload.split(None, 1)
         if not parts:
-            fail("%s record needs an ordinal and a label" % RECORD_NAMES[kind],
-                 line_no, 3)
+            fail("%s record needs an ordinal and a label"
+                 % _RECORDS[kind].name, line_no, 3)
         try:
             number = int(parts[0])
         except ValueError:
             fail("%s record has non-integer ordinal %r"
-                 % (RECORD_NAMES[kind], parts[0]), line_no, 3)
+                 % (_RECORDS[kind].name, parts[0]), line_no, 3)
         label = parts[1].strip() if len(parts) > 1 else ""
         return number, label
 
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        keyword = stripped.split(None, 1)[0]
-        if keyword not in RECORD_LEVELS:
+    for line_no, line in data_lines(source):
+        parts = line.split(None, 1)
+        keyword = parts[0]
+        if keyword not in _KEYWORD_LEVELS:
             fail("unknown record keyword %r" % keyword, line_no)
-        level = RECORD_LEVELS[keyword]
-        payload = stripped[len(keyword):].strip()
+        level = _KEYWORD_LEVELS[keyword]
+        payload = parts[1].strip() if len(parts) > 1 else ""
 
         parent = open_nodes.get(Level(level - 1))
         if parent is None:
             fail("%s record has no open %s to attach to (nesting rule: "
                  "level %d attaches to the most recent level %d record)"
-                 % (RECORD_NAMES[level], RECORD_NAMES[Level(level - 1)]
+                 % (_RECORDS[level].name, _RECORDS[Level(level - 1)].name
                     if level - 1 > 0 else "document root",
                     int(level), int(level) - 1),
                  line_no)
@@ -156,23 +172,18 @@ def serialize(thesaurus):
     lines = []
 
     def emit(node):
-        if node.level == Level.CLASS:
-            lines.append("C %d %s" % (node.ordinal, node.label))
-        elif node.level == Level.SECTION:
-            lines.append("S %d %s" % (node.ordinal, node.label))
-        elif node.level == Level.SUB_SECTION:
-            lines.append("U %d %s" % (node.ordinal, node.label))
-        elif node.level == Level.HEAD_GROUP:
-            lines.append("G %d %s" % (node.ordinal, node.label))
-        elif node.level == Level.HEAD:
-            lines.append("H %d %s" % (node.head_number, node.label))
+        if node.level == Level.HEAD:
+            payload = "%d %s" % (node.head_number, node.label)
         elif node.level == Level.POS_PARAGRAPH:
-            lines.append("P %s" % node.pos.value)
+            payload = node.pos.value
         elif node.level == Level.PARAGRAPH:
-            lines.append("Q %d" % node.ordinal)
+            payload = "%d" % node.ordinal
         elif node.level == Level.SEMICOLON_GROUP:
-            lines.append("; %s" % " | ".join(
-                r.entry_text for r in thesaurus.members[node.id]))
+            payload = " | ".join(
+                r.entry_text for r in thesaurus.members[node.id])
+        else:
+            payload = "%d %s" % (node.ordinal, node.label)
+        lines.append("%s %s" % (_RECORDS[node.level].keyword, payload))
         for child in node.children:
             emit(thesaurus.nodes[child])
 
@@ -199,18 +210,9 @@ class StructureReport:
         return not self.violations
 
     def lines(self):
-        rows = [
-            ("Classes", self.classes),
-            ("Sections", self.sections),
-            ("Sub-Sections", self.sub_sections),
-            ("Head Groups", self.head_groups),
-            ("Heads", self.heads),
-            ("POS paragraphs", self.pos_paragraphs),
-            ("Paragraphs", self.paragraphs),
-            ("Semicolon groups", self.semicolon_groups),
-            ("Entries", self.entries),
-        ]
-        out = ["%s: %d" % row for row in rows]
+        out = ["%s: %d" % (record.row, getattr(self, record.counter))
+               for record in _RECORDS.values()]
+        out.append("Entries: %d" % self.entries)
         for violation in self.violations:
             out.append("VIOLATION: %s" % violation)
         return out
@@ -219,27 +221,18 @@ class StructureReport:
 def validate_structure(thesaurus):
     """Count nodes per level and re-check the tree invariants."""
     report = StructureReport()
-    counters = {
-        Level.CLASS: "classes",
-        Level.SECTION: "sections",
-        Level.SUB_SECTION: "sub_sections",
-        Level.HEAD_GROUP: "head_groups",
-        Level.HEAD: "heads",
-        Level.POS_PARAGRAPH: "pos_paragraphs",
-        Level.PARAGRAPH: "paragraphs",
-        Level.SEMICOLON_GROUP: "semicolon_groups",
-    }
     head_numbers = set()
+    named_groups = {ref.semicolon_group for ref in thesaurus.references}
     for node in thesaurus.nodes:
         if node.level == Level.ROOT:
             continue
-        setattr(report, counters[node.level],
-                getattr(report, counters[node.level]) + 1)
+        record = _RECORDS[node.level]
+        setattr(report, record.counter, getattr(report, record.counter) + 1)
         parent = thesaurus.nodes[node.parent]
         if parent.level != node.level - 1:
             report.violations.append(
                 "node %d (%s) skips a level under %s"
-                % (node.id, RECORD_NAMES[node.level], RECORD_NAMES[parent.level]
+                % (node.id, record.name, _RECORDS[parent.level].name
                    if parent.level > 0 else "root"))
         if node.level == Level.HEAD:
             if node.head_number in head_numbers:
@@ -249,7 +242,9 @@ def validate_structure(thesaurus):
         if (node.level == Level.SEMICOLON_GROUP
                 and not thesaurus.members[node.id]):
             report.violations.append(
-                "semicolon group %d has no entries" % node.id)
+                "semicolon group %d %s" % (node.id, "is not at depth 8"
+                                           if node.id in named_groups
+                                           else "has no entries"))
     inside = {id(r) for refs in thesaurus.members for r in refs}
     for ref in thesaurus.references:
         if id(ref) not in inside:

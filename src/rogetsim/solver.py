@@ -12,7 +12,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
 from .errors import ParseError, ReportError
-from .interchange import normalize
+from .interchange import data_lines, normalize
 from .similarity import word_min_distance
 from .taxonomy import PartOfSpeech
 
@@ -109,6 +109,21 @@ def tokenize_choice(text):
     return [t for t in normalize(text).split() if t not in STOP_WORDS]
 
 
+def _resolve_phrase(thesaurus, text):
+    """Yield (token, references) for ``text``.
+
+    An indexed phrase yields itself, normalized, as its one token;
+    otherwise each non-stop-word token is yielded with its references,
+    which are empty when the token is not indexed.
+    """
+    refs = thesaurus.lookup(text)
+    if refs:
+        yield normalize(text), refs
+        return
+    for token in tokenize_choice(text):
+        yield token, thesaurus.lookup(token)
+
+
 def evaluate_choice(thesaurus, problem, choice, choice_index=0):
     """Distance of one choice word or phrase from the problem word.
 
@@ -116,20 +131,11 @@ def evaluate_choice(thesaurus, problem, choice, choice_index=0):
     token is evaluated and the shortest token distance stands in for the
     phrase, with pair counts summed over all tokens achieving it.
     """
-    if thesaurus.lookup(choice):
-        result = word_min_distance(thesaurus, problem, choice)
-        return ChoiceEvaluation(
-            choice_index=choice_index, choice_text=choice,
-            effective_distance=result.min_distance,
-            pair_count=result.pair_count,
-            contributing_token=normalize(choice),
-            best_pair=result.achieving_pairs[0])
-
     evaluation = ChoiceEvaluation(choice_index=choice_index,
                                   choice_text=choice,
                                   effective_distance=None)
-    for token in tokenize_choice(choice):
-        if not thesaurus.lookup(token):
+    for token, refs in _resolve_phrase(thesaurus, choice):
+        if not refs:
             evaluation.tokens_not_found.append(token)
             continue
         result = word_min_distance(thesaurus, problem, token)
@@ -146,17 +152,13 @@ def evaluate_choice(thesaurus, problem, choice, choice_index=0):
 
 def answer_question(thesaurus, question):
     """Pick the choice with the shortest distance; most paths breaks ties."""
-    if not thesaurus.lookup(question.problem):
+    if thesaurus.lookup(question.problem):
+        per_choice = [evaluate_choice(thesaurus, question.problem, choice, i)
+                      for i, choice in enumerate(question.choices)]
+    else:
         per_choice = [ChoiceEvaluation(choice_index=i, choice_text=c,
                                        effective_distance=None)
                       for i, c in enumerate(question.choices)]
-        return QuestionResult(question=question, chosen_index=None,
-                              tie_after_tiebreak=False, tied_indices=[],
-                              per_choice=per_choice, correct=False,
-                              credit=Fraction(0))
-
-    per_choice = [evaluate_choice(thesaurus, question.problem, choice, i)
-                  for i, choice in enumerate(question.choices)]
     found = [ev for ev in per_choice if ev.found]
     if not found:
         return QuestionResult(question=question, chosen_index=None,
@@ -219,12 +221,8 @@ def score_test(thesaurus, questions):
 
 
 def _has_noun_reference(thesaurus, text):
-    refs = thesaurus.lookup(text)
-    if refs:
-        return any(r.pos == PartOfSpeech.NOUN for r in refs)
-    return any(
-        any(r.pos == PartOfSpeech.NOUN for r in thesaurus.lookup(token))
-        for token in tokenize_choice(text))
+    return any(r.pos == PartOfSpeech.NOUN
+               for _, refs in _resolve_phrase(thesaurus, text) for r in refs)
 
 
 def filter_noun_only(thesaurus, questions):
@@ -244,13 +242,8 @@ def load_questions(source):
     One question per line: problem, four choices, gold index 0-3 and an
     optional source tag, tab-separated; '#' lines are comments.
     """
-    if isinstance(source, str):
-        source = source.splitlines()
     questions = []
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for line_no, line in data_lines(source):
         fields = line.split("\t")
         if len(fields) not in (6, 7):
             raise ParseError(

@@ -1,5 +1,6 @@
 """Pearson correlation and pair-benchmark reports."""
 
+import io
 import math
 import random
 
@@ -146,6 +147,15 @@ def test_load_pairs_file():
     assert (scale.low, scale.high) == (0.0, 4.0)
     assert len(pairs) == 9
     assert pairs[0].word1 == "journey's end"
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\x0c", "\x85"])
+def test_load_pairs_string_splits_like_stream(separator):
+    text = ("scale\t0\t4\r\nfeline%scat\tlynx\t3.5\rmonk\toracle\t3\n"
+            % separator)
+    loaded = load_pairs(text)
+    assert loaded == load_pairs(io.StringIO(text, newline=None))
+    assert [p.word1 for p in loaded[1]] == ["feline%scat" % separator, "monk"]
 
 
 @pytest.mark.parametrize("text", [

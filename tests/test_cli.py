@@ -193,3 +193,76 @@ def test_outputs_deterministic():
     first = run_fixture("solve", data_path("questions_mixed.tsv"))
     second = run_fixture("solve", data_path("questions_mixed.tsv"))
     assert first == second
+
+
+# Exact stdout for the distance-0, distance-2 and distance-16 fixture tier
+# pairs, per command and format.
+JOURNEY = ("journey's end", "terminus")
+FELINE = ("feline", "lynx")
+NAG = ("nag", "like greased lightning")
+NAG_PATH = (
+    "  nag → carrier → N. → 273. Carrier → [273] → Motion in general → "
+    "Section one : Motion → Class two : Space → T ← Class one : Abstract "
+    "relations ← Section two : Time ← Absolute time ← [116] ← 116. "
+    "Instantaneity ← ADV. ← instantaneously ← like greased lightning\n")
+PINNED_PAIRS = [
+    ("text", "sim", JOURNEY, "sim(journey's end, terminus) = 16 "
+     "[distance 0, 1 shortest path(s), tier High]\n"),
+    ("text", "sim", FELINE, "sim(feline, lynx) = 14 "
+     "[distance 2, 1 shortest path(s), tier Intermediate]\n"),
+    ("text", "sim", NAG, "sim(nag, like greased lightning) = 0 "
+     "[distance 16, 1 shortest path(s), tier Low]\n"),
+    ("tsv", "sim", JOURNEY, "16\t1\tHigh\n"),
+    ("tsv", "sim", FELINE, "14\t1\tIntermediate\n"),
+    ("tsv", "sim", NAG, "0\t1\tLow\n"),
+    ("text", "distance", JOURNEY, "distance(journey's end, terminus) = 0 "
+     "[1 shortest path(s), tier High]\n"),
+    ("text", "distance", FELINE, "distance(feline, lynx) = 2 "
+     "[1 shortest path(s), tier Intermediate]\n"),
+    ("text", "distance", NAG, "distance(nag, like greased lightning) = 16 "
+     "[1 shortest path(s), tier Low]\n"),
+    ("tsv", "distance", JOURNEY, "0\t1\tHigh\n"),
+    ("tsv", "distance", FELINE, "2\t1\tIntermediate\n"),
+    ("tsv", "distance", NAG, "16\t1\tLow\n"),
+] + [
+    (fmt, "paths", pair, out) for fmt in ("text", "tsv") for pair, out in [
+        (JOURNEY, "journey's end N. to terminus N., length = 0, "
+                  "1 path(s) of this length\n  journey's end → terminus\n"),
+        (FELINE, "feline N. to lynx N., length = 2, 1 path(s) of this "
+                 "length\n  feline → cat ← lynx\n"),
+        (NAG, "nag N. to like greased lightning ADV., length = 16, "
+              "1 path(s) of this length\n" + NAG_PATH),
+    ]
+]
+
+
+@pytest.mark.parametrize("fmt,command,pair,expected", PINNED_PAIRS)
+def test_pair_commands_exact_output(fmt, command, pair, expected):
+    assert run_fixture("--format", fmt, command, *pair) == (0, expected, "")
+
+
+@pytest.mark.parametrize("fmt", ["text", "tsv"])
+@pytest.mark.parametrize("command", ["sim", "distance", "paths"])
+def test_pair_commands_not_found_exact(fmt, command):
+    assert run_fixture("--format", fmt, command, "feline", "zzzz") == (
+        1, "", "error: not found: zzzz\n")
+
+
+VALIDATE_ROWS = [("Classes", 8), ("Sections", 11), ("Sub-Sections", 15),
+                 ("Head Groups", 21), ("Heads", 25), ("POS paragraphs", 30),
+                 ("Paragraphs", 37), ("Semicolon groups", 55),
+                 ("Entries", 116)]
+
+
+@pytest.mark.parametrize("fmt,sep", [("text", ": "), ("tsv", "\t")])
+def test_validate_exact_output(fmt, sep):
+    expected = "".join("%s%s%d\n" % (label, sep, n)
+                       for label, n in VALIDATE_ROWS)
+    assert run_fixture("--format", fmt, "validate") == (0, expected, "")
+
+
+def test_solve_comment_only_file_exact(tmp_path):
+    questions = tmp_path / "q.tsv"
+    questions.write_text("# only a comment\n")
+    assert run_fixture("solve", str(questions)) == (
+        1, "", "error: cannot score an empty question list\n")

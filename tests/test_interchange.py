@@ -7,7 +7,7 @@ import unicodedata
 import pytest
 
 from rogetsim import (InvalidReferenceError, Level, ParseError, TaxonomyNode,
-                      Thesaurus, build_index, normalize,
+                      Thesaurus, build_index, load, normalize,
                       parse_interchange, serialize, structure_signature,
                       validate_structure)
 
@@ -70,6 +70,20 @@ def test_bad_pos():
     bad = MINIMAL.replace("P N", "P NOUN")
     with pytest.raises(ParseError, match="POS"):
         parse_interchange(bad)
+
+
+def test_line_endings_split_like_a_file(tmp_path):
+    signatures = set()
+    for ending in ("\n", "\r\n", "\r"):
+        text = MINIMAL.replace("\n", ending)
+        thesaurus = parse_interchange(text)
+        assert len(thesaurus.nodes) == 9
+        assert len(thesaurus.references) == 1
+        signatures.add(structure_signature(thesaurus))
+        path = tmp_path / "minimal.rt"
+        path.write_bytes(text.encode("utf-8"))
+        assert structure_signature(load(path)) in signatures
+    assert len(signatures) == 1
 
 
 def test_comments_and_blank_lines_ignored():
@@ -167,7 +181,7 @@ def test_validate_reports_group_at_depth_seven():
     report = validate_structure(Thesaurus(parsed.nodes[:7] + [group], [ref]))
     assert report.violations == [
         "node 7 (semicolon group) skips a level under POS paragraph",
-        "semicolon group 7 has no entries",
+        "semicolon group 7 is not at depth 8",
         "reference 'word' at node 7 is not in a semicolon group at depth 8"]
 
 

@@ -1,5 +1,6 @@
 """Synonym question solving, tie-breaking and scoring."""
 
+import io
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -196,3 +197,13 @@ def test_load_questions_roundtrip():
 def test_load_questions_rejects_malformed(line):
     with pytest.raises(ParseError):
         load_questions(line + "\n")
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\x0c", "\x85"])
+def test_load_questions_string_splits_like_stream(separator):
+    text = ("ode\theavy%sdebt\tpoem\tsweet smell\tsurprise\t1\r\n"
+            "feline\tlynx\tdebt\tmonk\tinspired\t0\r" % separator)
+    questions = load_questions(text)
+    assert questions == load_questions(io.StringIO(text, newline=None))
+    assert questions[0].choices[0] == "heavy%sdebt" % separator
+    assert len(questions) == 2
