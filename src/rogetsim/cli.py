@@ -17,7 +17,7 @@ from . import solver as solver_mod
 from .errors import (CorrelationUndefinedError, GutenbergImportError,
                      ParseError, RogetError)
 from .gutenberg import import_gutenberg_1911
-from .interchange import load, validate_structure
+from .interchange import decode_utf8, load, validate_structure
 from .similarity import path_headers, similarity_tier, word_min_distance
 from .taxonomy import MAX_DISTANCE
 
@@ -44,16 +44,20 @@ class CommandError(Exception):
         self.code = code
 
 
+def _cannot_read(path, exc):
+    return CommandError("cannot read %s: %s" % (path, exc.strerror),
+                        EXIT_INPUT)
+
+
 def _parse_file(path, parse):
     """``parse`` the text of the file at ``path``; input errors exit 2."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
-        raise CommandError("cannot read %s: %s" % (path, exc.strerror),
-                           EXIT_INPUT)
+        raise _cannot_read(path, exc)
     try:
-        return parse(text)
+        return parse(decode_utf8(data))
     except (ParseError, GutenbergImportError) as exc:
         raise CommandError("%s: %s" % (path, exc), EXIT_INPUT)
 
@@ -70,10 +74,10 @@ def _load_thesaurus(args):
         raise CommandError(
             "no thesaurus given: use --thesaurus or set $%s" % ENV_THESAURUS,
             EXIT_INPUT)
-    if not os.path.exists(path):
-        raise CommandError("cannot read %s: no such file" % path, EXIT_INPUT)
     try:
         return load(path)
+    except OSError as exc:
+        raise _cannot_read(path, exc)
     except ParseError as exc:
         raise CommandError("failed to load %s: %s" % (path, exc), EXIT_INPUT)
 

@@ -268,7 +268,41 @@ def structure_signature(thesaurus):
     return sig(thesaurus.root)
 
 
+def _universal_newlines(text):
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def decode_utf8(data):
+    """Text of the bytes ``data``, with line endings read as in text mode.
+
+    Bytes that are not UTF-8 raise ParseError at the line and column of
+    the first of them.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = _universal_newlines(data[:exc.start].decode("utf-8"))
+        raise ParseError("byte 0x%02x is not UTF-8" % data[exc.start],
+                         line=before.count("\n") + 1,
+                         column=len(before) - before.rfind("\n")) from None
+    return _universal_newlines(text)
+
+
 def load(path):
-    """Parse the interchange file at ``path``."""
+    """Parse the interchange file at ``path``.
+
+    A file that is not UTF-8 raises ParseError, like any malformed input.
+    The file is read as a stream; on a byte that is not UTF-8 the same
+    open file is read again from the start to locate it, which a pipe
+    cannot do, so there the error names the byte but not its line.
+    """
     with open(path, encoding="utf-8") as handle:
-        return parse_interchange(handle)
+        try:
+            return parse_interchange(handle)
+        except UnicodeDecodeError as exc:
+            if not handle.seekable():
+                raise ParseError("byte 0x%02x is not UTF-8"
+                                 % exc.object[exc.start]) from None
+            handle.buffer.seek(0)
+            text = decode_utf8(handle.buffer.read())
+    return parse_interchange(text)

@@ -9,10 +9,18 @@ All parts of speech are considered; there is no word sense
 disambiguation.  The number of minimizing reference pairs doubles as the
 shortest-path count used by the synonym solver for tie-breaking: in a
 tree each reference pair has exactly one path.
+
+For words with m and n references the minimum and the pair count cost
+O((m+n) log(m+n)), not m*n distance computations (see
+``Thesaurus.min_distance``, which measures up to 16 pairs one by one);
+the minimizing pairs themselves are built only when ``achieving_pairs``
+is read.
 """
 
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .errors import WordNotFoundError
 from .taxonomy import MAX_DISTANCE
@@ -26,15 +34,26 @@ class SimilarityTier(Enum):
 
 @dataclass
 class WordDistanceResult:
+    """Minimum distance between two words and the pairs attaining it.
+
+    ``achieving_pairs`` lists the (Reference, Reference) pairs at the
+    minimum, ``pair_count`` of them, in document order; it is built when
+    first read.
+    """
+
     word1: str
     word2: str
     min_distance: int
-    achieving_pairs: list  # (Reference, Reference) pairs attaining the minimum
     pair_count: int
+    _pairs: Iterator = field(repr=False, compare=False)
+
+    @cached_property
+    def achieving_pairs(self):
+        return list(self._pairs)
 
 
 def word_min_distance(thesaurus, w1, w2):
-    """Minimum distance between two words, with all minimizing pairs.
+    """Minimum distance between two words and the number of pairs at it.
 
     Achieving pairs are listed in document order of the references, which
     makes reports reproducible.  Raises WordNotFoundError naming every
@@ -45,18 +64,10 @@ def word_min_distance(thesaurus, w1, w2):
     missing = [w for w, refs in ((w1, refs1), (w2, refs2)) if not refs]
     if missing:
         raise WordNotFoundError(missing)
-    best = MAX_DISTANCE + 1
-    pairs = []
-    for r1 in refs1:
-        for r2 in refs2:
-            d = thesaurus.reference_distance(r1, r2)
-            if d < best:
-                best = d
-                pairs = [(r1, r2)]
-            elif d == best:
-                pairs.append((r1, r2))
-    return WordDistanceResult(word1=w1, word2=w2, min_distance=best,
-                              achieving_pairs=pairs, pair_count=len(pairs))
+    distance, count = thesaurus.min_distance(refs1, refs2)
+    return WordDistanceResult(
+        word1=w1, word2=w2, min_distance=distance, pair_count=count,
+        _pairs=thesaurus.pairs_within(refs1, refs2, distance))
 
 
 def similarity(thesaurus, w1, w2):

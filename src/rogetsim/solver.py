@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import ParseError, ReportError
 from .interchange import data_lines, normalize
-from .similarity import word_min_distance
+from .similarity import WordDistanceResult, word_min_distance
 from .taxonomy import PartOfSpeech
 
 STOP_WORDS = frozenset({"and", "to", "be"})
@@ -41,11 +41,24 @@ class ChoiceEvaluation:
     pair_count: int = 0
     contributing_token: str | None = None
     tokens_not_found: list = field(default_factory=list)
-    best_pair: tuple | None = None  # (problem ref, choice ref) for display
+    # The contributing token's WordDistanceResult, read for best_pair.
+    _result: WordDistanceResult | None = field(default=None, repr=False,
+                                               compare=False)
 
     @property
     def found(self):
         return self.effective_distance is not None
+
+    @property
+    def best_pair(self):
+        """(problem ref, choice ref) at the effective distance, for display.
+
+        The contributing token's first achieving pair; its pairs are built
+        only when this is read.
+        """
+        if self._result is None:
+            return None
+        return self._result.achieving_pairs[0]
 
 
 @dataclass
@@ -144,7 +157,7 @@ def evaluate_choice(thesaurus, problem, choice, choice_index=0):
             evaluation.effective_distance = result.min_distance
             evaluation.pair_count = result.pair_count
             evaluation.contributing_token = token
-            evaluation.best_pair = result.achieving_pairs[0]
+            evaluation._result = result
         elif result.min_distance == evaluation.effective_distance:
             evaluation.pair_count += result.pair_count
     return evaluation

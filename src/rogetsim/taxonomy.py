@@ -11,18 +11,27 @@ number of tree edges on the unique path between their semicolon groups:
 which is always an even number in [0, 16].  Each node's root-first
 ancestor ids are packed into one int key at fixed bit positions, so the
 level of the lowest common ancestor of two groups is read off the top set
-bit of their keys' XOR (see ``Thesaurus``).
+bit of their keys' XOR (see ``Thesaurus``), and the closest pairs between
+two lists of references are found from their sorted keys, without
+comparing every pair.
 """
 
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from itertools import groupby
-from operator import attrgetter
+from itertools import groupby, repeat
+from operator import attrgetter, xor
 
 from .errors import InvalidNodeError, InvalidReferenceError
 
 MAX_DISTANCE = 16
+
+# Thesaurus.min_distance measures each pair with reference_distance, instead
+# of sorting the keys, while there are at most this many pairs: sorting has
+# a fixed cost of some fourteen reference_distance calls, and past 16 to 25
+# pairs it is the cheaper way.
+_FEW_PAIRS = 16
 
 
 class Level(IntEnum):
@@ -125,7 +134,9 @@ class Thesaurus:
     a reference distance is one table lookup.  A tree deeper than nine
     levels gets correspondingly wider keys.  ``members`` holds the
     references of each semicolon group at depth 8 (empty for every other
-    node); ``index`` is ``build_index(self)``.
+    node); ``index`` is ``build_index(self)``.  For lists of m and n
+    references the cost of ``min_distance`` and ``pairs_within`` grows as
+    (m+n) log(m+n), not as m*n.
 
     Instances are immutable after construction (``keys`` and ``members``
     are tuples); every query method is safe to call concurrently.
@@ -156,10 +167,15 @@ class Thesaurus:
             MAX_DISTANCE - 2 * min(self._level(length), group_level)
             for length in range(bits * (top + 1) + 1))
         members = [()] * len(nodes)
+        # Stays true for a parsed thesaurus: then every reference ``lookup``
+        # returns is a member, and ``_keys`` skips the membership check.
+        self._all_members = True
         for group, refs in groupby(references, attrgetter("semicolon_group")):
             if (0 <= group < len(nodes) and nodes[group].level == group_level
                     and depths[group] == group_level):
                 members[group] += tuple(refs)
+            else:
+                self._all_members = False
         self.members = tuple(members)
         self.index = build_index(self)
 
@@ -222,9 +238,67 @@ class Thesaurus:
             "reference %r is not a member of its semicolon group in this "
             "thesaurus" % (ref,))
 
+    def _keys(self, refs):
+        """Keys of references that ``lookup`` returned, one read each."""
+        if self._all_members:
+            keys = self.keys
+            return [keys[ref.semicolon_group] for ref in refs]
+        return [self._key(ref) for ref in refs]
+
+    def _shift(self, distance):
+        """Shift s: groups within ``distance`` are those with k1>>s == k2>>s."""
+        level = max((MAX_DISTANCE + 1 - distance) // 2, 0)
+        return self._bits * (self._top - level)
+
     def reference_distance(self, r1, r2):
         """Edges on the shortest tree path between two references' groups."""
         return self._distance[(self._key(r1) ^ self._key(r2)).bit_length()]
+
+    def min_distance(self, refs1, refs2):
+        """(Minimum distance, number of pairs attaining it) over refs1 x refs2.
+
+        Both lists are non-empty.  When they make few pairs each pair is
+        measured by ``reference_distance``.  Otherwise the references
+        are taken to be this thesaurus's, as ``lookup`` returns them, and
+        each key is read once: the keys are sorted together, where a
+        closest pair across the two lists is adjacent, and the pairs at
+        that distance are those whose keys agree down to the shared level,
+        O((m+n) log(m+n)) for m and n references.
+        """
+        if len(refs1) * len(refs2) <= _FEW_PAIRS:
+            measure, best, count = self.reference_distance, MAX_DISTANCE + 1, 0
+            for r1 in refs1:
+                for r2 in refs2:
+                    distance = measure(r1, r2)
+                    if distance < best:
+                        best, count = distance, 1
+                    elif distance == best:
+                        count += 1
+            return best, count
+        keys1, keys2 = self._keys(refs1), self._keys(refs2)
+        # The low bit tags the list, so a pair across lists has an odd XOR.
+        tagged = sorted([k << 1 for k in keys1] + [k << 1 | 1 for k in keys2])
+        closest = min([x for x in map(xor, tagged, tagged[1:]) if x & 1])
+        distance = self._distance[(closest >> 1).bit_length()]
+        shift = self._shift(distance)
+        counts = Counter([k >> shift for k in keys1])
+        return distance, sum(map(counts.get, [k >> shift for k in keys2],
+                                 repeat(0)))
+
+    def pairs_within(self, refs1, refs2, distance):
+        """Yield each pair of refs1 x refs2 at most ``distance`` apart.
+
+        Pairs come in document order (refs1 outer, refs2 inner), lazily;
+        the references are this thesaurus's, as ``lookup`` returns them,
+        and ``distance`` is at least 0.
+        """
+        shift = self._shift(distance)
+        near = {}
+        for ref, key in zip(refs2, self._keys(refs2)):
+            near.setdefault(key >> shift, []).append(ref)
+        for ref, key in zip(refs1, self._keys(refs1)):
+            for other in near.get(key >> shift, ()):
+                yield ref, other
 
     def tree_path(self, r1, r2):
         """The unique path between two references, as display labels.

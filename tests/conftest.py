@@ -1,4 +1,5 @@
 import os
+import threading
 
 import pytest
 
@@ -35,3 +36,37 @@ def thesaurus():
 def fixture_text():
     with open(FIXTURE_PATH, encoding="utf-8") as handle:
         return handle.read()
+
+
+def read_from_pipe(path, data, read):
+    """``read(path)`` on a new named pipe that a writer fills with ``data``.
+
+    Returns what ``read`` returns or raises.  A reader that opens the pipe
+    a second time would wait for a writer forever, so the read runs in a
+    thread and the test fails after 20 seconds instead of hanging.
+    """
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("no named pipes on this platform")
+    path = str(path)
+    os.mkfifo(path)
+
+    def write():
+        with open(path, "wb") as handle:
+            handle.write(data)
+
+    outcome = {}
+
+    def call():
+        try:
+            outcome["value"] = read(path)
+        except Exception as exc:  # re-raised in the test's thread
+            outcome["error"] = exc
+
+    threads = [threading.Thread(target=f, daemon=True) for f in (write, call)]
+    for thread in threads:
+        thread.start()
+    threads[1].join(20)
+    assert not threads[1].is_alive(), "the pipe was opened a second time"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]

@@ -5,7 +5,7 @@ import io
 import pytest
 
 from rogetsim.cli import main
-from tests.conftest import FIXTURE_PATH, data_path
+from tests.conftest import FIXTURE_PATH, data_path, read_from_pipe
 
 
 def run(*argv):
@@ -266,3 +266,41 @@ def test_solve_comment_only_file_exact(tmp_path):
     questions.write_text("# only a comment\n")
     assert run_fixture("solve", str(questions)) == (
         1, "", "error: cannot score an empty question list\n")
+
+
+def test_solve_non_utf8_file_exact(tmp_path):
+    questions = tmp_path / "q.tsv"
+    questions.write_bytes(b"ode\tpoem\ta\tb\tc\t1\r\nab\xffc\n")
+    assert run_fixture("solve", str(questions)) == (
+        2, "", "error: %s: line 2, column 3: byte 0xff is not UTF-8\n"
+        % questions)
+
+
+def test_non_utf8_thesaurus_exact(tmp_path, fixture_text):
+    thesaurus = tmp_path / "t.rt"
+    thesaurus.write_bytes(fixture_text.encode() + b"C 9 caf\xe9\n")
+    line = fixture_text.count("\n") + 1
+    assert run("--thesaurus", str(thesaurus), "sim", "a", "b") == (
+        2, "", "error: failed to load %s: line %d, column 8: byte 0xe9 is "
+        "not UTF-8\n" % (thesaurus, line))
+
+
+def test_pipes_are_read_once(tmp_path, fixture_text):
+    questions = read_from_pipe(
+        tmp_path / "q", b"ode\tpoem\ta\tb\tc\t1\nab\xffc\n",
+        lambda path: run_fixture("solve", path))
+    assert questions == (2, "", "error: %s: line 2, column 3: byte 0xff is "
+                         "not UTF-8\n" % (tmp_path / "q"))
+    thesaurus = read_from_pipe(
+        tmp_path / "t", fixture_text.encode() + b"C 9 caf\xe9\n",
+        lambda path: run("--thesaurus", path, "sim", "a", "b"))
+    assert thesaurus == (2, "", "error: failed to load %s: byte 0xe9 is not "
+                         "UTF-8\n" % (tmp_path / "t"))
+
+
+@pytest.mark.parametrize("name,reason", [
+    ("", "Is a directory"), ("absent.rt", "No such file or directory")])
+def test_unreadable_thesaurus_exact(tmp_path, name, reason):
+    path = str(tmp_path / name) if name else str(tmp_path)
+    assert run("--thesaurus", path, "sim", "a", "b") == (
+        2, "", "error: cannot read %s: %s\n" % (path, reason))

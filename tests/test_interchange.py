@@ -1,15 +1,18 @@
 """Interchange parsing, index construction and validation."""
 
 import dataclasses
+import os
 import random
 import unicodedata
 
 import pytest
 
 from rogetsim import (InvalidReferenceError, Level, ParseError, TaxonomyNode,
-                      Thesaurus, build_index, load, normalize,
-                      parse_interchange, serialize, structure_signature,
-                      validate_structure)
+                      Thesaurus, build_index, interchange, load, normalize,
+                      parse_interchange, serialize, similarity,
+                      structure_signature, validate_structure,
+                      word_min_distance)
+from tests.conftest import read_from_pipe
 
 MINIMAL = """\
 C 1 Class one
@@ -84,6 +87,51 @@ def test_line_endings_split_like_a_file(tmp_path):
         path.write_bytes(text.encode("utf-8"))
         assert structure_signature(load(path)) in signatures
     assert len(signatures) == 1
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+def test_load_reports_bytes_that_are_not_utf8(tmp_path, ending):
+    # Past the first 8 KiB, which a text stream decodes as one chunk.
+    padding = "# café\n" * 2000
+    path = tmp_path / "bad.rt"
+    path.write_bytes((padding + MINIMAL).replace("\n", ending).encode()
+                     + b"; caf\xe9" + ending.encode())
+    with pytest.raises(ParseError) as info:
+        load(path)
+    line = 2000 + MINIMAL.count("\n") + 1
+    assert str(info.value) == (
+        "line %d, column 6: byte 0xe9 is not UTF-8" % line)
+
+
+def test_load_reads_a_pipe_once(tmp_path):
+    with pytest.raises(ParseError) as info:
+        read_from_pipe(tmp_path / "bad", MINIMAL.encode() + b"; caf\xe9\n",
+                       load)
+    assert str(info.value) == "byte 0xe9 is not UTF-8"
+    thesaurus = read_from_pipe(tmp_path / "good", MINIMAL.encode(), load)
+    assert len(thesaurus.references) == 1
+
+
+def test_load_locates_a_bad_byte_in_the_file_it_opened(tmp_path,
+                                                       monkeypatch):
+    # The path is replaced while the first read is under way; the error
+    # still comes from the bytes of the file that was opened.
+    path, good = tmp_path / "t.rt", tmp_path / "good.rt"
+    path.write_bytes(("# café\n" * 2000 + MINIMAL).encode() + b"; \xff\n")
+    good.write_text(MINIMAL, encoding="utf-8")
+    parse = interchange.parse_interchange
+
+    def replace_then_parse(source):
+        os.replace(good, path)
+        return parse(source)
+
+    monkeypatch.setattr(interchange, "parse_interchange", replace_then_parse)
+    with pytest.raises(ParseError) as info:
+        load(path)
+    assert str(info.value) == "line %d, column 3: byte 0xff is not UTF-8" % (
+        2000 + MINIMAL.count("\n") + 1)
+    monkeypatch.undo()
+    assert len(load(path).references) == 1
 
 
 def test_comments_and_blank_lines_ignored():
@@ -168,6 +216,10 @@ def test_validate_reports_reference_outside_members():
     assert thesaurus.lookup("word") == [ref]
     with pytest.raises(InvalidReferenceError):
         thesaurus.reference_distance(ref, ref)
+    with pytest.raises(InvalidReferenceError):
+        word_min_distance(thesaurus, "word", "word")
+    with pytest.raises(InvalidReferenceError):
+        similarity(thesaurus, "word", "word")
     assert validate_structure(thesaurus).violations == [
         "semicolon group 8 has no entries",
         "reference 'word' at node 6 is not in a semicolon group at depth 8"]

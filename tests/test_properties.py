@@ -1,9 +1,14 @@
 """Property tests on small generated thesauri."""
 
+from unittest import mock
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rogetsim import parse_interchange, serialize, structure_signature
+from rogetsim import (MAX_DISTANCE, evaluate_choice, parse_interchange,
+                      serialize, structure_signature, taxonomy,
+                      word_min_distance)
 from tests.test_taxonomy import (bfs_distance, tree_from_parents,
                                  walk_ancestors, walk_lca)
 
@@ -13,13 +18,21 @@ ENTRY = TEXT.map(str.strip).filter(bool)
 
 
 @st.composite
-def thesauri(draw):
-    """A valid interchange document, one to two children per node."""
-    lines, heads = [], iter(range(1, 10 ** 6))
+def thesauri(draw, words=None):
+    """A valid interchange document, one to two children per node.
+
+    With ``words``, entries are drawn from that strategy and every group
+    also holds its class's own word ("class 1", "class 2"), so words
+    repeat across many groups and two classes' words meet only at the root.
+    """
+    lines, heads, own = [], iter(range(1, 10 ** 6)), []
+    entries = ENTRY if words is None else words
 
     def grow(level):
         for ordinal in range(1, draw(st.integers(1, 2)) + 1):
             keyword = KEYWORDS[level - 1]
+            if level == 1:
+                own[:] = [] if words is None else ["class %d" % ordinal]
             if keyword == "H":
                 lines.append("H %d %s" % (next(heads), draw(TEXT)))
             elif keyword == "P":
@@ -29,7 +42,8 @@ def thesauri(draw):
                 lines.append("Q %d" % ordinal)
             elif keyword == ";":
                 lines.append("; " + " | ".join(
-                    draw(st.lists(ENTRY, min_size=1, max_size=3))))
+                    draw(st.lists(entries, min_size=1, max_size=3))
+                    + own))
             else:
                 lines.append("%s %d %s" % (keyword, ordinal, draw(TEXT)))
             if level < 8:
@@ -78,3 +92,40 @@ def test_ancestors_and_lca_match_a_parent_walk(thesaurus, data):
         for x, y in ((a, b), (b, a)):
             assert (thesaurus.lowest_common_ancestor(x, y)
                     is walk_lca(thesaurus, x, y))
+
+
+def pair_loop(thesaurus, w1, w2):
+    """The m*n loop over reference_distance: (minimum, minimizing pairs)."""
+    best, pairs = MAX_DISTANCE + 1, []
+    for r1 in thesaurus.lookup(w1):
+        for r2 in thesaurus.lookup(w2):
+            d = thesaurus.reference_distance(r1, r2)
+            if d < best:
+                best, pairs = d, []
+            if d == best:
+                pairs.append((r1, r2))
+    return best, pairs
+
+
+@pytest.mark.parametrize("few_pairs", [0, taxonomy._FEW_PAIRS, 10 ** 6])
+@settings(deadline=None)
+@given(thesauri(words=st.sampled_from(["a", "b", "c"])))
+def test_word_distance_equals_the_pair_loop(few_pairs, thesaurus):
+    # Every ordered pair of words, w1 == w2 included; "class 1" and
+    # "class 2" (when drawn) meet only at the root, so every pair of their
+    # references attains distance 16.  A cut-off of 0 sends every word
+    # pair through the key sort, 10**6 through per-pair reference_distance.
+    words = sorted(thesaurus.index)
+    for w1 in words:
+        for w2 in words:
+            best, pairs = pair_loop(thesaurus, w1, w2)
+            with mock.patch.object(taxonomy, "_FEW_PAIRS", few_pairs):
+                result = word_min_distance(thesaurus, w1, w2)
+            assert (result.min_distance, result.pair_count) == (best,
+                                                                len(pairs))
+            assert [tuple(map(id, p)) for p in result.achieving_pairs] == [
+                tuple(map(id, p)) for p in pairs]
+            best_pair = evaluate_choice(thesaurus, w1, w2).best_pair
+            assert tuple(map(id, best_pair)) == tuple(map(id, pairs[0]))
+            if {w1, w2} == {"class 1", "class 2"}:
+                assert best == MAX_DISTANCE

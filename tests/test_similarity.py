@@ -1,9 +1,14 @@
 """Word-level distance, Eq.-style similarity and shortest-path counts."""
 
+import dataclasses
+import random
+
 import pytest
 
-from rogetsim import (MAX_DISTANCE, SimilarityTier, WordNotFoundError,
-                      enumerate_shortest_paths, similarity, similarity_tier,
+from rogetsim import (MAX_DISTANCE, SimilarityTier, SynonymQuestion,
+                      Thesaurus, WordNotFoundError,
+                      answer_question, enumerate_shortest_paths,
+                      parse_interchange, similarity, similarity_tier,
                       word_min_distance)
 from tests.conftest import TIER_PAIRS
 
@@ -97,3 +102,80 @@ def test_enumerate_shortest_paths_ode_poem(thesaurus):
 def test_enumerate_shortest_paths_self(thesaurus):
     paths = enumerate_shortest_paths(thesaurus, "lynx", "lynx")
     assert len(paths) == len(thesaurus.lookup("lynx"))
+
+
+def frequent_words_thesaurus():
+    """2,000 groups over two classes, with five words of 1,000+ references.
+
+    "alpha" and "beta" sit in random groups of both classes, "gamma" in
+    every group of class 1 and "delta" in every group of class 2.
+    """
+    rng = random.Random(7)
+    lines = []
+    for c, own in ((1, "gamma"), (2, "delta")):
+        lines += ["C %d c" % c, "S 1 s", "U 1 u", "G 1 g"]
+        for h in range(1, 11):
+            lines.append("H %d h" % (10 * c + h))
+            for pos in ("N", "VB"):
+                lines.append("P " + pos)
+                for q in range(1, 6):
+                    lines.append("Q %d" % q)
+                    for _ in range(10):
+                        words = [w for w in ("alpha", "beta")
+                                 if rng.random() < 0.6]
+                        lines.append("; " + " | ".join(
+                            words + [own, "filler"]))
+    return parse_interchange("\n".join(lines) + "\n")
+
+
+class CountingKeys:
+    """Stands in for ``Thesaurus.keys`` and records every read."""
+
+    def __init__(self, keys):
+        self.keys, self.reads = keys, 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return self.keys[index]
+
+    def __len__(self):
+        return len(self.keys)
+
+
+@pytest.mark.parametrize("all_members", [True, False])
+def test_word_distance_cost_is_bounded(monkeypatch, all_members):
+    thesaurus = frequent_words_thesaurus()
+    if not all_members:  # one reference outside every group
+        stray = dataclasses.replace(thesaurus.references[0],
+                                    entry_text="stray", semicolon_group=1)
+        thesaurus = Thesaurus(thesaurus.nodes,
+                              thesaurus.references + [stray])
+    keys = CountingKeys(thesaurus.keys)
+    monkeypatch.setattr(thesaurus, "keys", keys)
+    distance_calls = []
+    monkeypatch.setattr(Thesaurus, "reference_distance",
+                        lambda *args: distance_calls.append(args))
+
+    def no_pairs(self, refs1, refs2, distance):
+        raise AssertionError("achieving pairs built")
+        yield
+
+    monkeypatch.setattr(Thesaurus, "pairs_within", no_pairs)
+    for w1, w2, distance in (("alpha", "beta", 0), ("alpha", "alpha", 0),
+                             ("gamma", "delta", 16), ("gamma", "alpha", 0)):
+        m, n = len(thesaurus.lookup(w1)), len(thesaurus.lookup(w2))
+        assert min(m, n) >= 1000
+        keys.reads = 0
+        result = word_min_distance(thesaurus, w1, w2)
+        assert keys.reads <= m + n
+        assert result.min_distance == distance
+        assert similarity(thesaurus, w1, w2) == MAX_DISTANCE - distance
+        if w1 == w2:
+            assert result.pair_count == m
+        elif distance == MAX_DISTANCE:
+            assert result.pair_count == m * n
+    # Distance 0 to all four; "filler" shares every group "alpha" is in.
+    question = SynonymQuestion("alpha", ["delta", "beta", "gamma", "filler"],
+                               3)
+    assert answer_question(thesaurus, question).verdict == "CORRECT"
+    assert distance_calls == []

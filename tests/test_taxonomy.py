@@ -9,7 +9,7 @@ import pytest
 from rogetsim import (InvalidNodeError, InvalidReferenceError, Level,
                       Reference, TaxonomyNode, Thesaurus,
                       enumerate_shortest_paths, parse_interchange,
-                      word_min_distance)
+                      similarity, word_min_distance)
 from tests.conftest import TIER_PAIRS
 
 
@@ -226,6 +226,28 @@ def test_group_at_depth_seven_is_not_a_member():
     assert thesaurus.lookup("a") == refs[:1]
     with pytest.raises(InvalidReferenceError):
         thesaurus.reference_distance(refs[0], refs[1])
+    # Reading the group's key without the membership check would give 0.
+    with pytest.raises(InvalidReferenceError):
+        word_min_distance(thesaurus, "a", "b")
+    with pytest.raises(InvalidReferenceError):
+        similarity(thesaurus, "a", "b")
+
+
+def test_negative_group_id_is_not_a_member():
+    # keys[-1] is the last node's key: a read that skipped the membership
+    # check would put this reference in the last group.
+    parsed = parse_interchange("C 1 c\nS 1 s\nU 1 u\nG 1 g\nH 1 h\nP N\n"
+                               "Q 1\n; word | other\n")
+    stray = dataclasses.replace(parsed.references[0], entry_text="stray",
+                                semicolon_group=-1)
+    thesaurus = Thesaurus(parsed.nodes, parsed.references + [stray])
+    assert thesaurus.lookup("stray") == [stray]
+    for w1, w2 in (("stray", "word"), ("word", "stray"), ("stray", "stray")):
+        with pytest.raises(InvalidReferenceError):
+            word_min_distance(thesaurus, w1, w2)
+        with pytest.raises(InvalidReferenceError):
+            similarity(thesaurus, w1, w2)
+    assert similarity(thesaurus, "word", "other") == 16
 
 
 def test_keys_and_members_are_read_only(thesaurus):
