@@ -75,6 +75,64 @@ def test_bad_pos():
         parse_interchange(bad)
 
 
+def _prefix(level):
+    """The records of MINIMAL above ``level`` (levels 1 .. level-1)."""
+    return "".join(MINIMAL.splitlines(True)[:level - 1])
+
+
+_NO_PARENT = ("{} record has no open {} to attach to (nesting rule: level {} "
+              "attaches to the most recent level {} record)")
+_NAMES = ["class", "section", "sub-section", "head group", "head",
+          "POS paragraph", "paragraph", "semicolon group"]
+
+# (document, line, column, message) for every ParseError of the parser.
+PARSE_ERRORS = [
+    ("X 1 What\n", 1, 1, "unknown record keyword 'X'"),
+    (MINIMAL + "  Q1\n", 9, 1, "unknown record keyword 'Q1'"),
+] + [
+    # A record whose parent level is not open: the one above is skipped.
+    (_prefix(level - 1) + MINIMAL.splitlines(True)[level - 1],
+     level - 1, 1, _NO_PARENT.format(_NAMES[level - 1], _NAMES[level - 2],
+                                     level, level - 1))
+    for level in range(2, 9)
+] + [
+    (_prefix(level) + keyword + tail, level, 3, message % name)
+    for level, keyword, name in [(1, "C", "class"), (2, "S", "section"),
+                                 (3, "U", "sub-section"),
+                                 (4, "G", "head group"), (5, "H", "head")]
+    for tail, message in [
+        ("\n", "%s record needs an ordinal and a label"),
+        (" \n", "%s record needs an ordinal and a label"),
+        (" x Label\n", "%s record has non-integer ordinal 'x'"),
+        (" 1.5\n", "%s record has non-integer ordinal '1.5'"),
+    ]
+] + [
+    (_prefix(5) + "H 0 Zero\n", 5, 3, "head number must be positive, got 0"),
+    (_prefix(5) + "H -3 Minus\n", 5, 3,
+     "head number must be positive, got -3"),
+    (MINIMAL + "H 1 Again\n", 9, 3, "duplicate head number 1"),
+    (_prefix(6) + "P NOUN\n", 6, 3,
+     "POS must be one of N, ADJ, VB, ADV, got 'NOUN'"),
+    (_prefix(6) + "P\n", 6, 3, "POS must be one of N, ADJ, VB, ADV, got ''"),
+    (_prefix(7) + "Q one\n", 7, 3,
+     "paragraph record has non-integer ordinal 'one'"),
+    (_prefix(7) + "Q\n", 7, 3, "paragraph record has non-integer ordinal ''"),
+    (MINIMAL + "; a | | b\n", 9, 3, "empty semicolon group entry"),
+    (MINIMAL + "; a |\n", 9, 3, "empty semicolon group entry"),
+    (MINIMAL + ";\n", 9, 3, "empty semicolon group entry"),
+    (MINIMAL + "; \n", 9, 3, "empty semicolon group entry"),
+]
+
+
+@pytest.mark.parametrize("document,line,column,message", PARSE_ERRORS)
+def test_parse_error_is_pinned(document, line, column, message):
+    with pytest.raises(ParseError) as info:
+        parse_interchange(document)
+    error = info.value
+    assert (error.line, error.column) == (line, column)
+    assert str(error) == "line %d, column %d: %s" % (line, column, message)
+
+
 def test_line_endings_split_like_a_file(tmp_path):
     signatures = set()
     for ending in ("\n", "\r\n", "\r"):
