@@ -19,12 +19,16 @@ emitting level L without a live L-1 ancestor is a hard parse error, as
 are duplicate head numbers and empty semicolon groups.
 """
 
+import gc
 import io
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import repeat
 from typing import NamedTuple
 
 from .errors import ParseError
-from .taxonomy import Level, PartOfSpeech, Reference, TaxonomyNode, Thesaurus
+from .taxonomy import Level, PartOfSpeech, Reference, Thesaurus
 from .taxonomy import build_index, normalize  # noqa: F401  (public names)
 
 
@@ -49,7 +53,9 @@ _RECORDS = {
     Level.SEMICOLON_GROUP: _Record(";", "semicolon group",
                                    "semicolon_groups", "Semicolon groups"),
 }
-_KEYWORD_LEVELS = {record.keyword: level for level, record in _RECORDS.items()}
+_KEYWORD_LEVELS = {record.keyword: int(level)
+                   for level, record in _RECORDS.items()}
+_POS_TAGS = {pos.value: pos for pos in PartOfSpeech}
 
 
 def data_lines(source):
@@ -69,126 +75,145 @@ def data_lines(source):
             yield line_no, line
 
 
+def _fail(message, line_no, column=1):
+    raise ParseError(message, line=line_no, column=column)
+
+
+def _ordinal_and_label(payload, level, line_no):
+    parts = payload.split(None, 1)
+    if not parts:
+        _fail("%s record needs an ordinal and a label" % _RECORDS[level].name,
+              line_no, 3)
+    try:
+        number = int(parts[0])
+    except ValueError:
+        _fail("%s record has non-integer ordinal %r"
+              % (_RECORDS[level].name, parts[0]), line_no, 3)
+    return number, parts[1].strip() if len(parts) > 1 else ""
+
+
 def parse_interchange(source):
-    """Parse interchange text (a string or a text stream) into a Thesaurus."""
-    root = TaxonomyNode(id=0, level=Level.ROOT, label="T")
-    nodes = [root]
+    """Parse interchange text (a string or a text stream) into a Thesaurus.
+
+    The cyclic garbage collector is paused meanwhile: the load makes some
+    400,000 long-lived tuples and no reference cycles, and the collector
+    would otherwise traverse the growing heap again and again.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return Thesaurus._from_columns(*_columns(source))
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _columns(source):
+    """(Node columns, references, members) of the interchange text.
+
+    One pass appends each record to per-node columns and builds each
+    semicolon group's references as one tuple, its ``members`` entry.
+    """
+    parents, levels, labels, ordinals = [-1], [0], ["T"], [0]
+    head_numbers, poses, members = [None], [None], [()]
     references = []
-    open_nodes = {Level.ROOT: root}  # most recent node per level
+    open_ids = [0] * 9   # most recent node id per level
+    counts = [0] * 10    # children so far of the open node one level up
+    depth = 0            # level of the last record: levels 0..depth are open
     seen_heads = set()
-
-    def fail(message, line_no, column=1):
-        raise ParseError(message, line=line_no, column=column)
-
-    def split_payload(payload, kind, line_no):
-        parts = payload.split(None, 1)
-        if not parts:
-            fail("%s record needs an ordinal and a label"
-                 % _RECORDS[kind].name, line_no, 3)
-        try:
-            number = int(parts[0])
-        except ValueError:
-            fail("%s record has non-integer ordinal %r"
-                 % (_RECORDS[kind].name, parts[0]), line_no, 3)
-        label = parts[1].strip() if len(parts) > 1 else ""
-        return number, label
+    head = pos = keyword = None  # of the open head, POS and paragraph
+    new_reference = partial(tuple.__new__, Reference)
 
     for line_no, line in data_lines(source):
         parts = line.split(None, 1)
-        keyword = parts[0]
-        if keyword not in _KEYWORD_LEVELS:
-            fail("unknown record keyword %r" % keyword, line_no)
-        level = _KEYWORD_LEVELS[keyword]
+        kind = parts[0]
+        level = _KEYWORD_LEVELS.get(kind)
+        if level is None:
+            _fail("unknown record keyword %r" % kind, line_no)
+        if level > depth + 1:
+            _fail("%s record has no open %s to attach to (nesting rule: "
+                  "level %d attaches to the most recent level %d record)"
+                  % (_RECORDS[level].name, _RECORDS[level - 1].name,
+                     level, level - 1), line_no)
         payload = parts[1].strip() if len(parts) > 1 else ""
-
-        parent = open_nodes.get(Level(level - 1))
-        if parent is None:
-            fail("%s record has no open %s to attach to (nesting rule: "
-                 "level %d attaches to the most recent level %d record)"
-                 % (_RECORDS[level].name, _RECORDS[Level(level - 1)].name
-                    if level - 1 > 0 else "document root",
-                    int(level), int(level) - 1),
-                 line_no)
-
-        node = TaxonomyNode(id=len(nodes), level=level, label="",
-                            parent=parent.id)
-        if level in (Level.CLASS, Level.SECTION, Level.SUB_SECTION,
-                     Level.HEAD_GROUP):
-            node.ordinal, node.label = split_payload(payload, level, line_no)
-        elif level == Level.HEAD:
-            number, label = split_payload(payload, level, line_no)
+        node_id, parent = len(parents), open_ids[level - 1]
+        counts[level] += 1
+        counts[level + 1] = 0
+        label, ordinal, number, tag, refs = "", counts[level], None, None, ()
+        if kind == ";":
+            entries = list(map(str.strip, payload.split("|")))
+            if "" in entries:
+                _fail("empty semicolon group entry", line_no, 3)
+            label = entries[0]
+            if not keyword:  # paragraph keyword = first entry, first group
+                keyword = labels[parent] = label
+            refs = tuple(map(new_reference, zip(
+                entries, repeat(node_id), repeat(pos), repeat(head),
+                repeat(keyword))))
+            references += refs
+        elif kind == "Q":
+            try:
+                ordinal = int(payload)
+            except ValueError:
+                _fail("paragraph record has non-integer ordinal %r" % payload,
+                      line_no, 3)
+            keyword = ""
+        elif kind == "P":
+            pos = tag = _POS_TAGS.get(payload)
+            if tag is None:
+                _fail("POS must be one of N, ADJ, VB, ADV, got %r" % payload,
+                      line_no, 3)
+            label = payload
+        elif kind == "H":
+            number, label = _ordinal_and_label(payload, level, line_no)
             if number <= 0:
-                fail("head number must be positive, got %d" % number, line_no, 3)
+                _fail("head number must be positive, got %d" % number,
+                      line_no, 3)
             if number in seen_heads:
-                fail("duplicate head number %d" % number, line_no, 3)
+                _fail("duplicate head number %d" % number, line_no, 3)
             seen_heads.add(number)
-            node.head_number = number
-            node.label = label
-            node.ordinal = len(parent.children) + 1
-        elif level == Level.POS_PARAGRAPH:
-            try:
-                node.pos = PartOfSpeech(payload)
-            except ValueError:
-                fail("POS must be one of N, ADJ, VB, ADV, got %r" % payload,
-                     line_no, 3)
-            node.label = payload
-            node.ordinal = len(parent.children) + 1
-        elif level == Level.PARAGRAPH:
-            try:
-                node.ordinal = int(payload)
-            except ValueError:
-                fail("paragraph record has non-integer ordinal %r" % payload,
-                     line_no, 3)
-        else:  # semicolon group
-            entries = [e.strip() for e in payload.split("|")]
-            if not payload or any(not e for e in entries):
-                fail("empty semicolon group entry", line_no, 3)
-            node.ordinal = len(parent.children) + 1
-            node.label = entries[0]
-            if not parent.label:  # paragraph keyword = first entry, first group
-                parent.label = entries[0]
-            head = nodes[nodes[parent.parent].parent]
-            pos = nodes[parent.parent]
-            for entry in entries:
-                references.append(Reference(
-                    entry_text=entry,
-                    semicolon_group=node.id,
-                    pos=pos.pos,
-                    head_number=head.head_number,
-                    keyword=parent.label,
-                ))
+            head = number
+        else:
+            ordinal, label = _ordinal_and_label(payload, level, line_no)
+        parents.append(parent)
+        levels.append(level)
+        labels.append(label)
+        ordinals.append(ordinal)
+        head_numbers.append(number)
+        poses.append(tag)
+        members.append(refs)
+        open_ids[level] = node_id
+        depth = level
 
-        nodes.append(node)
-        parent.children.append(node.id)
-        open_nodes[level] = node
-        for deeper in range(int(level) + 1, int(Level.SEMICOLON_GROUP) + 1):
-            open_nodes.pop(Level(deeper), None)
+    return (tuple(map(tuple, (parents, levels, labels, ordinals, head_numbers,
+                              poses))), references, tuple(members))
 
-    return Thesaurus(nodes, references)
+
+def _preorder(thesaurus, node_id=0):
+    yield node_id
+    for child in thesaurus.child_ids[node_id]:
+        yield from _preorder(thesaurus, child)
 
 
 def serialize(thesaurus):
     """Render a Thesaurus back to interchange text."""
+    t = thesaurus
     lines = []
-
-    def emit(node):
-        if node.level == Level.HEAD:
-            payload = "%d %s" % (node.head_number, node.label)
-        elif node.level == Level.POS_PARAGRAPH:
-            payload = node.pos.value
-        elif node.level == Level.PARAGRAPH:
-            payload = "%d" % node.ordinal
-        elif node.level == Level.SEMICOLON_GROUP:
-            payload = " | ".join(
-                r.entry_text for r in thesaurus.members[node.id])
+    for node_id in _preorder(t):
+        level, label = t.levels[node_id], t.labels[node_id]
+        if level == Level.ROOT:
+            continue
+        if level == Level.HEAD:
+            payload = "%d %s" % (t.head_numbers[node_id], label)
+        elif level == Level.POS_PARAGRAPH:
+            payload = t.poses[node_id].value
+        elif level == Level.PARAGRAPH:
+            payload = "%d" % t.ordinals[node_id]
+        elif level == Level.SEMICOLON_GROUP:
+            payload = " | ".join(r.entry_text for r in t.members[node_id])
         else:
-            payload = "%d %s" % (node.ordinal, node.label)
-        lines.append("%s %s" % (_RECORDS[node.level].keyword, payload))
-        for child in node.children:
-            emit(thesaurus.nodes[child])
-
-    for child in thesaurus.root.children:
-        emit(thesaurus.nodes[child])
+            payload = "%d %s" % (t.ordinals[node_id], label)
+        lines.append("%s %s" % (_RECORDS[level].keyword, payload))
     return "\n".join(lines) + "\n"
 
 
@@ -220,38 +245,39 @@ class StructureReport:
 
 def validate_structure(thesaurus):
     """Count nodes per level and re-check the tree invariants."""
+    t = thesaurus
     report = StructureReport()
+    per_level = Counter(t.levels)
+    for level, record in _RECORDS.items():
+        setattr(report, record.counter, per_level[level])
     head_numbers = set()
-    named_groups = {ref.semicolon_group for ref in thesaurus.references}
-    for node in thesaurus.nodes:
-        if node.level == Level.ROOT:
+    named_groups = {ref.semicolon_group for ref in t.references}
+    for node_id, (level, parent) in enumerate(zip(t.levels, t.parents)):
+        if level == Level.ROOT:
             continue
-        record = _RECORDS[node.level]
-        setattr(report, record.counter, getattr(report, record.counter) + 1)
-        parent = thesaurus.nodes[node.parent]
-        if parent.level != node.level - 1:
+        parent_level = t.levels[parent]
+        if parent_level != level - 1:
             report.violations.append(
                 "node %d (%s) skips a level under %s"
-                % (node.id, record.name, _RECORDS[parent.level].name
-                   if parent.level > 0 else "root"))
-        if node.level == Level.HEAD:
-            if node.head_number in head_numbers:
-                report.violations.append(
-                    "duplicate head number %d" % node.head_number)
-            head_numbers.add(node.head_number)
-        if (node.level == Level.SEMICOLON_GROUP
-                and not thesaurus.members[node.id]):
+                % (node_id, _RECORDS[level].name, _RECORDS[parent_level].name
+                   if parent_level > 0 else "root"))
+        if level == Level.HEAD:
+            number = t.head_numbers[node_id]
+            if number in head_numbers:
+                report.violations.append("duplicate head number %d" % number)
+            head_numbers.add(number)
+        if level == Level.SEMICOLON_GROUP and not t.members[node_id]:
             report.violations.append(
-                "semicolon group %d %s" % (node.id, "is not at depth 8"
-                                           if node.id in named_groups
+                "semicolon group %d %s" % (node_id, "is not at depth 8"
+                                           if node_id in named_groups
                                            else "has no entries"))
-    inside = {id(r) for refs in thesaurus.members for r in refs}
-    for ref in thesaurus.references:
+    inside = {id(r) for refs in t.members for r in refs}
+    for ref in t.references:
         if id(ref) not in inside:
             report.violations.append(
                 "reference %r at node %r is not in a semicolon group at "
                 "depth 8" % (ref.entry_text, ref.semicolon_group))
-    report.entries = len(thesaurus.references)
+    report.entries = len(t.references)
     if report.classes == 0:
         report.violations.append("no classes")
     return report
@@ -259,13 +285,16 @@ def validate_structure(thesaurus):
 
 def structure_signature(thesaurus):
     """Nested-tuple fingerprint of the tree, for structural equality tests."""
-    def sig(node):
-        return (int(node.level), node.ordinal, node.label, node.head_number,
-                node.pos.value if node.pos else None,
-                tuple(r.entry_text for r in thesaurus.members[node.id]),
-                tuple(sig(thesaurus.nodes[c]) for c in node.children))
+    t = thesaurus
 
-    return sig(thesaurus.root)
+    def sig(node_id):
+        pos = t.poses[node_id]
+        return (t.levels[node_id], t.ordinals[node_id], t.labels[node_id],
+                t.head_numbers[node_id], pos.value if pos else None,
+                tuple(r.entry_text for r in t.members[node_id]),
+                tuple(map(sig, t.child_ids[node_id])))
+
+    return sig(t.root_id)
 
 
 def _universal_newlines(text):
@@ -275,8 +304,9 @@ def _universal_newlines(text):
 def decode_utf8(data):
     """Text of the bytes ``data``, with line endings read as in text mode.
 
-    Bytes that are not UTF-8 raise ParseError at the line and column of
-    the first of them.
+    One leading byte-order mark is dropped.  Bytes that are not UTF-8
+    raise ParseError at the line and column of the first of them, counted
+    in the bytes as given.
     """
     try:
         text = data.decode("utf-8")
@@ -285,18 +315,18 @@ def decode_utf8(data):
         raise ParseError("byte 0x%02x is not UTF-8" % data[exc.start],
                          line=before.count("\n") + 1,
                          column=len(before) - before.rfind("\n")) from None
-    return _universal_newlines(text)
+    return _universal_newlines(text.removeprefix("\ufeff"))
 
 
 def load(path):
     """Parse the interchange file at ``path``.
 
-    A file that is not UTF-8 raises ParseError, like any malformed input.
-    The file is read as a stream; on a byte that is not UTF-8 the same
+    A file that is not UTF-8 raises ParseError, like any malformed input;
+    one leading byte-order mark is dropped.  The file is read as a stream; on a byte that is not UTF-8 the same
     open file is read again from the start to locate it, which a pipe
     cannot do, so there the error names the byte but not its line.
     """
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             return parse_interchange(handle)
         except UnicodeDecodeError as exc:

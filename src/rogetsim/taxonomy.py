@@ -18,10 +18,13 @@ comparing every pair.
 
 import unicodedata
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from functools import cached_property
 from itertools import groupby, repeat
 from operator import attrgetter, xor
+from typing import NamedTuple
 
 from .errors import InvalidNodeError, InvalidReferenceError
 
@@ -58,12 +61,11 @@ class PartOfSpeech(Enum):
         return self.value + "."
 
 
-@dataclass(frozen=True, slots=True)
-class Reference:
+class Reference(NamedTuple):
     """One occurrence of a word or phrase at a specific semicolon group.
 
-    ``keyword`` is the owning paragraph's keyword (its first entry), used
-    for the printed form ``cat 365 N.``.
+    A named tuple.  ``keyword`` is the owning paragraph's keyword (its
+    first entry), used for the printed form ``cat 365 N.``.
     """
 
     entry_text: str
@@ -77,8 +79,23 @@ class Reference:
         return "%s %d %s" % (self.keyword, self.head_number, self.pos.display)
 
 
+def _display(level, label, head_number, pos):
+    if level == Level.HEAD:
+        return "%d. %s" % (head_number, label)
+    if level == Level.POS_PARAGRAPH:
+        return pos.display
+    return label
+
+
 @dataclass(slots=True)
 class TaxonomyNode:
+    """One tree node, as given to ``Thesaurus`` or read from one.
+
+    A Thesaurus keeps no node objects: each read of ``Thesaurus.nodes``
+    makes a new record from its columns, so changing one changes nothing
+    in the thesaurus.
+    """
+
     id: int
     level: Level
     label: str
@@ -91,11 +108,32 @@ class TaxonomyNode:
     @property
     def display_label(self):
         """Label as printed in paths: '698. Cunning', 'ADJ.', 'T'."""
-        if self.level == Level.HEAD:
-            return "%d. %s" % (self.head_number, self.label)
-        if self.level == Level.POS_PARAGRAPH:
-            return self.pos.display
-        return self.label
+        return _display(self.level, self.label, self.head_number, self.pos)
+
+
+class Nodes(Sequence):
+    """Read-only sequence of a Thesaurus's nodes, made when read.
+
+    Indexing or iterating makes a new ``TaxonomyNode`` from the columns; a
+    slice gives a list of them.
+    """
+
+    __slots__ = ("_thesaurus",)
+
+    def __init__(self, thesaurus):
+        self._thesaurus = thesaurus
+
+    def __len__(self):
+        return len(self._thesaurus.parents)
+
+    def __getitem__(self, index):
+        ids = range(len(self))[index]
+        if isinstance(ids, range):
+            return list(map(self._thesaurus._node, ids))
+        return self._thesaurus._node(ids)
+
+    def __iter__(self):
+        return map(self._thesaurus._node, range(len(self)))
 
 
 def normalize(text):
@@ -111,10 +149,20 @@ def normalize(text):
 
 
 def build_index(thesaurus):
-    """Map each normalized entry text to its references, in document order."""
-    index = {}
+    """Map each normalized entry text to its references, in document order.
+
+    The values are tuples.  ``normalize`` runs once per distinct entry text.
+    """
+    index, lists = {}, {}  # lists: entry text -> its index key's list
     for ref in thesaurus.references:
-        index.setdefault(normalize(ref.entry_text), []).append(ref)
+        found = lists.get(ref.entry_text)
+        if found is None:
+            found = lists[ref.entry_text] = index.setdefault(
+                normalize(ref.entry_text), [])
+        found.append(ref)
+    del lists
+    for key, refs in index.items():
+        index[key] = tuple(refs)
     return index
 
 
@@ -123,7 +171,13 @@ class Thesaurus:
 
     ``nodes`` must list parents before children, with each node's id equal
     to its position, and ``references`` each group's entries together, as
-    ``parse_interchange`` does.
+    ``parse_interchange`` does.  A node's children are the nodes naming it
+    as their parent, in id order.
+
+    The tree is kept as per-node columns, tuples indexed by node id:
+    ``parents`` (-1 for the root), ``levels`` (ints), ``labels``,
+    ``ordinals``, ``head_numbers`` and ``poses``.  ``nodes`` is a read-only
+    sequence that makes a ``TaxonomyNode`` from them when read.
 
     Per node id, ``keys`` holds one int packing the node's root-first
     ancestor ids at fixed bit positions: ``bits = len(nodes).bit_length()``
@@ -134,31 +188,50 @@ class Thesaurus:
     a reference distance is one table lookup.  A tree deeper than nine
     levels gets correspondingly wider keys.  ``members`` holds the
     references of each semicolon group at depth 8 (empty for every other
-    node); ``index`` is ``build_index(self)``.  For lists of m and n
-    references the cost of ``min_distance`` and ``pairs_within`` grows as
-    (m+n) log(m+n), not as m*n.
+    node); ``index`` is ``build_index(self)``, whose tuples hold the same
+    reference objects.  For lists of m and n references the cost of
+    ``min_distance`` and ``pairs_within`` grows as (m+n) log(m+n), not as
+    m*n.
 
-    Instances are immutable after construction (``keys`` and ``members``
-    are tuples); every query method is safe to call concurrently.
+    Instances are immutable after construction (the columns, ``keys``,
+    ``members`` and the index values are tuples); every query method is
+    safe to call concurrently.
     """
 
     def __init__(self, nodes, references):
-        self.nodes = nodes
+        nodes = list(nodes)
+        self._setup((tuple(n.parent for n in nodes),
+                     tuple(int(n.level) for n in nodes),
+                     tuple(n.label for n in nodes),
+                     tuple(n.ordinal for n in nodes),
+                     tuple(n.head_number for n in nodes),
+                     tuple(n.pos for n in nodes)), references, None)
+
+    @classmethod
+    def _from_columns(cls, columns, references, members):
+        """A parsed thesaurus: ``members`` holds every reference."""
+        thesaurus = cls.__new__(cls)
+        thesaurus._setup(columns, references, members)
+        return thesaurus
+
+    def _setup(self, columns, references, members):
+        (self.parents, self.levels, self.labels, self.ordinals,
+         self.head_numbers, self.poses) = columns
         self.references = references
         self.root_id = 0
         group_level = Level.SEMICOLON_GROUP
-        self._bits = bits = len(nodes).bit_length() or 1
+        self._bits = bits = len(self.parents).bit_length() or 1
         top = int(group_level)
         keys, depths = [], []
-        for node in nodes:
-            if node.parent < 0:
+        for node_id, parent in enumerate(self.parents):
+            if parent < 0:
                 depth, key = 0, 0
             else:
-                depth, key = depths[node.parent] + 1, keys[node.parent]
+                depth, key = depths[parent] + 1, keys[parent]
                 if depth > top:  # deeper than nine levels: widen every key
                     keys = [k << bits * (depth - top) for k in keys]
-                    key, top = keys[node.parent], depth
-            keys.append(key | node.id << bits * (top - depth))
+                    key, top = keys[parent], depth
+            keys.append(key | node_id << bits * (top - depth))
             depths.append(depth)
         self.keys = tuple(keys)
         self._top, self._mask = top, (1 << bits) - 1
@@ -166,33 +239,63 @@ class Thesaurus:
         self._distance = tuple(
             MAX_DISTANCE - 2 * min(self._level(length), group_level)
             for length in range(bits * (top + 1) + 1))
-        members = [()] * len(nodes)
         # Stays true for a parsed thesaurus: then every reference ``lookup``
         # returns is a member, and ``_keys`` skips the membership check.
-        self._all_members = True
-        for group, refs in groupby(references, attrgetter("semicolon_group")):
-            if (0 <= group < len(nodes) and nodes[group].level == group_level
-                    and depths[group] == group_level):
-                members[group] += tuple(refs)
-            else:
-                self._all_members = False
+        self._all_members = members is not None
+        if members is None:
+            members = [()] * len(keys)
+            for group, refs in groupby(references,
+                                       attrgetter("semicolon_group")):
+                if (0 <= group < len(keys) and self.levels[group] == group_level
+                        and depths[group] == group_level):
+                    members[group] += tuple(refs)
+                else:
+                    self._all_members = False
         self.members = tuple(members)
         self.index = build_index(self)
 
-    def node(self, node_id):
-        if not isinstance(node_id, int) or not 0 <= node_id < len(self.nodes):
+    @property
+    def nodes(self):
+        return Nodes(self)
+
+    @cached_property
+    def child_ids(self):
+        """Per node id, the ids of its children in id order."""
+        children = [[] for _ in self.parents]
+        for node_id, parent in enumerate(self.parents):
+            if parent >= 0:
+                children[parent].append(node_id)
+        return tuple(map(tuple, children))
+
+    def _node(self, node_id):
+        return TaxonomyNode(node_id, Level(self.levels[node_id]),
+                            self.labels[node_id], self.ordinals[node_id],
+                            self.parents[node_id], self.head_numbers[node_id],
+                            self.poses[node_id],
+                            list(self.child_ids[node_id]))
+
+    def _display_label(self, node_id):
+        return _display(self.levels[node_id], self.labels[node_id],
+                        self.head_numbers[node_id], self.poses[node_id])
+
+    def _checked(self, node_id):
+        if not isinstance(node_id, int) or not 0 <= node_id < len(self.parents):
             raise InvalidNodeError("unknown node id: %r" % (node_id,))
-        return self.nodes[node_id]
+        return node_id
+
+    def node(self, node_id):
+        return self._node(self._checked(node_id))
 
     @property
     def root(self):
-        return self.nodes[self.root_id]
+        return self._node(self.root_id)
 
     def children(self, node_id):
-        return [self.nodes[c] for c in self.node(node_id).children]
+        return [self._node(c) for c in self.child_ids[self._checked(node_id)]]
 
     def nodes_at_level(self, level):
-        return [n for n in self.nodes if n.level == level]
+        return [self._node(i) for i, node_level in enumerate(self.levels)
+                if node_level == level]
 
     def _level(self, length):
         """Deepest level shared by two keys whose XOR has this bit length.
@@ -210,16 +313,16 @@ class Thesaurus:
 
     def ancestors(self, node_id):
         """Path of nodes from the given node up to (and including) Root."""
-        chain = self._chain(self.keys[self.node(node_id).id])
-        return [self.nodes[i] for i in reversed(chain)]
+        chain = self._chain(self.keys[self._checked(node_id)])
+        return [self._node(i) for i in reversed(chain)]
 
     def lowest_common_ancestor(self, a, b):
         """Deepest node that is an ancestor-or-self of both nodes."""
-        key_a = self.keys[self.node(a).id]
-        key_b = self.keys[self.node(b).id]
+        key_a = self.keys[self._checked(a)]
+        key_b = self.keys[self._checked(b)]
         chain_a = self._chain(key_a)
         level = self._level((key_a ^ key_b).bit_length())
-        return self.nodes[chain_a[min(level, len(chain_a) - 1)]]
+        return self._node(chain_a[min(level, len(chain_a) - 1)])
 
     def _key(self, ref):
         """Key of a reference's group, if the reference is a member."""
@@ -317,8 +420,8 @@ class Thesaurus:
         key1, key2 = self._key(r1), self._key(r2)
         chain1, chain2 = self._chain(key1), self._chain(key2)
         level = self._level((key1 ^ key2).bit_length())
-        up = [self.nodes[i].display_label for i in reversed(chain1[level:-1])]
-        down = [self.nodes[i].display_label for i in chain2[level + 1:-1]]
+        up = [self._display_label(i) for i in reversed(chain1[level:-1])]
+        down = [self._display_label(i) for i in chain2[level + 1:-1]]
         return [r1.entry_text] + up + down + [r2.entry_text], max(len(up), 1)
 
     def render_path(self, r1, r2):

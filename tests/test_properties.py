@@ -91,7 +91,7 @@ def test_ancestors_and_lca_match_a_parent_walk(thesaurus, data):
         assert thesaurus.ancestors(a) == walk_ancestors(thesaurus, a)
         for x, y in ((a, b), (b, a)):
             assert (thesaurus.lowest_common_ancestor(x, y)
-                    is walk_lca(thesaurus, x, y))
+                    == walk_lca(thesaurus, x, y))
 
 
 def pair_loop(thesaurus, w1, w2):

@@ -1,6 +1,5 @@
 """Tree queries: LCA, edge distance, path rendering."""
 
-import dataclasses
 import random
 from collections import deque
 
@@ -62,7 +61,7 @@ def tree_from_parents(parents):
 
 def test_lca_identity(thesaurus):
     group = thesaurus.nodes_at_level(Level.SEMICOLON_GROUP)[0]
-    assert thesaurus.lowest_common_ancestor(group.id, group.id) is group
+    assert thesaurus.lowest_common_ancestor(group.id, group.id) == group
 
 
 def test_lca_same_paragraph(thesaurus):
@@ -78,7 +77,7 @@ def test_lca_cross_class_is_root(thesaurus):
     ref2 = thesaurus.lookup("like greased lightning")[0]
     lca = thesaurus.lowest_common_ancestor(ref1.semicolon_group,
                                            ref2.semicolon_group)
-    assert lca is thesaurus.root
+    assert lca == thesaurus.root
     assert lca.label == "T"
 
 
@@ -97,8 +96,8 @@ def test_distance_rejects_foreign_reference(thesaurus):
                              pos=thesaurus.references[0].pos, head_number=1,
                              keyword="x")
     # A real group id, but the reference is not one of that group's entries.
-    not_a_member = dataclasses.replace(
-        thesaurus.lookup("nag")[0], entry_text="zzz",
+    not_a_member = thesaurus.lookup("nag")[0]._replace(
+        entry_text="zzz",
         semicolon_group=thesaurus.lookup("feline")[0].semicolon_group)
     for stray in (out_of_range, not_a_member):
         with pytest.raises(InvalidReferenceError):
@@ -209,7 +208,7 @@ def test_tree_deeper_than_nine_levels_keeps_its_answers():
         assert thesaurus.ancestors(a) == walk_ancestors(thesaurus, a)
         for b in range(len(thesaurus.nodes)):
             assert (thesaurus.lowest_common_ancestor(a, b)
-                    is walk_lca(thesaurus, a, b))
+                    == walk_lca(thesaurus, a, b))
 
 
 def test_group_at_depth_seven_is_not_a_member():
@@ -238,8 +237,8 @@ def test_negative_group_id_is_not_a_member():
     # check would put this reference in the last group.
     parsed = parse_interchange("C 1 c\nS 1 s\nU 1 u\nG 1 g\nH 1 h\nP N\n"
                                "Q 1\n; word | other\n")
-    stray = dataclasses.replace(parsed.references[0], entry_text="stray",
-                                semicolon_group=-1)
+    stray = parsed.references[0]._replace(entry_text="stray",
+                                         semicolon_group=-1)
     thesaurus = Thesaurus(parsed.nodes, parsed.references + [stray])
     assert thesaurus.lookup("stray") == [stray]
     for w1, w2 in (("stray", "word"), ("word", "stray"), ("stray", "stray")):
