@@ -17,7 +17,7 @@ the minimizing pairs themselves are built only when ``achieving_pairs``
 is read.
 """
 
-from collections.abc import Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -38,18 +38,19 @@ class WordDistanceResult:
 
     ``achieving_pairs`` lists the (Reference, Reference) pairs at the
     minimum, ``pair_count`` of them, in document order; it is built when
-    first read.
+    first read.  Each build makes its own iterator of the pairs, so
+    threads that read it first at the same time do not share one.
     """
 
     word1: str
     word2: str
     min_distance: int
     pair_count: int
-    _pairs: Iterator = field(repr=False, compare=False)
+    _pairs: Callable = field(repr=False, compare=False)
 
     @cached_property
     def achieving_pairs(self):
-        return list(self._pairs)
+        return list(self._pairs())
 
 
 def word_min_distance(thesaurus, w1, w2):
@@ -67,7 +68,7 @@ def word_min_distance(thesaurus, w1, w2):
     distance, count = thesaurus.min_distance(refs1, refs2)
     return WordDistanceResult(
         word1=w1, word2=w2, min_distance=distance, pair_count=count,
-        _pairs=thesaurus.pairs_within(refs1, refs2, distance))
+        _pairs=lambda: thesaurus.pairs_within(refs1, refs2, distance))
 
 
 def similarity(thesaurus, w1, w2):

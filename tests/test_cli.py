@@ -304,3 +304,58 @@ def test_unreadable_thesaurus_exact(tmp_path, name, reason):
     path = str(tmp_path / name) if name else str(tmp_path)
     assert run("--thesaurus", path, "sim", "a", "b") == (
         2, "", "error: cannot read %s: %s\n" % (path, reason))
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+def test_byte_order_mark_on_a_question_file(tmp_path):
+    questions = tmp_path / "q.tsv"
+    questions.write_bytes(
+        BOM + b"ode\theavy debt\tpoem\tsweet smell\tsurprise\t1\n")
+    assert run_fixture("solve", str(questions)) == (0, """\
+ode N. to heavy debt N., length = 12, 2 path(s) of this length
+ode N. to poem N., length = 2, 2 path(s) of this length
+ode N. to sweet smell N., length = 16, 2 path(s) of this length
+ode N. to surprise N., length = 12, 4 path(s) of this length
+→ Roget thinks that ode means poem: CORRECT
+
+Correct: 1
+Questions with ties: 0
+Score: 1
+Percent: 100.00
+Questions not found: 0
+Other words not found: 0
+""", "")
+
+
+def test_byte_order_mark_on_a_thesaurus(tmp_path, fixture_text):
+    thesaurus = tmp_path / "t.rt"
+    thesaurus.write_bytes(BOM + fixture_text.encode())
+    assert run("--thesaurus", str(thesaurus), "sim", "feline", "lynx") == (
+        0, "sim(feline, lynx) = 14 [distance 2, 1 shortest path(s), tier "
+        "Intermediate]\n", "")
+    # A bad byte after the mark keeps the line and column it had.
+    thesaurus.write_bytes(BOM + b"C 1 caf\xe9\n")
+    assert run("--thesaurus", str(thesaurus), "sim", "a", "b") == (
+        2, "", "error: failed to load %s: line 1, column 9: byte 0xe9 is "
+        "not UTF-8\n" % thesaurus)
+
+
+def test_byte_order_mark_on_a_pair_file(tmp_path):
+    pairs = tmp_path / "p.tsv"
+    with open(data_path("pairs_fixture.tsv"), "rb") as handle:
+        pairs.write_bytes(BOM + handle.read())
+    assert run_fixture("bench", str(pairs)) == (0, """\
+pair\thuman\tsystem\ttier
+journey's end – terminus\t4.000\t16.000\tHigh
+devotion – abnormal affection\t3.500\t14.000\tIntermediate
+popular misconception – glaring error\t3.000\t12.000\tIntermediate
+individual – lonely\t2.500\t10.000\tLow
+finance – apply for a loan\t2.000\t8.000\tLow
+life expectancy – herbalize\t1.500\t6.000\tLow
+Creirwy (love) – inspired\t1.000\t4.000\tLow
+translucid – blind eye\t0.500\t2.000\tLow
+nag – like greased lightning\t0.000\t0.000\tLow
+Correlation\t1.000\t1.000\t-
+""", "")

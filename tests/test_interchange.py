@@ -329,3 +329,14 @@ def test_shuffle_fuzz(fixture_text):
         with pytest.raises(ParseError):
             parse_interchange(text)
     assert broken > 0
+
+
+def test_one_leading_byte_order_mark_is_dropped(tmp_path):
+    assert interchange.decode_utf8(b"\xef\xbb\xbf\xef\xbb\xbfa\r\n") == (
+        "\ufeffa\n")
+    assert interchange.decode_utf8(b"a\xef\xbb\xbf") == "a\ufeff"
+    path = tmp_path / "t.rt"
+    path.write_bytes(b"\xef\xbb\xbf" + MINIMAL.encode())
+    assert serialize(load(path)) == MINIMAL
+    assert serialize(read_from_pipe(tmp_path / "pipe", path.read_bytes(),
+                                    load)) == MINIMAL

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rogetsim import (MAX_DISTANCE, evaluate_choice, parse_interchange,
+from rogetsim import (MAX_DISTANCE, ParseError, evaluate_choice,
+                      load_pairs, load_questions, parse_interchange,
                       serialize, structure_signature, taxonomy,
                       word_min_distance)
+from tests.conftest import data_path
+from tests.test_interchange import MINIMAL
 from tests.test_taxonomy import (bfs_distance, tree_from_parents,
                                  walk_ancestors, walk_lca)
 
@@ -129,3 +132,43 @@ def test_word_distance_equals_the_pair_loop(few_pairs, thesaurus):
             assert tuple(map(id, best_pair)) == tuple(map(id, pairs[0]))
             if {w1, w2} == {"class 1", "class 2"}:
                 assert best == MAX_DISTANCE
+
+
+def _lines(name):
+    with open(data_path(name), encoding="utf-8") as handle:
+        return handle.read().splitlines()
+
+
+SOURCES = [MINIMAL.splitlines()] + [
+    _lines(name) for name in ("roget_fixture.rt", "questions_fixture.tsv",
+                              "questions_mixed.tsv", "pairs_fixture.tsv")]
+
+
+@st.composite
+def line_mutations(draw):
+    """A fixture or MINIMAL with lines deleted, duplicated, swapped or cut."""
+    lines = list(draw(st.sampled_from(SOURCES)))
+    for _ in range(draw(st.integers(1, 8))):
+        if not lines:
+            break
+        i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+        edit = draw(st.sampled_from(["delete", "duplicate", "swap", "cut"]))
+        if edit == "delete":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(j, lines[i])
+        elif edit == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            lines[i] = lines[i][:draw(st.integers(0, len(lines[i])))]
+    return "\n".join(lines) + "\n"
+
+
+@settings(deadline=None, max_examples=300)
+@given(line_mutations(),
+       st.sampled_from([parse_interchange, load_questions, load_pairs]))
+def test_parsers_raise_only_parse_error(document, parse):
+    try:
+        parse(document)
+    except ParseError:
+        pass

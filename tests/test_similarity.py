@@ -1,6 +1,8 @@
 """Word-level distance, Eq.-style similarity and shortest-path counts."""
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -178,3 +180,39 @@ def test_word_distance_cost_is_bounded(monkeypatch, all_members):
                                3)
     assert answer_question(thesaurus, question).verdict == "CORRECT"
     assert distance_calls == []
+
+
+def test_first_reads_of_achieving_pairs_from_two_threads():
+    # "a" and "b" have 300 references each, in different classes, so all
+    # 90,000 pairs are at distance 16.  A tiny switch interval makes both
+    # threads' first reads overlap.
+    lines = []
+    for c, word in ((1, "a"), (2, "b")):
+        lines += ["C %d c" % c, "S 1 s", "U 1 u", "G 1 g", "H %d h" % c,
+                  "P N"]
+        for q in range(1, 31):
+            lines += ["Q %d" % q] + ["; " + word] * 10
+    thesaurus = parse_interchange("\n".join(lines) + "\n")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            result = word_min_distance(thesaurus, "a", "b")
+            assert result.pair_count == 90_000
+            barrier, outcomes = threading.Barrier(2), []
+
+            def read():
+                barrier.wait()
+                try:
+                    outcomes.append(len(result.achieving_pairs))
+                except Exception as exc:  # checked in the test's thread
+                    outcomes.append(exc)
+
+            threads = [threading.Thread(target=read) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert outcomes == [90_000, 90_000]
+    finally:
+        sys.setswitchinterval(interval)

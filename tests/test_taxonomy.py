@@ -7,9 +7,9 @@ import pytest
 
 from rogetsim import (InvalidNodeError, InvalidReferenceError, Level,
                       Reference, TaxonomyNode, Thesaurus,
-                      enumerate_shortest_paths, parse_interchange,
+                      enumerate_shortest_paths, load, parse_interchange,
                       similarity, word_min_distance)
-from tests.conftest import TIER_PAIRS
+from tests.conftest import FIXTURE_PATH, TIER_PAIRS
 
 
 def bfs_distance(thesaurus, a, b):
@@ -255,3 +255,19 @@ def test_keys_and_members_are_read_only(thesaurus):
         thesaurus.keys[group] = 0
     with pytest.raises(TypeError):
         thesaurus.members[group] = ()
+
+
+def test_mutating_what_a_thesaurus_returns_changes_no_answer():
+    thesaurus = load(FIXTURE_PATH)
+    with pytest.raises(AttributeError):
+        thesaurus.index["feline"].clear()
+    assert len(thesaurus.lookup("feline")) == 3
+    (r1, r2), = word_min_distance(thesaurus, "feline", "lynx").achieving_pairs
+    apex = thesaurus.lowest_common_ancestor(r1.semicolon_group,
+                                            r2.semicolon_group).id
+    thesaurus.nodes[apex].label = "HACKED"
+    thesaurus.nodes[apex].children.clear()
+    assert thesaurus.nodes[apex] is not thesaurus.nodes[apex]
+    assert thesaurus.nodes[apex].label == "cat"
+    assert enumerate_shortest_paths(thesaurus, "feline", "lynx") == [
+        "feline → cat ← lynx"]
