@@ -14,6 +14,12 @@ level of the lowest common ancestor of two groups is read off the top set
 bit of their keys' XOR (see ``Thesaurus``), and the closest pairs between
 two lists of references are found from their sorted keys, without
 comparing every pair.
+
+The tree is stored as per-node columns; ``TaxonomyNode`` records are made
+from them only when ``Thesaurus.nodes`` is read, and changing one changes
+nothing in the thesaurus.  A ``Reference`` is a named tuple, and each
+semicolon group's references, in ``members``, are the same objects as in
+the index.
 """
 
 import unicodedata
@@ -111,7 +117,7 @@ class TaxonomyNode:
         return _display(self.level, self.label, self.head_number, self.pos)
 
 
-class Nodes(Sequence):
+class _Nodes(Sequence):
     """Read-only sequence of a Thesaurus's nodes, made when read.
 
     Indexing or iterating makes a new ``TaxonomyNode`` from the columns; a
@@ -241,7 +247,7 @@ class Thesaurus:
             for length in range(bits * (top + 1) + 1))
         # Stays true for a parsed thesaurus: then every reference ``lookup``
         # returns is a member, and ``_keys`` skips the membership check.
-        self._all_members = members is not None
+        self._all_members = True
         if members is None:
             members = [()] * len(keys)
             for group, refs in groupby(references,
@@ -256,7 +262,7 @@ class Thesaurus:
 
     @property
     def nodes(self):
-        return Nodes(self)
+        return _Nodes(self)
 
     @cached_property
     def child_ids(self):
