@@ -20,7 +20,7 @@ is read.
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import WordNotFoundError
 from .taxonomy import MAX_DISTANCE
@@ -68,7 +68,7 @@ def word_min_distance(thesaurus, w1, w2):
     distance, count = thesaurus.min_distance(refs1, refs2)
     return WordDistanceResult(
         word1=w1, word2=w2, min_distance=distance, pair_count=count,
-        _pairs=lambda: thesaurus.pairs_within(refs1, refs2, distance))
+        _pairs=partial(thesaurus.pairs_within, refs1, refs2, distance))
 
 
 def similarity(thesaurus, w1, w2):

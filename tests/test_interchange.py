@@ -9,7 +9,7 @@ import pytest
 from rogetsim import (InvalidReferenceError, Level, ParseError, TaxonomyNode,
                       Thesaurus, build_index, interchange, load, normalize,
                       parse_interchange, serialize, similarity,
-                      structure_signature, validate_structure,
+                      structure_signature, taxonomy, validate_structure,
                       word_min_distance)
 from tests.conftest import read_from_pipe
 
@@ -340,3 +340,15 @@ def test_one_leading_byte_order_mark_is_dropped(tmp_path):
     assert serialize(load(path)) == MINIMAL
     assert serialize(read_from_pipe(tmp_path / "pipe", path.read_bytes(),
                                     load)) == MINIMAL
+
+
+def test_spellings_of_one_entry_keep_document_order(monkeypatch):
+    texts = []
+    monkeypatch.setattr(taxonomy, "normalize",
+                        lambda text: texts.append(text) or normalize(text))
+    thesaurus = parse_interchange(MINIMAL + "; Cat\n; cat | CAT\n; Cat\n")
+    assert [(r.entry_text, r.semicolon_group)
+            for r in thesaurus.lookup("cat")] == [
+        ("Cat", 9), ("cat", 10), ("CAT", 10), ("Cat", 11)]
+    # Once per distinct entry text, then once for the lookup.
+    assert sorted(texts) == ["CAT", "Cat", "cat", "cat", "word"]
