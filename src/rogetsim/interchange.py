@@ -104,14 +104,18 @@ def parse_interchange(source):
 
     The cyclic garbage collector is paused meanwhile: a thesaurus at the
     1987 edition's scale is some 300,000 long-lived tuples and no reference
-    cycles, and the collector would otherwise traverse the growing heap
-    again and again.
+    cycles, which the collector would traverse again and again as the heap
+    grows and, after a pause alone, three more times as they age.  So the
+    pause ends by moving every tracked object to the oldest generation at
+    once, untraversed (``gc.freeze`` then ``gc.unfreeze``).
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
         return Thesaurus._from_columns(*_columns(source))
     finally:
+        gc.freeze()
+        gc.unfreeze()
         if enabled:
             gc.enable()
 

@@ -1,5 +1,6 @@
 """Interchange parsing, index construction and validation."""
 
+import gc
 import os
 import random
 import unicodedata
@@ -352,3 +353,17 @@ def test_spellings_of_one_entry_keep_document_order(monkeypatch):
         ("Cat", 9), ("cat", 10), ("CAT", 10), ("Cat", 11)]
     # Once per distinct entry text, then once for the lookup.
     assert sorted(texts) == ["CAT", "Cat", "cat", "cat", "word"]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parse_leaves_the_collector_as_it_found_it(enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert len(parse_interchange(MINIMAL).references) == 1
+        assert gc.isenabled() is enabled
+        with pytest.raises(ParseError):
+            parse_interchange("X 1 What\n")
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
