@@ -30,7 +30,6 @@ import gc
 import io
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import repeat
 from typing import NamedTuple
 
@@ -134,7 +133,6 @@ def _columns(source):
     depth = 0            # level of the last record: levels 0..depth are open
     seen_heads = set()
     head = pos = keyword = None  # of the open head, POS and paragraph
-    new_reference = partial(tuple.__new__, Reference)
 
     for line_no, line in data_lines(source):
         parts = line.split(None, 1)
@@ -159,9 +157,8 @@ def _columns(source):
             label = entries[0]
             if not keyword:  # paragraph keyword = first entry, first group
                 keyword = labels[parent] = label
-            refs = tuple(map(new_reference, zip(
-                entries, repeat(node_id), repeat(pos), repeat(head),
-                repeat(keyword))))
+            refs = tuple(map(Reference, entries, repeat(node_id), repeat(pos),
+                             repeat(head), repeat(keyword)))
             references += refs
         elif kind == "Q":
             try:

@@ -17,9 +17,8 @@ comparing every pair.
 
 The tree is stored as per-node columns; ``TaxonomyNode`` records are made
 from them only when ``Thesaurus.nodes`` is read, and changing one changes
-nothing in the thesaurus.  A ``Reference`` is a named tuple, and each
-semicolon group's references, in ``members``, are the same objects as in
-the index.
+nothing in the thesaurus.  Each semicolon group's references, in
+``members``, are the same objects as in the index.
 """
 
 import unicodedata
@@ -30,7 +29,6 @@ from enum import Enum, IntEnum
 from functools import cached_property
 from itertools import groupby, repeat
 from operator import attrgetter, xor
-from typing import NamedTuple
 
 from .errors import InvalidNodeError, InvalidReferenceError
 
@@ -67,11 +65,12 @@ class PartOfSpeech(Enum):
         return self.value + "."
 
 
-class Reference(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class Reference:
     """One occurrence of a word or phrase at a specific semicolon group.
 
-    A named tuple.  ``keyword`` is the owning paragraph's keyword (its
-    first entry), used for the printed form ``cat 365 N.``.
+    ``keyword`` is the owning paragraph's keyword (its first entry), used
+    for the printed form ``cat 365 N.``.
     """
 
     entry_text: str
@@ -324,13 +323,17 @@ class Thesaurus:
 
     def _key(self, ref):
         """Key of a reference's group, if the reference is a member."""
-        group = ref.semicolon_group
         try:
-            members = self.members[group]
+            members = self.members[ref.semicolon_group]
         except (IndexError, TypeError):
             members = ()
-        if ref in members:  # by identity, else by equality
-            return self.keys[group]
+        # Identity first: Reference equality is a Python-level call, and
+        # the references queried are nearly always this thesaurus's own.
+        for member in members:
+            if member is ref:
+                return self.keys[ref.semicolon_group]
+        if ref in members:
+            return self.keys[ref.semicolon_group]
         raise InvalidReferenceError(
             "reference %r is not a member of its semicolon group in this "
             "thesaurus" % (ref,))
@@ -339,9 +342,7 @@ class Thesaurus:
         """Keys of references that ``lookup`` returned, one read each."""
         if self._all_members:
             keys = self.keys
-            # ref[1] is ref.semicolon_group: reading a Reference by index
-            # is faster than by field name, and this is the hottest loop.
-            return [keys[ref[1]] for ref in refs]
+            return [keys[ref.semicolon_group] for ref in refs]
         return [self._key(ref) for ref in refs]
 
     def _shift(self, distance):

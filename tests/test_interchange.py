@@ -1,5 +1,6 @@
 """Interchange parsing, index construction and validation."""
 
+import dataclasses
 import gc
 import os
 import random
@@ -268,7 +269,8 @@ def test_validate_reports_group_without_entries():
 def test_validate_reports_reference_outside_members():
     parsed = parse_interchange(MINIMAL)
     pos_paragraph = parsed.nodes[6].id
-    ref = parsed.references[0]._replace(semicolon_group=pos_paragraph)
+    ref = dataclasses.replace(parsed.references[0],
+                              semicolon_group=pos_paragraph)
     thesaurus = Thesaurus(parsed.nodes, [ref])
     assert thesaurus.lookup("word") == [ref]
     with pytest.raises(InvalidReferenceError):
@@ -286,7 +288,7 @@ def test_validate_reports_group_at_depth_seven():
     parsed = parse_interchange(MINIMAL)
     group = TaxonomyNode(id=7, level=Level.SEMICOLON_GROUP, label="word",
                          parent=6)
-    ref = parsed.references[0]._replace(semicolon_group=7)
+    ref = dataclasses.replace(parsed.references[0], semicolon_group=7)
     report = validate_structure(Thesaurus(parsed.nodes[:7] + [group], [ref]))
     assert report.violations == [
         "node 7 (semicolon group) skips a level under POS paragraph",

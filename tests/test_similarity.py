@@ -1,5 +1,6 @@
 """Word-level distance, Eq.-style similarity and shortest-path counts."""
 
+import dataclasses
 import random
 import sys
 import threading
@@ -147,8 +148,8 @@ class CountingKeys:
 def test_word_distance_cost_is_bounded(monkeypatch, all_members):
     thesaurus = frequent_words_thesaurus()
     if not all_members:  # one reference outside every group
-        stray = thesaurus.references[0]._replace(entry_text="stray",
-                                                 semicolon_group=1)
+        stray = dataclasses.replace(thesaurus.references[0],
+                                    entry_text="stray", semicolon_group=1)
         thesaurus = Thesaurus(thesaurus.nodes,
                               thesaurus.references + [stray])
     keys = CountingKeys(thesaurus.keys)

@@ -1,5 +1,6 @@
 """Tree queries: LCA, edge distance, path rendering."""
 
+import dataclasses
 import random
 from collections import deque
 
@@ -96,8 +97,8 @@ def test_distance_rejects_foreign_reference(thesaurus):
                              pos=thesaurus.references[0].pos, head_number=1,
                              keyword="x")
     # A real group id, but the reference is not one of that group's entries.
-    not_a_member = thesaurus.lookup("nag")[0]._replace(
-        entry_text="zzz",
+    not_a_member = dataclasses.replace(
+        thesaurus.lookup("nag")[0], entry_text="zzz",
         semicolon_group=thesaurus.lookup("feline")[0].semicolon_group)
     for stray in (out_of_range, not_a_member):
         with pytest.raises(InvalidReferenceError):
@@ -237,8 +238,8 @@ def test_negative_group_id_is_not_a_member():
     # check would put this reference in the last group.
     parsed = parse_interchange("C 1 c\nS 1 s\nU 1 u\nG 1 g\nH 1 h\nP N\n"
                                "Q 1\n; word | other\n")
-    stray = parsed.references[0]._replace(entry_text="stray",
-                                         semicolon_group=-1)
+    stray = dataclasses.replace(parsed.references[0], entry_text="stray",
+                                semicolon_group=-1)
     thesaurus = Thesaurus(parsed.nodes, parsed.references + [stray])
     assert thesaurus.lookup("stray") == [stray]
     for w1, w2 in (("stray", "word"), ("word", "stray"), ("stray", "stray")):
