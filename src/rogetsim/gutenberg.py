@@ -213,9 +213,10 @@ def import_gutenberg_1911(text):
     """Convert 1911 Roget's plain text to interchange format.
 
     Returns (interchange_text, ConversionReport).  Raises
-    GutenbergImportError when the input has no recognizable heads.
+    GutenbergImportError when the input has no recognizable heads.  One
+    leading byte-order mark is dropped.
     """
-    text = _strip_pg_boilerplate(text)
+    text = _strip_pg_boilerplate(text.removeprefix("\ufeff"))
     report = ConversionReport()
     builder = _DocumentBuilder(report)
 

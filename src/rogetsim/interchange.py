@@ -16,21 +16,22 @@ a string or as a text stream.
 
 A record at level L attaches to the most recent record at level L-1;
 emitting level L without a live L-1 ancestor is a hard parse error, as
-are duplicate head numbers and empty semicolon groups.  A file's leading
-UTF-8 byte-order mark is dropped.
+are duplicate head numbers and empty semicolon groups.  One leading
+byte-order mark is dropped, from a string, a stream or a file alike.
 
 ``parse_interchange`` reads the document in one pass: each record is
-appended to the per-node columns of ``Thesaurus`` and each semicolon
-group's references are made there as one tuple; no node objects are
-built.  ``serialize``, ``validate_structure`` and ``structure_signature``
+appended to the per-node columns of ``Thesaurus`` and each entry text to
+one per-reference column; the references are made in bulk after the pass
+and each semicolon group's members are a slice of them.  No node objects
+are built.  ``serialize``, ``validate_structure`` and ``structure_signature``
 read those columns.
 """
 
 import gc
 import io
-from collections import Counter
-from dataclasses import dataclass, field
-from itertools import repeat
+from collections import Counter, deque
+from dataclasses import dataclass, field, fields
+from itertools import chain, islice, repeat
 from typing import NamedTuple
 
 from .errors import ParseError
@@ -69,12 +70,15 @@ def data_lines(source):
 
     ``source`` is a string or a text stream.  A string is read as a stream
     with universal newlines, so it splits into lines exactly as a file
-    opened in text mode does.  The line keeps its whitespace but not its
-    line ending.
+    opened in text mode does.  One byte-order mark (U+FEFF) at the start
+    of the source is dropped; anywhere else it is text.  The line keeps its
+    whitespace but not its line ending.
     """
     if isinstance(source, str):
         source = io.StringIO(source, newline=None)
-    for line_no, raw in enumerate(source, start=1):
+    lines = iter(source)
+    first = next(lines, "").removeprefix("\ufeff")
+    for line_no, raw in enumerate(chain((first,), lines), start=1):
         line = raw.rstrip("\n").rstrip("\r")
         text = line.lstrip()
         if text and text[0] != "#":
@@ -122,12 +126,17 @@ def parse_interchange(source):
 def _columns(source):
     """(Node columns, references, members) of the interchange text.
 
-    One pass appends each record to per-node columns and builds each
-    semicolon group's references as one tuple, its ``members`` entry.
+    One pass appends each record to per-node columns, each semicolon
+    group's entry texts to one per-reference column, and the group's id,
+    POS, head, keyword and size to per-group columns.  Equal entry texts
+    share one string.  The references are then made all at once, and each
+    group's ``members`` entry is a slice of them.
     """
     parents, levels, labels, ordinals = [-1], [0], ["T"], [0]
-    head_numbers, poses, members = [None], [None], [()]
-    references = []
+    head_numbers, poses = [None], [None]
+    texts = []  # per reference
+    groups, group_poses, group_heads, keywords, sizes = [], [], [], [], []
+    share = {}.setdefault  # entry text -> its one string object
     open_ids = [0] * 9   # most recent node id per level
     counts = [0] * 10    # children so far of the open node one level up
     depth = 0            # level of the last record: levels 0..depth are open
@@ -149,17 +158,21 @@ def _columns(source):
         node_id, parent = len(parents), open_ids[level - 1]
         counts[level] += 1
         counts[level + 1] = 0
-        label, ordinal, number, tag, refs = "", counts[level], None, None, ()
+        label, ordinal, number, tag = "", counts[level], None, None
         if kind == ";":
             entries = list(map(str.strip, payload.split("|")))
             if "" in entries:
                 _fail("empty semicolon group entry", line_no, 3)
-            label = entries[0]
+            start = len(texts)
+            texts += map(share, entries, entries)
+            label = texts[start]
             if not keyword:  # paragraph keyword = first entry, first group
                 keyword = labels[parent] = label
-            refs = tuple(map(Reference, entries, repeat(node_id), repeat(pos),
-                             repeat(head), repeat(keyword)))
-            references += refs
+            groups.append(node_id)
+            group_poses.append(pos)
+            group_heads.append(head)
+            keywords.append(keyword)
+            sizes.append(len(entries))
         elif kind == "Q":
             try:
                 ordinal = int(payload)
@@ -190,12 +203,34 @@ def _columns(source):
         ordinals.append(ordinal)
         head_numbers.append(number)
         poses.append(tag)
-        members.append(refs)
         open_ids[level] = node_id
         depth = level
 
+    references = _references(texts, (groups, group_poses, group_heads,
+                                     keywords), sizes)
+    members = [()] * len(parents)
+    chunks = iter(references)
+    for group, size in zip(groups, sizes):
+        members[group] = tuple(islice(chunks, size))
     return (tuple(map(tuple, (parents, levels, labels, ordinals, head_numbers,
                               poses))), references, tuple(members))
+
+
+def _references(texts, group_columns, sizes):
+    """References of the per-reference texts and the per-group columns.
+
+    Each is equal to ``Reference(text, group, pos, head, keyword)``, but is
+    made by ``object.__new__`` and filled one field at a time for all of
+    them, through the slot descriptors: the frozen dataclass's
+    ``__init__`` would go through ``object.__setattr__`` once per field.
+    """
+    references = list(map(object.__new__, repeat(Reference, len(texts))))
+    columns = [texts] + [chain.from_iterable(map(repeat, column, sizes))
+                         for column in group_columns]
+    for name, values in zip((f.name for f in fields(Reference)), columns):
+        deque(map(getattr(Reference, name).__set__, references, values),
+              maxlen=0)
+    return references
 
 
 def _preorder(thesaurus, node_id=0):
@@ -313,9 +348,9 @@ def _universal_newlines(text):
 def decode_utf8(data):
     """Text of the bytes ``data``, with line endings read as in text mode.
 
-    One leading byte-order mark is dropped.  Bytes that are not UTF-8
-    raise ParseError at the line and column of the first of them, counted
-    in the bytes as given.
+    Bytes that are not UTF-8 raise ParseError at the line and column of
+    the first of them, counted in the bytes as given.  A byte-order mark
+    is kept: ``data_lines`` drops it.
     """
     try:
         text = data.decode("utf-8")
@@ -324,25 +359,21 @@ def decode_utf8(data):
         raise ParseError("byte 0x%02x is not UTF-8" % data[exc.start],
                          line=before.count("\n") + 1,
                          column=len(before) - before.rfind("\n")) from None
-    return _universal_newlines(text.removeprefix("\ufeff"))
+    return _universal_newlines(text)
 
 
 def load(path):
     """Parse the interchange file at ``path``.
 
-    A file that is not UTF-8 raises ParseError, like any malformed input;
-    one leading byte-order mark is dropped.  The file is read as a stream;
-    on a byte that is not UTF-8 the same open file is read again from the
-    start to locate it, which a pipe cannot do, so there the error names
-    the byte but not its line.
+    The file is read once, as bytes, and parsed as a stream of its text.
+    A file that is not UTF-8 raises ParseError at the line and column of
+    its first undecodable byte, like any malformed input.
     """
-    with open(path, encoding="utf-8-sig") as handle:
-        try:
-            return parse_interchange(handle)
-        except UnicodeDecodeError as exc:
-            if not handle.seekable():
-                raise ParseError("byte 0x%02x is not UTF-8"
-                                 % exc.object[exc.start]) from None
-            handle.buffer.seek(0)
-            text = decode_utf8(handle.buffer.read())
-    return parse_interchange(text)
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as text:
+            return parse_interchange(text)
+    except UnicodeDecodeError:
+        decode_utf8(data)  # raises ParseError at the first bad byte
+        raise

@@ -1,9 +1,14 @@
 """CLI integration: commands, formats and exit codes."""
 
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
+import rogetsim
+from rogetsim import ParseError, load_pairs, load_questions, parse_interchange
 from rogetsim.cli import main
 from tests.conftest import FIXTURE_PATH, data_path, read_from_pipe
 
@@ -294,8 +299,9 @@ def test_pipes_are_read_once(tmp_path, fixture_text):
     thesaurus = read_from_pipe(
         tmp_path / "t", fixture_text.encode() + b"C 9 caf\xe9\n",
         lambda path: run("--thesaurus", path, "sim", "a", "b"))
-    assert thesaurus == (2, "", "error: failed to load %s: byte 0xe9 is not "
-                         "UTF-8\n" % (tmp_path / "t"))
+    assert thesaurus == (2, "", "error: failed to load %s: line %d, column 8: "
+                         "byte 0xe9 is not UTF-8\n"
+                         % (tmp_path / "t", fixture_text.count("\n") + 1))
 
 
 @pytest.mark.parametrize("name,reason", [
@@ -359,3 +365,63 @@ translucid – blind eye\t0.500\t2.000\tLow
 nag – like greased lightning\t0.000\t0.000\tLow
 Correlation\t1.000\t1.000\t-
 """, "")
+
+
+@pytest.mark.parametrize("name,parse,argv,prefix", [
+    ("roget_fixture.rt", parse_interchange,
+     ["--thesaurus", None, "sim", "a", "b"], "failed to load "),
+    ("questions_fixture.tsv", load_questions,
+     ["--thesaurus", FIXTURE_PATH, "solve", None], ""),
+    ("pairs_fixture.tsv", load_pairs,
+     ["--thesaurus", FIXTURE_PATH, "bench", None], ""),
+], ids=["thesaurus", "questions", "pairs"])
+def test_a_second_byte_order_mark_is_text(tmp_path, name, parse, argv,
+                                          prefix):
+    path = tmp_path / name
+    with open(data_path(name), "rb") as handle:
+        path.write_bytes(BOM + BOM + handle.read())
+    with pytest.raises(ParseError) as info:
+        parse(path.read_text(encoding="utf-8"))
+    assert run(*[str(path) if arg is None else arg for arg in argv]) == (
+        2, "", "error: %s%s: %s\n" % (prefix, path, info.value))
+
+
+def run_process(*argv, **kwargs):
+    """``python -m rogetsim.cli`` with ``argv``, importing this rogetsim."""
+    src = os.path.dirname(os.path.dirname(rogetsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8")
+    env.pop("PYTHONUNBUFFERED", None)  # stdout is block-buffered, as usual
+    return subprocess.run([sys.executable, "-m", "rogetsim.cli", *argv],
+                          env=env, timeout=120, **kwargs)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--format", "tsv", "sim", "feline", "lynx"], 0),
+    (["paths", "ode", "poem"], 0),
+    (["sim", "feline", "zzzz"], 1),
+    (["--thesaurus", "", "sim", "feline", "lynx"], 2),  # "": a directory
+    (["sim", "feline"], 2),
+], ids=["sim-tsv", "paths", "not-found", "unreadable", "usage"])
+def test_the_process_entry_matches_main(tmp_path, capsys, argv, code):
+    argv = ["--thesaurus", FIXTURE_PATH] + [
+        str(tmp_path) if arg == "" else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        assert main(argv, out=out, err=err) == code
+    except SystemExit as exc:  # argparse's usage error
+        assert exc.code == code
+    captured = capsys.readouterr()
+    done = run_process(*argv, capture_output=True)
+    assert (done.returncode, done.stdout.decode(), done.stderr.decode()) == (
+        code, out.getvalue() + captured.out, err.getvalue() + captured.err)
+
+
+def test_a_closed_stdout_exits_1_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # before the spawn: every write fails at once
+    try:
+        done = run_process("--thesaurus", FIXTURE_PATH, "paths", "feline",
+                           "lynx", stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")

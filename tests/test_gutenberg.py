@@ -53,6 +53,14 @@ def test_skip_counts_reported(excerpt):
     assert report.entries_skipped > 0  # the excerpt has cross references
 
 
+def test_one_leading_byte_order_mark_is_dropped(excerpt):
+    # Without the start marker, the excerpt's first line is its first class.
+    body = excerpt.split("\n", 1)[1].lstrip()
+    assert body.startswith("CLASS I\n")
+    assert import_gutenberg_1911("\ufeff" + body) == (
+        import_gutenberg_1911(body))
+
+
 def test_empty_input_rejected():
     with pytest.raises(GutenbergImportError):
         import_gutenberg_1911("")

@@ -2,18 +2,20 @@
 
 import dataclasses
 import gc
+import io
 import os
 import random
 import unicodedata
 
 import pytest
 
-from rogetsim import (InvalidReferenceError, Level, ParseError, TaxonomyNode,
-                      Thesaurus, build_index, interchange, load, normalize,
+from rogetsim import (InvalidReferenceError, Level, ParseError, Reference,
+                      TaxonomyNode, Thesaurus, build_index, interchange, load,
+                      load_pairs, load_questions, normalize,
                       parse_interchange, serialize, similarity,
                       structure_signature, taxonomy, validate_structure,
                       word_min_distance)
-from tests.conftest import read_from_pipe
+from tests.conftest import data_path, read_from_pipe
 
 MINIMAL = """\
 C 1 Class one
@@ -166,15 +168,16 @@ def test_load_reads_a_pipe_once(tmp_path):
     with pytest.raises(ParseError) as info:
         read_from_pipe(tmp_path / "bad", MINIMAL.encode() + b"; caf\xe9\n",
                        load)
-    assert str(info.value) == "byte 0xe9 is not UTF-8"
+    assert str(info.value) == "line %d, column 6: byte 0xe9 is not UTF-8" % (
+        MINIMAL.count("\n") + 1)
     thesaurus = read_from_pipe(tmp_path / "good", MINIMAL.encode(), load)
     assert len(thesaurus.references) == 1
 
 
 def test_load_locates_a_bad_byte_in_the_file_it_opened(tmp_path,
                                                        monkeypatch):
-    # The path is replaced while the first read is under way; the error
-    # still comes from the bytes of the file that was opened.
+    # The path is replaced while the parse is under way; the error still
+    # comes from the bytes of the file that was read.
     path, good = tmp_path / "t.rt", tmp_path / "good.rt"
     path.write_bytes(("# café\n" * 2000 + MINIMAL).encode() + b"; \xff\n")
     good.write_text(MINIMAL, encoding="utf-8")
@@ -334,15 +337,81 @@ def test_shuffle_fuzz(fixture_text):
     assert broken > 0
 
 
-def test_one_leading_byte_order_mark_is_dropped(tmp_path):
+# Each parser with its fixture, and the error it gives when the fixture
+# starts with two byte-order marks: the second is text, so the first line
+# is no longer a comment.
+_MARKED_FIXTURES = [
+    (parse_interchange, "roget_fixture.rt",
+     "line 1, column 1: unknown record keyword '\\ufeff#'"),
+    (load_questions, "questions_fixture.tsv",
+     "line 1, column 6: gold index 'gold' is not an integer"),
+    (load_pairs, "pairs_fixture.tsv",
+     "line 1, column 1: first data line must be 'scale<TAB>min<TAB>max'"),
+]
+
+
+@pytest.mark.parametrize("parse,name,second_mark", _MARKED_FIXTURES,
+                         ids=["thesaurus", "questions", "pairs"])
+def test_one_leading_byte_order_mark_is_dropped(tmp_path, parse, name,
+                                                second_mark):
+    comparable = serialize if parse is parse_interchange else (lambda x: x)
+    with open(data_path(name), encoding="utf-8") as handle:
+        text = handle.read()
+    path = tmp_path / name
+
+    def from_file():
+        if parse is parse_interchange:
+            return load(path)
+        with open(path, encoding="utf-8") as handle:
+            return parse(handle)
+
+    def entry_points(document):
+        """``parse`` of a string, a stream and a file holding ``document``."""
+        path.write_text(document, encoding="utf-8")
+        return [lambda: parse(document),
+                lambda: parse(io.StringIO(document)), from_file]
+
+    for read in entry_points("\ufeff" + text):
+        assert comparable(read()) == comparable(parse(text))
+    for read in entry_points("\ufeff\ufeff" + text):
+        with pytest.raises(ParseError) as info:
+            read()
+        assert str(info.value) == second_mark
+
+
+def test_parsed_references_equal_constructed_ones(thesaurus):
+    for ref in thesaurus.references:
+        built = Reference(ref.entry_text, ref.semicolon_group, ref.pos,
+                          ref.head_number, ref.keyword)
+        assert ref == built
+        assert hash(ref) == hash(built)
+        assert repr(ref) == repr(built)
+    ref = thesaurus.references[0]
+    for name in (f.name for f in dataclasses.fields(Reference)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ref, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(ref, name)
+    moved = dataclasses.replace(ref, semicolon_group=0)
+    assert type(moved) is Reference
+    assert moved == Reference(ref.entry_text, 0, ref.pos, ref.head_number,
+                              ref.keyword)
+
+
+def test_equal_entry_texts_share_one_string(thesaurus):
+    texts = [r.entry_text for r in thesaurus.references]
+    assert len({id(text) for text in texts}) == len(set(texts)) < len(texts)
+
+
+def test_decoding_keeps_byte_order_marks():
     assert interchange.decode_utf8(b"\xef\xbb\xbf\xef\xbb\xbfa\r\n") == (
-        "\ufeffa\n")
+        "\ufeff\ufeffa\n")
     assert interchange.decode_utf8(b"a\xef\xbb\xbf") == "a\ufeff"
-    path = tmp_path / "t.rt"
-    path.write_bytes(b"\xef\xbb\xbf" + MINIMAL.encode())
-    assert serialize(load(path)) == MINIMAL
-    assert serialize(read_from_pipe(tmp_path / "pipe", path.read_bytes(),
-                                    load)) == MINIMAL
+
+
+def test_load_drops_a_byte_order_mark_from_a_pipe(tmp_path):
+    data = b"\xef\xbb\xbf" + MINIMAL.encode()
+    assert serialize(read_from_pipe(tmp_path / "pipe", data, load)) == MINIMAL
 
 
 def test_spellings_of_one_entry_keep_document_order(monkeypatch):

@@ -4,15 +4,17 @@ import dataclasses
 import random
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from rogetsim import (MAX_DISTANCE, SimilarityTier, SynonymQuestion,
                       Thesaurus, WordNotFoundError,
                       answer_question, enumerate_shortest_paths,
+                      evaluate_pairs, load_pairs, load_questions,
                       parse_interchange, similarity, similarity_tier,
                       word_min_distance)
-from tests.conftest import TIER_PAIRS
+from tests.conftest import TIER_PAIRS, data_path
 
 
 def brute_force_pair_count(thesaurus, w1, w2):
@@ -215,5 +217,42 @@ def test_first_reads_of_achieving_pairs_from_two_threads():
             for thread in threads:
                 thread.join()
             assert outcomes == [90_000, 90_000]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_thread_pool_gives_the_serial_answers(thesaurus):
+    questions = []
+    for name in ("questions_fixture.tsv", "questions_mixed.tsv"):
+        with open(data_path(name), encoding="utf-8") as handle:
+            questions += load_questions(handle)
+    with open(data_path("pairs_fixture.tsv"), encoding="utf-8") as handle:
+        scale, pairs = load_pairs(handle)
+
+    def answer(question):
+        result = answer_question(thesaurus, question)
+        return (result.chosen_index, result.verdict, result.credit,
+                [(e.effective_distance, e.pair_count, e.best_pair)
+                 for e in result.per_choice])
+
+    def pair(scored):
+        result = word_min_distance(thesaurus, scored.word1, scored.word2)
+        return (result.min_distance, result.pair_count,
+                result.achieving_pairs,
+                enumerate_shortest_paths(thesaurus, scored.word1,
+                                         scored.word2))
+
+    def bench(_):
+        return evaluate_pairs(thesaurus, pairs, scale).tsv_lines()
+
+    jobs = ([(answer, q) for q in questions] + [(pair, p) for p in pairs]
+            + [(bench, None)]) * 20
+    serial = [job(arg) for job, arg in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(job, arg) for job, arg in jobs]
+            assert [f.result(timeout=60) for f in futures] == serial
     finally:
         sys.setswitchinterval(interval)
