@@ -252,12 +252,16 @@ def run():
     rogetsim.cli``.  Once stdout and stderr are flushed the process ends
     with ``os._exit``, so the loaded thesaurus (some 250,000 objects at the
     1987 edition's scale) is never freed object by object; ``args`` keeps it
-    referenced until then.  A closed stdout ends the process with exit 1
-    and nothing on stderr.
+    referenced until then.  Argparse's exits (``--help``, a usage error)
+    end the same way, with their own codes.  A closed stdout ends the
+    process with exit 1 and nothing on stderr.
     """
-    args = build_parser().parse_args()
     try:
-        code = _execute(args, sys.stdout, sys.stderr)
+        try:
+            code = _execute(build_parser().parse_args(), sys.stdout,
+                            sys.stderr)
+        except SystemExit as exc:  # argparse's --help and usage errors
+            code = exc.code
         sys.stdout.flush()
     except BrokenPipeError:
         code = 1

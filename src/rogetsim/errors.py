@@ -24,11 +24,11 @@ class GutenbergImportError(RogetError):
 
 
 class InvalidNodeError(RogetError):
-    """A node id does not belong to the thesaurus being queried."""
+    """A node id is not in the thesaurus, or a node cannot be in one."""
 
 
 class InvalidReferenceError(RogetError):
-    """A reference does not belong to the thesaurus being queried."""
+    """A reference is not in the thesaurus, or cannot be in one."""
 
 
 class WordNotFoundError(RogetError):

@@ -18,7 +18,8 @@ comparing every pair.
 The tree is stored as per-node columns; ``TaxonomyNode`` records are made
 from them only when ``Thesaurus.nodes`` is read, and changing one changes
 nothing in the thesaurus.  Each semicolon group's references, in
-``members``, are the same objects as in the index.
+``members``, are the same objects as in the index.  ``Thesaurus`` rejects
+a node deeper than level 8 and a reference outside a depth-8 group.
 """
 
 import unicodedata
@@ -27,12 +28,13 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import cached_property
-from itertools import groupby, repeat
+from itertools import count, groupby, repeat
 from operator import attrgetter, xor
 
 from .errors import InvalidNodeError, InvalidReferenceError
 
 MAX_DISTANCE = 16
+_GROUP_LEVEL = 8  # the depth of every semicolon group; no node is deeper
 
 # Thesaurus.min_distance measures each pair with reference_distance, instead
 # of sorting the keys, while there are at most this many pairs: sorting has
@@ -166,10 +168,13 @@ def build_index(thesaurus):
 class Thesaurus:
     """A read-only taxonomy tree plus the references it defines.
 
-    ``nodes`` must list parents before children, with each node's id equal
-    to its position, and ``references`` each group's entries together, as
-    ``parse_interchange`` does.  A node's children are the nodes naming it
-    as their parent, in id order.
+    ``nodes`` lists each node at its id, parents before children, and
+    ``references`` each group's entries together, as ``parse_interchange``
+    does.  The constructor raises ``InvalidNodeError`` for a node not at
+    its id, a parent that is not an earlier node (node 0 is the one root,
+    with parent -1) or a node deeper than level 8, and
+    ``InvalidReferenceError`` for a reference outside a semicolon group at
+    depth 8.  A node's children are the nodes naming it, in id order.
 
     The tree is kept as per-node columns, tuples indexed by node id:
     ``parents`` (-1 for the root), ``levels`` (ints), ``labels``,
@@ -178,17 +183,16 @@ class Thesaurus:
 
     Per node id, ``keys`` holds one int packing the node's root-first
     ancestor ids at fixed bit positions: ``bits = len(nodes).bit_length()``
-    (at least 1) bits per level, the level-d ancestor's id shifted left by
+    bits per level, the level-d ancestor's id shifted left by
     ``bits * (8 - d)``.  Levels below the node hold 0, which is the root's
     id, so the lowest set bit gives the node's depth.  Two depth-8 groups
     first differ at the level that holds the top set bit of ``k1 ^ k2``, so
-    a reference distance is one table lookup.  A tree deeper than nine
-    levels gets correspondingly wider keys.  ``members`` holds the
-    references of each semicolon group at depth 8 (empty for every other
-    node); ``index`` is ``build_index(self)``, whose tuples hold the same
-    reference objects.  For lists of m and n references the cost of
-    ``min_distance`` and ``pairs_within`` grows as (m+n) log(m+n), not as
-    m*n.
+    a reference distance is one table lookup.  ``members`` holds the
+    references of each semicolon group (empty for every other node), so
+    every reference is a member; ``index`` is ``build_index(self)``, whose
+    tuples hold the same reference objects.  For lists of m and n
+    references the cost of ``min_distance`` and ``pairs_within`` grows as
+    (m+n) log(m+n), not as m*n.
 
     Instances are immutable after construction (the columns, ``keys``,
     ``members`` and the index values are tuples); every query method is
@@ -196,59 +200,62 @@ class Thesaurus:
     """
 
     def __init__(self, nodes, references):
-        nodes = list(nodes)
+        nodes, references = list(nodes), list(references)
+        if not nodes:
+            raise InvalidNodeError("a thesaurus needs a root node")
+        depths = []
+        for node_id, node in enumerate(nodes):
+            parent = node.parent
+            if node.id != node_id:
+                raise InvalidNodeError("node %r is at position %d, not at its "
+                                       "id" % (node.id, node_id))
+            if not (0 <= parent < node_id if node_id else parent == -1):
+                raise InvalidNodeError("node %d's parent %r is not an earlier "
+                                       "node" % (node_id, parent))
+            depths.append(depths[parent] + 1 if node_id else 0)
+            if depths[-1] > _GROUP_LEVEL:
+                raise InvalidNodeError("node %d is deeper than level %d"
+                                       % (node_id, _GROUP_LEVEL))
+        members = [()] * len(nodes)
+        for group, refs in groupby(references, attrgetter("semicolon_group")):
+            refs = tuple(refs)
+            if not (0 <= group < len(nodes) and depths[group] == _GROUP_LEVEL
+                    and nodes[group].level == _GROUP_LEVEL):
+                raise InvalidReferenceError(
+                    "reference %r at node %r is not in a semicolon group at "
+                    "depth %d" % (refs[0].entry_text, group, _GROUP_LEVEL))
+            members[group] += refs
         self._setup((tuple(n.parent for n in nodes),
                      tuple(int(n.level) for n in nodes),
                      tuple(n.label for n in nodes),
                      tuple(n.ordinal for n in nodes),
                      tuple(n.head_number for n in nodes),
-                     tuple(n.pos for n in nodes)), references, None)
+                     tuple(n.pos for n in nodes)), depths, references,
+                    tuple(members))
 
     @classmethod
     def _from_columns(cls, columns, references, members):
-        """A parsed thesaurus: ``members`` holds every reference."""
+        """A parsed thesaurus, whose nodes' levels are their depths."""
         thesaurus = cls.__new__(cls)
-        thesaurus._setup(columns, references, members)
+        thesaurus._setup(columns, columns[1], references, members)
         return thesaurus
 
-    def _setup(self, columns, references, members):
+    def _setup(self, columns, depths, references, members):
         (self.parents, self.levels, self.labels, self.ordinals,
          self.head_numbers, self.poses) = columns
         self.references = references
+        self.members = members
         self.root_id = 0
-        group_level = Level.SEMICOLON_GROUP
-        self._bits = bits = len(self.parents).bit_length() or 1
-        top = int(group_level)
-        keys, depths = [], []
-        for node_id, parent in enumerate(self.parents):
-            if parent < 0:
-                depth, key = 0, 0
-            else:
-                depth, key = depths[parent] + 1, keys[parent]
-                if depth > top:  # deeper than nine levels: widen every key
-                    keys = [k << bits * (depth - top) for k in keys]
-                    key, top = keys[parent], depth
-            keys.append(key | node_id << bits * (top - depth))
-            depths.append(depth)
+        self._bits = bits = len(self.parents).bit_length()
+        self._mask = (1 << bits) - 1
+        keys = []
+        for node_id, parent, depth in zip(count(), self.parents, depths):
+            keys.append(keys[parent] | node_id << bits * (_GROUP_LEVEL - depth)
+                        if depth else 0)
         self.keys = tuple(keys)
-        self._top, self._mask = top, (1 << bits) - 1
         # Indexed by the bit length of k1 ^ k2 for two depth-8 groups.
-        self._distance = tuple(
-            MAX_DISTANCE - 2 * min(self._level(length), group_level)
-            for length in range(bits * (top + 1) + 1))
-        # Stays true for a parsed thesaurus: then every reference ``lookup``
-        # returns is a member, and ``_keys`` skips the membership check.
-        self._all_members = True
-        if members is None:
-            members = [()] * len(keys)
-            for group, refs in groupby(references,
-                                       attrgetter("semicolon_group")):
-                if (0 <= group < len(keys) and self.levels[group] == group_level
-                        and depths[group] == group_level):
-                    members[group] += tuple(refs)
-                else:
-                    self._all_members = False
-        self.members = tuple(members)
+        self._distance = tuple(MAX_DISTANCE - 2 * self._level(length)
+                               for length in range(bits * _GROUP_LEVEL + 1))
         self.index = build_index(self)
 
     @property
@@ -287,25 +294,19 @@ class Thesaurus:
     def root(self):
         return self._node(self.root_id)
 
-    def children(self, node_id):
-        return [self._node(c) for c in self.child_ids[self._checked(node_id)]]
-
     def nodes_at_level(self, level):
         return [self._node(i) for i, node_level in enumerate(self.levels)
                 if node_level == level]
 
     def _level(self, length):
-        """Deepest level shared by two keys whose XOR has this bit length.
-
-        Equal keys give the deepest level a key holds.
-        """
-        return max(self._top - 1 - (length - 1) // self._bits, 0)
+        """Deepest level two keys share, by the bit length of their XOR."""
+        return _GROUP_LEVEL - 1 - (length - 1) // self._bits
 
     def _chain(self, key):
         """The root-first ancestor ids packed in a key."""
         low = (key & -key).bit_length() - 1
-        depth = self._top - low // self._bits if key else 0
-        return [key >> self._bits * (self._top - d) & self._mask
+        depth = _GROUP_LEVEL - low // self._bits if key else 0
+        return [key >> self._bits * (_GROUP_LEVEL - d) & self._mask
                 for d in range(depth + 1)]
 
     def ancestors(self, node_id):
@@ -340,15 +341,13 @@ class Thesaurus:
 
     def _keys(self, refs):
         """Keys of references that ``lookup`` returned, one read each."""
-        if self._all_members:
-            keys = self.keys
-            return [keys[ref.semicolon_group] for ref in refs]
-        return [self._key(ref) for ref in refs]
+        keys = self.keys
+        return [keys[ref.semicolon_group] for ref in refs]
 
     def _shift(self, distance):
         """Shift s: groups within ``distance`` are those with k1>>s == k2>>s."""
         level = max((MAX_DISTANCE + 1 - distance) // 2, 0)
-        return self._bits * (self._top - level)
+        return self._bits * (_GROUP_LEVEL - level)
 
     def reference_distance(self, r1, r2):
         """Edges on the shortest tree path between two references' groups."""

@@ -416,12 +416,15 @@ def test_the_process_entry_matches_main(tmp_path, capsys, argv, code):
         code, out.getvalue() + captured.out, err.getvalue() + captured.err)
 
 
-def test_a_closed_stdout_exits_1_quietly():
+# --help ends in argparse's SystemExit, before any command runs.
+@pytest.mark.parametrize("argv", [["paths", "feline", "lynx"], ["--help"]],
+                         ids=["paths", "help"])
+def test_a_closed_stdout_exits_1_quietly(argv):
     read_end, write_end = os.pipe()
     os.close(read_end)  # before the spawn: every write fails at once
     try:
-        done = run_process("--thesaurus", FIXTURE_PATH, "paths", "feline",
-                           "lynx", stdout=write_end, stderr=subprocess.PIPE)
+        done = run_process("--thesaurus", FIXTURE_PATH, *argv,
+                           stdout=write_end, stderr=subprocess.PIPE)
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (1, b"")

@@ -9,12 +9,10 @@ import unicodedata
 
 import pytest
 
-from rogetsim import (InvalidReferenceError, Level, ParseError, Reference,
-                      TaxonomyNode, Thesaurus, build_index, interchange, load,
-                      load_pairs, load_questions, normalize,
-                      parse_interchange, serialize, similarity,
-                      structure_signature, taxonomy, validate_structure,
-                      word_min_distance)
+from rogetsim import (Level, ParseError, Reference, TaxonomyNode, Thesaurus,
+                      build_index, interchange, load, load_pairs,
+                      load_questions, normalize, parse_interchange, serialize,
+                      structure_signature, taxonomy, validate_structure)
 from tests.conftest import data_path, read_from_pipe
 
 MINIMAL = """\
@@ -269,34 +267,14 @@ def test_validate_reports_group_without_entries():
     assert report.violations == ["semicolon group 8 has no entries"]
 
 
-def test_validate_reports_reference_outside_members():
-    parsed = parse_interchange(MINIMAL)
-    pos_paragraph = parsed.nodes[6].id
-    ref = dataclasses.replace(parsed.references[0],
-                              semicolon_group=pos_paragraph)
-    thesaurus = Thesaurus(parsed.nodes, [ref])
-    assert thesaurus.lookup("word") == [ref]
-    with pytest.raises(InvalidReferenceError):
-        thesaurus.reference_distance(ref, ref)
-    with pytest.raises(InvalidReferenceError):
-        word_min_distance(thesaurus, "word", "word")
-    with pytest.raises(InvalidReferenceError):
-        similarity(thesaurus, "word", "word")
-    assert validate_structure(thesaurus).violations == [
-        "semicolon group 8 has no entries",
-        "reference 'word' at node 6 is not in a semicolon group at depth 8"]
-
-
 def test_validate_reports_group_at_depth_seven():
     parsed = parse_interchange(MINIMAL)
     group = TaxonomyNode(id=7, level=Level.SEMICOLON_GROUP, label="word",
                          parent=6)
-    ref = dataclasses.replace(parsed.references[0], semicolon_group=7)
-    report = validate_structure(Thesaurus(parsed.nodes[:7] + [group], [ref]))
+    report = validate_structure(Thesaurus(parsed.nodes[:7] + [group], []))
     assert report.violations == [
         "node 7 (semicolon group) skips a level under POS paragraph",
-        "semicolon group 7 is not at depth 8",
-        "reference 'word' at node 7 is not in a semicolon group at depth 8"]
+        "semicolon group 7 has no entries"]
 
 
 def test_validate_empty_thesaurus():

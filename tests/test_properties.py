@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rogetsim import (MAX_DISTANCE, ParseError, evaluate_choice,
-                      load_pairs, load_questions, parse_interchange,
-                      serialize, structure_signature, taxonomy,
-                      word_min_distance)
+from rogetsim import (MAX_DISTANCE, InvalidNodeError, ParseError,
+                      evaluate_choice, load_pairs, load_questions,
+                      parse_interchange, serialize, structure_signature,
+                      taxonomy, word_min_distance)
 from tests.conftest import data_path
 from tests.test_interchange import MINIMAL
 from tests.test_taxonomy import (bfs_distance, tree_from_parents,
@@ -58,10 +58,12 @@ def thesauri(draw, words=None):
 
 @st.composite
 def shaped_trees(draw):
-    """A directly built tree of any shape and depth, deeper than 9 too."""
-    parents = [draw(st.one_of(st.just(i), st.integers(0, i)))
-               for i in range(draw(st.integers(0, 40)))]
-    return tree_from_parents(parents)
+    """Parents of a tree of any shape and depth, deeper than 9 levels too.
+
+    Node i + 1 hangs under parents[i], as in ``tree_from_parents``.
+    """
+    return [draw(st.one_of(st.just(i), st.integers(0, i)))
+            for i in range(draw(st.integers(0, 40)))]
 
 
 @settings(deadline=None)
@@ -87,6 +89,15 @@ def test_reference_distance_is_an_ultrametric(thesaurus, data):
 @settings(deadline=None)
 @given(st.one_of(thesauri(), shaped_trees()), st.data())
 def test_ancestors_and_lca_match_a_parent_walk(thesaurus, data):
+    if isinstance(thesaurus, list):  # shaped_trees: build it from parents
+        depths = [0]
+        for parent in thesaurus:
+            depths.append(depths[parent] + 1)
+        if max(depths) > 8:
+            with pytest.raises(InvalidNodeError):
+                tree_from_parents(thesaurus)
+            return
+        thesaurus = tree_from_parents(thesaurus)
     node_ids = st.integers(0, len(thesaurus.nodes) - 1)
     b = data.draw(node_ids)
     above_b = data.draw(st.sampled_from(walk_ancestors(thesaurus, b))).id

@@ -9,8 +9,9 @@ import pytest
 from rogetsim import (InvalidNodeError, InvalidReferenceError, Level,
                       Reference, TaxonomyNode, Thesaurus,
                       enumerate_shortest_paths, load, parse_interchange,
-                      similarity, word_min_distance)
+                      word_min_distance)
 from tests.conftest import FIXTURE_PATH, TIER_PAIRS
+from tests.test_interchange import MINIMAL  # nodes 0-8, the group is node 8
 
 
 def bfs_distance(thesaurus, a, b):
@@ -201,15 +202,41 @@ def test_head_numbers_unique(thesaurus):
     assert len(numbers) == len(set(numbers))
 
 
-def test_tree_deeper_than_nine_levels_keeps_its_answers():
+def test_tree_deeper_than_nine_levels_is_rejected():
     # A 14-deep spine (node i under i - 1) with a side branch at every level.
     spine = list(range(14))
-    thesaurus = tree_from_parents(spine + spine)
-    for a in range(len(thesaurus.nodes)):
-        assert thesaurus.ancestors(a) == walk_ancestors(thesaurus, a)
-        for b in range(len(thesaurus.nodes)):
-            assert (thesaurus.lowest_common_ancestor(a, b)
-                    == walk_lca(thesaurus, a, b))
+    with pytest.raises(InvalidNodeError,
+                       match="^node 9 is deeper than level 8$"):
+        tree_from_parents(spine + spine)
+
+
+@pytest.mark.parametrize("position,changes,message", [
+    (3, {"parent": 5}, "node 3's parent 5 is not an earlier node"),
+    (3, {"parent": 3}, "node 3's parent 3 is not an earlier node"),
+    (0, {"parent": 0}, "node 0's parent 0 is not an earlier node"),
+    (3, {"parent": -1}, "node 3's parent -1 is not an earlier node"),
+    (3, {"parent": -2}, "node 3's parent -2 is not an earlier node"),
+    (3, {"id": 4}, "node 4 is at position 3, not at its id"),
+], ids=["forward-parent", "self-parent", "root-with-a-parent", "second-root",
+        "negative-parent", "id-not-position"])
+def test_a_malformed_tree_is_rejected(position, changes, message):
+    nodes = parse_interchange(MINIMAL).nodes[:]
+    nodes[position] = dataclasses.replace(nodes[position], **changes)
+    with pytest.raises(InvalidNodeError, match="^%s$" % message):
+        Thesaurus(nodes, [])
+
+
+def test_a_thesaurus_without_nodes_is_rejected():
+    with pytest.raises(InvalidNodeError, match="needs a root node"):
+        Thesaurus([], [])
+
+
+def test_iterators_build_the_same_thesaurus():
+    parsed = load(FIXTURE_PATH)
+    built = Thesaurus(iter(parsed.nodes), iter(parsed.references))
+    assert built.references == parsed.references
+    assert built.members == parsed.members
+    assert built.index == parsed.index
 
 
 def test_group_at_depth_seven_is_not_a_member():
@@ -218,36 +245,31 @@ def test_group_at_depth_seven_is_not_a_member():
     for level in list(Level)[1:Level.PARAGRAPH] + [Level.SEMICOLON_GROUP]:
         nodes.append(TaxonomyNode(id=len(nodes), level=level, label="x",
                                   parent=len(nodes) - 1))
-    group = nodes[-1].id
-    refs = [Reference(entry_text=text, semicolon_group=group, pos=None,
+    refs = [Reference(entry_text=text, semicolon_group=nodes[-1].id, pos=None,
                       head_number=1, keyword="a") for text in ("a", "b")]
-    thesaurus = Thesaurus(nodes, refs)
-    assert thesaurus.members[group] == ()
-    assert thesaurus.lookup("a") == refs[:1]
-    with pytest.raises(InvalidReferenceError):
-        thesaurus.reference_distance(refs[0], refs[1])
-    # Reading the group's key without the membership check would give 0.
-    with pytest.raises(InvalidReferenceError):
-        word_min_distance(thesaurus, "a", "b")
-    with pytest.raises(InvalidReferenceError):
-        similarity(thesaurus, "a", "b")
+    with pytest.raises(InvalidReferenceError, match="^reference 'a' at node 7 "
+                       "is not in a semicolon group at depth 8$"):
+        Thesaurus(nodes, refs)
 
 
-def test_negative_group_id_is_not_a_member():
-    # keys[-1] is the last node's key: a read that skipped the membership
-    # check would put this reference in the last group.
-    parsed = parse_interchange("C 1 c\nS 1 s\nU 1 u\nG 1 g\nH 1 h\nP N\n"
-                               "Q 1\n; word | other\n")
+@pytest.mark.parametrize("group", [6, -1, 9],
+                         ids=["pos-paragraph", "negative", "out-of-range"])
+def test_reference_outside_a_semicolon_group_is_rejected(group):
+    parsed = parse_interchange(MINIMAL)
     stray = dataclasses.replace(parsed.references[0], entry_text="stray",
-                                semicolon_group=-1)
-    thesaurus = Thesaurus(parsed.nodes, parsed.references + [stray])
-    assert thesaurus.lookup("stray") == [stray]
-    for w1, w2 in (("stray", "word"), ("word", "stray"), ("stray", "stray")):
-        with pytest.raises(InvalidReferenceError):
-            word_min_distance(thesaurus, w1, w2)
-        with pytest.raises(InvalidReferenceError):
-            similarity(thesaurus, w1, w2)
-    assert similarity(thesaurus, "word", "other") == 16
+                                semicolon_group=group)
+    with pytest.raises(InvalidReferenceError, match="^reference 'stray' at "
+                       "node %d is not in a semicolon group" % group):
+        Thesaurus(parsed.nodes, parsed.references + [stray])
+
+
+def test_reference_at_depth_8_outside_a_semicolon_group_is_rejected():
+    parsed = parse_interchange(MINIMAL)
+    nodes = parsed.nodes[:]
+    nodes[8] = dataclasses.replace(nodes[8], level=Level.PARAGRAPH)
+    with pytest.raises(InvalidReferenceError, match="^reference 'word' at "
+                       "node 8 is not in a semicolon group"):
+        Thesaurus(nodes, parsed.references)
 
 
 def test_keys_and_members_are_read_only(thesaurus):
