@@ -1,5 +1,6 @@
 """Best-effort 1911 Roget's import."""
 
+import hashlib
 import os
 
 import pytest
@@ -59,6 +60,93 @@ def test_one_leading_byte_order_mark_is_dropped(excerpt):
     assert body.startswith("CLASS I\n")
     assert import_gutenberg_1911("\ufeff" + body) == (
         import_gutenberg_1911(body))
+
+
+def _report(classes=1, sections=1, sub_sections=1, heads=1, heads_skipped=0,
+            segments_skipped=0, entries_skipped=0, notes=()):
+    return ["Classes: %d" % classes, "Sections: %d" % sections,
+            "Sub-Sections: %d" % sub_sections, "Heads converted: %d" % heads,
+            "Heads skipped: %d" % heads_skipped,
+            "POS segments skipped: %d" % segments_skipped,
+            "Entries skipped: %d" % entries_skipped] + [
+        "NOTE: " + note for note in notes]
+
+
+PLACEHOLDERS = ["C 1 Class", "S 1 Section", "U 1 Sub-section"]
+
+
+# (1911 text, the document's lines, the report's lines), pinned byte for byte.
+CONVERSIONS = {
+    "section-before-any-class": (
+        "SECTION II. RELATION\n#9. Relation.-- N. relation, bearing.\n",
+        ["C 1 Class", "S 2 RELATION", "U 1 Sub-section", "G 1 [9]",
+         "H 9 Relation", "P N", "Q 1", "; relation | bearing"],
+        _report()),
+    "head-before-any-class": (
+        "#1. Being.-- N. being, entity.\n",
+        PLACEHOLDERS + ["G 1 [1]", "H 1 Being", "P N", "Q 1",
+                        "; being | entity"],
+        _report()),
+    "placeholders-under-each-level": (
+        "CLASS II\n#10. Ten.-- N. ten.\n#11. Eleven.-- N. eleven.\n"
+        "SECTION III.\n2. MIDDLE\n#12. Twelve.-- N. twelve.\n"
+        "CLASS IV\nWORDS RELATING TO THE INTELLECT\n3. LOW\n#13.-- V. go.\n",
+        ["C 2 CLASS II", "S 1 Section", "U 1 Sub-section",
+         "G 1 [10]", "H 10 Ten", "P N", "Q 1", "; ten",
+         "G 2 [11]", "H 11 Eleven", "P N", "Q 1", "; eleven",
+         "S 3 SECTION III", "U 2 MIDDLE",
+         "G 1 [12]", "H 12 Twelve", "P N", "Q 1", "; twelve",
+         "C 4 CLASS IV: WORDS RELATING TO THE INTELLECT", "S 1 Section",
+         "U 3 LOW", "G 1 [13]", "H 13 Head 13", "P VB", "Q 1", "; go"],
+        _report(classes=2, sections=3, sub_sections=3, heads=4)),
+    # The second head's entries are cleaned, and counted, before the
+    # duplicate number skips it.
+    "duplicate-head": (
+        "CLASS I\n#1. Being.-- N. being.\n"
+        "#1. Again.-- N. truth &c. 494, again.\n",
+        ["C 1 CLASS I", "S 1 Section", "U 1 Sub-section", "G 1 [1]",
+         "H 1 Being", "P N", "Q 1", "; being"],
+        _report(heads_skipped=1, entries_skipped=1,
+                notes=["duplicate head number 1 skipped"])),
+    "non-integer-head": (
+        "#3a. Odd.-- N. odd.\n#4. Even.-- N. even.\n",
+        PLACEHOLDERS + ["G 1 [4]", "H 4 Even", "P N", "Q 1", "; even"],
+        _report(heads_skipped=1,
+                notes=["non-integer head number '3a' skipped"])),
+    "only-int-and-phr-segments": (
+        "#2. Talk.-- Int. hello! Phr. so be it.\n#3. Word.-- N. word.\n",
+        PLACEHOLDERS + ["G 1 [3]", "H 3 Word", "P N", "Q 1", "; word"],
+        _report(heads_skipped=1, segments_skipped=2)),
+    "every-entry-skipped": (
+        "#7. Gone.-- N. truth &c. 494; &c. 5.\n#8. Kept.-- Adv. kept.\n",
+        PLACEHOLDERS + ["G 1 [8]", "H 8 Kept", "P ADV", "Q 1", "; kept"],
+        _report(heads_skipped=1, entries_skipped=2)),
+    "text-before-the-first-pos-marker": (
+        "#6. Pre.-- see above. N. fore, front.\n",
+        PLACEHOLDERS + ["G 1 [6]", "H 6 Pre", "P N", "Q 1", "; fore | front"],
+        _report(segments_skipped=1)),
+    "head-without-a-label": (
+        "#5.-- N. five.\n",
+        PLACEHOLDERS + ["G 1 [5]", "H 5 Head 5", "P N", "Q 1", "; five"],
+        _report()),
+}
+
+
+@pytest.mark.parametrize("text,document,report", CONVERSIONS.values(),
+                         ids=CONVERSIONS.keys())
+def test_conversion_is_pinned(text, document, report):
+    converted, conversion = import_gutenberg_1911(text)
+    assert converted == "\n".join(document) + "\n"
+    assert conversion.lines() == report
+
+
+def test_excerpt_is_pinned(excerpt):
+    document, report = import_gutenberg_1911(excerpt)
+    assert hashlib.sha256(document.encode()).hexdigest() == (
+        "5abd8258cbbb9fd53bd597fc5cae3a5153514101c02f029415a9c808fe970ce5")
+    assert document.count("\n") == 129
+    assert report.lines() == _report(sections=2, sub_sections=3, heads=5,
+                                     entries_skipped=18)
 
 
 def test_empty_input_rejected():
