@@ -8,15 +8,17 @@ Semicolons separate closely related word groups and commas separate
 entries, with ``&c.`` cross references pointing at other heads.
 
 The importer is deliberately tolerant: anything it cannot place is
-skipped and counted in the conversion report, and the emitted interchange
-document is re-parsed before being returned, so it is guaranteed to load.
+skipped and counted in the conversion report (a head numbered 0, say),
+and the emitted interchange document is re-parsed before being returned,
+so it is guaranteed to load; the report's structure counts are its own.
 """
 
 import re
 from dataclasses import dataclass, field
 
 from .errors import GutenbergImportError, ParseError
-from .interchange import parse_interchange
+from .interchange import parse_interchange, validate_structure
+from .taxonomy import Level
 
 _ROMAN = {"I": 1, "V": 5, "X": 10, "L": 50, "C": 100}
 
@@ -33,6 +35,9 @@ _ETC_RE = re.compile(r"&c\.?\s*(?:\([^)]*\)\s*)?(?:n|v|adj|adv)?\.?",
 _BRACKETED_RE = re.compile(r"\[[^\]]*\]")
 
 _POS_MAP = {"N": "N", "Adj": "ADJ", "V": "VB", "Adv": "ADV"}
+# Interchange keyword and placeholder label of the levels the builder opens.
+_KEYWORDS = " CSUG"
+_PLACEHOLDERS = (None, "Class", "Section", "Sub-section")
 
 
 def _roman_to_int(text):
@@ -47,6 +52,8 @@ def _roman_to_int(text):
 
 @dataclass
 class ConversionReport:
+    """What an import skipped, and the emitted document's structure counts."""
+
     classes: int = 0
     sections: int = 0
     sub_sections: int = 0
@@ -117,96 +124,67 @@ class _DocumentBuilder:
     def __init__(self, report):
         self.lines = []
         self.report = report
-        self.class_ordinal = 0
-        self.section_ordinal = 0
-        self.subsection_ordinal = 0
-        self.group_ordinal = 0
-        self.have_class = False
-        self.have_section = False
-        self.have_subsection = False
+        self.ordinals = [0] * (Level.HEAD_GROUP + 1)  # last one per level
+        self.depth = Level.ROOT  # levels 1..depth are open
         self.seen_heads = set()
 
-    def add_class(self, ordinal, label):
-        self.class_ordinal = ordinal
-        self.section_ordinal = 0
-        self.subsection_ordinal = 0
-        self.lines.append("C %d %s" % (ordinal, label))
-        self.have_class = True
-        self.have_section = False
-        self.have_subsection = False
-        self.report.classes += 1
+    def add(self, level, ordinal, label):
+        """Open a class, section, sub-section or head group.
 
-    def add_section(self, ordinal, label):
-        if not self.have_class:
-            self.add_class(self.class_ordinal + 1, "Class")
-        self.section_ordinal = ordinal
-        self.subsection_ordinal = 0
-        self.lines.append("S %d %s" % (ordinal, label))
-        self.have_section = True
-        self.have_subsection = False
-        self.report.sections += 1
+        Each missing ancestor is opened first, with its placeholder label
+        and the next ordinal.
+        """
+        for missing in range(self.depth + 1, level):
+            self.add(missing, self.ordinals[missing] + 1,
+                     _PLACEHOLDERS[missing])
+        self.lines.append("%s %d %s" % (_KEYWORDS[level], ordinal, label))
+        self.ordinals[level:] = [ordinal] + [0] * (Level.HEAD_GROUP - level)
+        self.depth = level
 
-    def add_subsection(self, ordinal, label):
-        if not self.have_section:
-            self.add_section(self.section_ordinal + 1, "Section")
-        self.subsection_ordinal = ordinal
-        self.group_ordinal = 0
-        self.lines.append("U %d %s" % (ordinal, label))
-        self.have_subsection = True
-        self.report.sub_sections += 1
+    def skip_head(self, note=None):
+        self.report.heads_skipped += 1
+        if note:
+            self.report.notes.append(note)
 
-    def add_head(self, number, label, segments):
-        if number in self.seen_heads:
-            self.report.heads_skipped += 1
-            self.report.notes.append("duplicate head number %d skipped" % number)
-            return
+    def add_head(self, number_text, text):
+        """Convert the head ``#<number_text>. <text>``, or skip it.
+
+        The skip has a note when the number is not positive or is taken,
+        and none when the head keeps no entry.
+        """
+        try:
+            number = int(number_text)
+        except ValueError:
+            return self.skip_head("non-integer head number %r skipped"
+                                  % number_text)
+        if number <= 0:
+            return self.skip_head("non-positive head number %r skipped"
+                                  % number_text)
+        label, _, rest = text.partition("--")
+        label = " ".join(label.split()).strip(" .") or "Head %d" % number
         body = []
-        for pos, groups in segments:
-            if not groups:
+        parts = _POS_SPLIT_RE.split(rest)
+        # parts = [prefix, marker, text, marker, text, ...]
+        if parts[0].strip():
+            self.report.segments_skipped += 1  # before the first POS marker
+        for marker, segment in zip(parts[1::2], parts[2::2]):
+            pos = _POS_MAP.get(marker)
+            if pos is None:
+                self.report.segments_skipped += 1
                 continue
-            body.append("P %s" % pos)
-            body.append("Q 1")
-            for entries in groups:
-                body.append("; %s" % " | ".join(entries))
+            groups = _segment_groups(segment, self.report)
+            if groups:
+                body += ["P " + pos, "Q 1"]
+                body += ["; " + " | ".join(entries) for entries in groups]
+        if number in self.seen_heads:
+            return self.skip_head("duplicate head number %d skipped" % number)
         if not body:
-            self.report.heads_skipped += 1
-            return
-        if not self.have_subsection:
-            self.add_subsection(self.subsection_ordinal + 1, "Sub-section")
-        self.group_ordinal += 1
-        self.lines.append("G %d [%d]" % (self.group_ordinal, number))
+            return self.skip_head()
+        self.add(Level.HEAD_GROUP, self.ordinals[Level.HEAD_GROUP] + 1,
+                 "[%d]" % number)
         self.lines.append("H %d %s" % (number, label))
-        self.lines.extend(body)
+        self.lines += body
         self.seen_heads.add(number)
-        self.report.heads_converted += 1
-
-
-def _convert_head(builder, number_text, body, report):
-    try:
-        number = int(number_text)
-    except ValueError:
-        report.heads_skipped += 1
-        report.notes.append("non-integer head number %r skipped" % number_text)
-        return
-    if "--" in body:
-        label, rest = body.split("--", 1)
-    else:
-        label, rest = body, ""
-    label = " ".join(label.split()).strip(" .")
-    if not label:
-        label = "Head %d" % number
-    segments = []
-    parts = _POS_SPLIT_RE.split(rest)
-    # parts = [prefix, marker, text, marker, text, ...]
-    if parts and parts[0].strip():
-        report.segments_skipped += 1  # text before the first POS marker
-    for marker, text in zip(parts[1::2], parts[2::2]):
-        pos = _POS_MAP.get(marker)
-        if pos is None:
-            report.segments_skipped += 1
-            continue
-        segments.append((pos, _segment_groups(text, report)))
-    builder.add_head(number, label, segments)
 
 
 def import_gutenberg_1911(text):
@@ -228,7 +206,7 @@ def import_gutenberg_1911(text):
     def flush_head():
         nonlocal head_number, head_body
         if head_number is not None:
-            _convert_head(builder, head_number, " ".join(head_body), report)
+            builder.add_head(head_number, " ".join(head_body))
         head_number = None
         head_body = []
 
@@ -245,7 +223,7 @@ def import_gutenberg_1911(text):
             if j < len(lines) and lines[j].strip().isupper():
                 label = "%s: %s" % (label, " ".join(lines[j].split()))
                 i = j
-            builder.add_class(ordinal, label)
+            builder.add(Level.CLASS, ordinal, label)
             i += 1
             continue
         match = _SECTION_RE.match(line)
@@ -253,15 +231,15 @@ def import_gutenberg_1911(text):
             flush_head()
             ordinal = _roman_to_int(match.group(1))
             label = " ".join(match.group(2).split()).strip(" .")
-            builder.add_section(ordinal,
-                                label or ("SECTION %s" % match.group(1)))
+            builder.add(Level.SECTION, ordinal,
+                        label or ("SECTION %s" % match.group(1)))
             i += 1
             continue
         match = _SUBSECTION_RE.match(line)
         if match:
             flush_head()
-            builder.add_subsection(int(match.group(1)),
-                                   " ".join(match.group(2).split()).strip(" ."))
+            builder.add(Level.SUB_SECTION, int(match.group(1)),
+                        " ".join(match.group(2).split()).strip(" ."))
             i += 1
             continue
         match = _HEAD_RE.match(line)
@@ -276,14 +254,16 @@ def import_gutenberg_1911(text):
         i += 1
     flush_head()
 
-    if report.heads_converted == 0:
-        raise GutenbergImportError(
-            "input is not recognizable as a 1911 Roget's text: no heads found")
-
     document = "\n".join(builder.lines) + "\n"
     try:
-        parse_interchange(document)
+        structure = validate_structure(parse_interchange(document))
     except ParseError as exc:  # pragma: no cover - defends the guarantee
         raise GutenbergImportError(
             "converted document failed to re-parse: %s" % exc)
+    if structure.heads == 0:
+        raise GutenbergImportError(
+            "input is not recognizable as a 1911 Roget's text: no heads found")
+    report.classes, report.sections = structure.classes, structure.sections
+    report.sub_sections = structure.sub_sections
+    report.heads_converted = structure.heads
     return document, report

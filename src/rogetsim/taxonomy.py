@@ -19,7 +19,8 @@ The tree is stored as per-node columns; ``TaxonomyNode`` records are made
 from them only when ``Thesaurus.nodes`` is read, and changing one changes
 nothing in the thesaurus.  Each semicolon group's references, in
 ``members``, are the same objects as in the index.  ``Thesaurus`` rejects
-a node deeper than level 8 and a reference outside a depth-8 group.
+a node whose level is not a ``Level``, a node deeper than level 8 and a
+reference outside a depth-8 group.
 """
 
 import unicodedata
@@ -53,6 +54,9 @@ class Level(IntEnum):
     POS_PARAGRAPH = 6
     PARAGRAPH = 7
     SEMICOLON_GROUP = 8
+
+
+_LEVELS = frozenset(Level)
 
 
 class PartOfSpeech(Enum):
@@ -171,8 +175,9 @@ class Thesaurus:
     ``nodes`` lists each node at its id, parents before children, and
     ``references`` each group's entries together, as ``parse_interchange``
     does.  The constructor raises ``InvalidNodeError`` for a node not at
-    its id, a parent that is not an earlier node (node 0 is the one root,
-    with parent -1) or a node deeper than level 8, and
+    its id, a level that is not a ``Level``, a parent that is not an
+    earlier node (node 0 is the one root, with parent -1) or a node deeper
+    than level 8, and
     ``InvalidReferenceError`` for a reference outside a semicolon group at
     depth 8.  A node's children are the nodes naming it, in id order.
 
@@ -209,6 +214,9 @@ class Thesaurus:
             if node.id != node_id:
                 raise InvalidNodeError("node %r is at position %d, not at its "
                                        "id" % (node.id, node_id))
+            if node.level not in _LEVELS:
+                raise InvalidNodeError("node %d's level %r is not a Level"
+                                       % (node_id, node.level))
             if not (0 <= parent < node_id if node_id else parent == -1):
                 raise InvalidNodeError("node %d's parent %r is not an earlier "
                                        "node" % (node_id, parent))

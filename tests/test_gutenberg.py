@@ -113,6 +113,13 @@ CONVERSIONS = {
         PLACEHOLDERS + ["G 1 [4]", "H 4 Even", "P N", "Q 1", "; even"],
         _report(heads_skipped=1,
                 notes=["non-integer head number '3a' skipped"])),
+    "head-numbered-zero": (
+        "#0. Nought.-- N. nought.\n#00. Naught.-- N. naught.\n"
+        "#1. One.-- N. one.\n",
+        PLACEHOLDERS + ["G 1 [1]", "H 1 One", "P N", "Q 1", "; one"],
+        _report(heads_skipped=2,
+                notes=["non-positive head number '0' skipped",
+                       "non-positive head number '00' skipped"])),
     "only-int-and-phr-segments": (
         "#2. Talk.-- Int. hello! Phr. so be it.\n#3. Word.-- N. word.\n",
         PLACEHOLDERS + ["G 1 [3]", "H 3 Word", "P N", "Q 1", "; word"],
@@ -154,9 +161,13 @@ def test_empty_input_rejected():
         import_gutenberg_1911("")
 
 
-def test_unrecognizable_input_rejected():
-    with pytest.raises(GutenbergImportError):
-        import_gutenberg_1911("The quick brown fox.\nNothing thesaural here.\n")
+@pytest.mark.parametrize("text", [
+    "The quick brown fox.\nNothing thesaural here.\n",
+    "CLASS I\n\nSECTION I. EXISTENCE\n#1. Alas.-- Int. alas!\n",
+], ids=["prose", "headings-without-a-converted-head"])
+def test_unrecognizable_input_rejected(text):
+    with pytest.raises(GutenbergImportError, match="no heads found$"):
+        import_gutenberg_1911(text)
 
 
 @pytest.mark.skipif(FULL_1911_ENV not in os.environ,

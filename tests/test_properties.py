@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rogetsim import (MAX_DISTANCE, InvalidNodeError, ParseError,
-                      evaluate_choice, load_pairs, load_questions,
-                      parse_interchange, serialize, structure_signature,
-                      taxonomy, word_min_distance)
+from rogetsim import (MAX_DISTANCE, GutenbergImportError, InvalidNodeError,
+                      ParseError, evaluate_choice, import_gutenberg_1911,
+                      load_pairs, load_questions, parse_interchange,
+                      serialize, structure_signature, taxonomy,
+                      validate_structure, word_min_distance)
 from tests.conftest import data_path
 from tests.test_interchange import MINIMAL
 from tests.test_taxonomy import (bfs_distance, tree_from_parents,
@@ -184,3 +185,35 @@ def test_parsers_raise_only_parse_error(document):
             parse(document)
         except ParseError:
             pass
+
+
+GUTENBERG_BODY = st.lists(st.sampled_from(
+    ["N.", "V.", "Adj.", "Adv.", "Int.", "Phr.", "being,", "entity;",
+     "truth &c. 494,", "positiveness &c. adj.;", "ens[Lat],", "so be it!"]),
+    max_size=6).map(" ".join)
+GUTENBERG_LINES = st.one_of(
+    st.builds("CLASS {}".format, st.sampled_from(["I", "II", "IV"])),
+    st.just("WORDS EXPRESSING ABSTRACT RELATIONS"),
+    st.builds("SECTION {}.{}".format, st.sampled_from(["I", "II", "V"]),
+              st.sampled_from(["", " RELATION"])),
+    st.builds("{}. {}".format, st.integers(0, 3),
+              st.sampled_from(["BEING", "ABSOLUTE RELATION"])),
+    st.builds("#{}. {}-- {}".format,
+              st.sampled_from(["0", "00", "1", "2", "3", "3a", "12"]),
+              st.sampled_from(["Existence.", ""]), GUTENBERG_BODY),
+    GUTENBERG_BODY, st.just(""))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(GUTENBERG_LINES, max_size=15))
+def test_an_import_loads_and_reports_its_own_counts(lines):
+    try:
+        document, report = import_gutenberg_1911("\n".join(lines))
+    except GutenbergImportError as exc:
+        assert str(exc).endswith(": no heads found")
+        return
+    structure = validate_structure(parse_interchange(document))
+    assert structure.ok and structure.heads > 0
+    assert (structure.classes, structure.sections, structure.sub_sections,
+            structure.heads) == (report.classes, report.sections,
+                                 report.sub_sections, report.heads_converted)

@@ -217,8 +217,9 @@ def test_tree_deeper_than_nine_levels_is_rejected():
     (3, {"parent": -1}, "node 3's parent -1 is not an earlier node"),
     (3, {"parent": -2}, "node 3's parent -2 is not an earlier node"),
     (3, {"id": 4}, "node 4 is at position 3, not at its id"),
+    (3, {"level": 12}, "node 3's level 12 is not a Level"),
 ], ids=["forward-parent", "self-parent", "root-with-a-parent", "second-root",
-        "negative-parent", "id-not-position"])
+        "negative-parent", "id-not-position", "level-not-a-level"])
 def test_a_malformed_tree_is_rejected(position, changes, message):
     nodes = parse_interchange(MINIMAL).nodes[:]
     nodes[position] = dataclasses.replace(nodes[position], **changes)
