@@ -26,6 +26,8 @@ _CLASS_RE = re.compile(r"^\s*CLASS\s+([IVXLC]+)\.?\s*$")
 _SECTION_RE = re.compile(r"^\s*SECTION\s+([IVXLC]+)\.?\s*(.*)$")
 _SUBSECTION_RE = re.compile(r"^\s*(\d+)\.\s+([A-Z][A-Z0-9 ,.:;'()-]*)\s*$")
 _HEAD_RE = re.compile(r"^\s*%?#(\d+[a-z]?)\.\s*(.*)$")
+# A line after a CLASS heading is its title unless it is a heading itself.
+_HEADINGS = (_CLASS_RE, _SECTION_RE, _SUBSECTION_RE, _HEAD_RE)
 _POS_SPLIT_RE = re.compile(r"(?:^|(?<=\s))(N|V|Adj|Adv|Int|Phr)\.(?:\s|--|$)")
 # "&c. 494" points at another head: the whole entry is dropped.  "&c. adj."
 # just abbreviates "as above" within the head: the marker is stripped.
@@ -150,7 +152,8 @@ class _DocumentBuilder:
         """Convert the head ``#<number_text>. <text>``, or skip it.
 
         The skip has a note when the number is not positive or is taken,
-        and none when the head keeps no entry.
+        and none when the head keeps no entry.  A head skipped for its
+        number adds nothing to the segment and entry counts.
         """
         try:
             number = int(number_text)
@@ -160,6 +163,8 @@ class _DocumentBuilder:
         if number <= 0:
             return self.skip_head("non-positive head number %r skipped"
                                   % number_text)
+        if number in self.seen_heads:
+            return self.skip_head("duplicate head number %d skipped" % number)
         label, _, rest = text.partition("--")
         label = " ".join(label.split()).strip(" .") or "Head %d" % number
         body = []
@@ -176,8 +181,6 @@ class _DocumentBuilder:
             if groups:
                 body += ["P " + pos, "Q 1"]
                 body += ["; " + " | ".join(entries) for entries in groups]
-        if number in self.seen_heads:
-            return self.skip_head("duplicate head number %d skipped" % number)
         if not body:
             return self.skip_head()
         self.add(Level.HEAD_GROUP, self.ordinals[Level.HEAD_GROUP] + 1,
@@ -220,7 +223,9 @@ def import_gutenberg_1911(text):
             j = i + 1
             while j < len(lines) and not lines[j].strip():
                 j += 1
-            if j < len(lines) and lines[j].strip().isupper():
+            if (j < len(lines) and lines[j].strip().isupper()
+                    and not any(pattern.match(lines[j])
+                                for pattern in _HEADINGS)):
                 label = "%s: %s" % (label, " ".join(lines[j].split()))
                 i = j
             builder.add(Level.CLASS, ordinal, label)

@@ -8,12 +8,12 @@ number of tree edges on the unique path between their semicolon groups:
 
     distance = 2 * (8 - level(lowest common ancestor))
 
-which is always an even number in [0, 16].  Each node's root-first
-ancestor ids are packed into one int key at fixed bit positions, so the
-level of the lowest common ancestor of two groups is read off the top set
-bit of their keys' XOR (see ``Thesaurus``), and the closest pairs between
-two lists of references are found from their sorted keys, without
-comparing every pair.
+which is always an even number in [0, 16].  Each node's root-first path
+is packed into one int key, one bit field per level holding the rank of
+that level's ancestor among its siblings, so the level of the lowest
+common ancestor of two groups is read off the top set bit of their keys'
+XOR (see ``Thesaurus``), and the closest pairs between two lists of
+references are found from their sorted keys, without comparing every pair.
 
 The tree is stored as per-node columns; ``TaxonomyNode`` records are made
 from them only when ``Thesaurus.nodes`` is read, and changing one changes
@@ -29,7 +29,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import cached_property
-from itertools import count, groupby, repeat
+from itertools import groupby, islice, repeat
 from operator import attrgetter, xor
 
 from .errors import InvalidNodeError, InvalidReferenceError
@@ -40,7 +40,9 @@ _GROUP_LEVEL = 8  # the depth of every semicolon group; no node is deeper
 # Thesaurus.min_distance measures each pair with reference_distance, instead
 # of sorting the keys, while there are at most this many pairs: sorting has
 # a fixed cost of some fourteen reference_distance calls, and past 16 to 25
-# pairs it is the cheaper way.
+# pairs it is the cheaper way.  Those costs were measured when keys packed
+# node ids, 128 bits at the 1987 edition's scale; keys of sibling ranks are
+# one int digit there and sort faster, so the cut-off is due a new measure.
 _FEW_PAIRS = 16
 
 
@@ -169,6 +171,34 @@ def build_index(thesaurus):
     return index
 
 
+def _pack_keys(parents, depths):
+    """(keys, shifts): each node's key by id, and where each level's field is.
+
+    Level d's field starts at bit shifts[d] and holds the 1-based rank of
+    the node's level-d ancestor among its siblings, in as many bits as the
+    largest family at level d needs; the fields of deeper levels lie below
+    it, and shifts[0] is the width of every field together.
+    """
+    sizes = Counter(parents)
+    del sizes[-1]  # the root's
+    largest = [0] * _GROUP_LEVEL  # by parent depth
+    for depth, size in zip(map(depths.__getitem__, sizes), sizes.values()):
+        if size > largest[depth]:
+            largest[depth] = size
+    shifts = [0] * (_GROUP_LEVEL + 1)
+    for depth in reversed(range(_GROUP_LEVEL)):
+        shifts[depth] = shifts[depth + 1] + largest[depth].bit_length()
+    steps = [1 << shift for shift in shifts]
+    keys = [0]
+    latest = [0]  # per node, its last-numbered child's key, or its own
+    for parent, depth in zip(islice(parents, 1, None),
+                             islice(depths, 1, None)):
+        key = latest[parent] = latest[parent] + steps[depth]
+        keys.append(key)
+        latest.append(key)
+    return tuple(keys), tuple(shifts)
+
+
 class Thesaurus:
     """A read-only taxonomy tree plus the references it defines.
 
@@ -187,15 +217,19 @@ class Thesaurus:
     sequence that makes a ``TaxonomyNode`` from them when read.
 
     Per node id, ``keys`` holds one int packing the node's root-first
-    ancestor ids at fixed bit positions: ``bits = len(nodes).bit_length()``
-    bits per level, the level-d ancestor's id shifted left by
-    ``bits * (8 - d)``.  Levels below the node hold 0, which is the root's
-    id, so the lowest set bit gives the node's depth.  Two depth-8 groups
-    first differ at the level that holds the top set bit of ``k1 ^ k2``, so
-    a reference distance is one table lookup.  ``members`` holds the
-    references of each semicolon group (empty for every other node), so
-    every reference is a member; ``index`` is ``build_index(self)``, whose
-    tuples hold the same reference objects.  For lists of m and n
+    path: for each level d from 1 to 8, a bit field holding the 1-based
+    rank of the node's level-d ancestor among its siblings (children of
+    one parent, in id order), level 1 highest.  Levels below the node hold
+    0, and the root's key is 0.  A level's field is as wide as its largest
+    family needs: on the benchmark's synthetic thesaurus at the 1987
+    edition's scale a key takes 28 bits, so a key tagged with one more bit
+    still fits one 30-bit CPython int digit, and ``min_distance`` sorts,
+    XORs and shifts one-digit ints.  Two nodes first differ at the level
+    whose field holds the top set bit of ``k1 ^ k2``, so a reference
+    distance is one table lookup by that bit length.  ``members`` holds
+    the references of each semicolon group (empty for every other node),
+    so every reference is a member; ``index`` is ``build_index(self)``,
+    whose tuples hold the same reference objects.  For lists of m and n
     references the cost of ``min_distance`` and ``pairs_within`` grows as
     (m+n) log(m+n), not as m*n.
 
@@ -254,16 +288,15 @@ class Thesaurus:
         self.references = references
         self.members = members
         self.root_id = 0
-        self._bits = bits = len(self.parents).bit_length()
-        self._mask = (1 << bits) - 1
-        keys = []
-        for node_id, parent, depth in zip(count(), self.parents, depths):
-            keys.append(keys[parent] | node_id << bits * (_GROUP_LEVEL - depth)
-                        if depth else 0)
-        self.keys = tuple(keys)
-        # Indexed by the bit length of k1 ^ k2 for two depth-8 groups.
-        self._distance = tuple(MAX_DISTANCE - 2 * self._level(length)
-                               for length in range(bits * _GROUP_LEVEL + 1))
+        self.keys, self._shifts = _pack_keys(self.parents, depths)
+        # Indexed by the bit length of k1 ^ k2: the deepest level two keys
+        # share, and the distance between two depth-8 groups.
+        self._levels = tuple(
+            max(level for level, shift in enumerate(self._shifts)
+                if shift >= length)
+            for length in range(self._shifts[0] + 1))
+        self._distance = tuple(MAX_DISTANCE - 2 * level
+                               for level in self._levels)
         self.index = build_index(self)
 
     @property
@@ -306,28 +339,25 @@ class Thesaurus:
         return [self._node(i) for i, node_level in enumerate(self.levels)
                 if node_level == level]
 
-    def _level(self, length):
-        """Deepest level two keys share, by the bit length of their XOR."""
-        return _GROUP_LEVEL - 1 - (length - 1) // self._bits
-
-    def _chain(self, key):
-        """The root-first ancestor ids packed in a key."""
-        low = (key & -key).bit_length() - 1
-        depth = _GROUP_LEVEL - low // self._bits if key else 0
-        return [key >> self._bits * (_GROUP_LEVEL - d) & self._mask
-                for d in range(depth + 1)]
+    def _chain(self, node_id):
+        """The root-first ancestor ids of a node, itself last."""
+        chain = [node_id]
+        while node_id:
+            node_id = self.parents[node_id]
+            chain.append(node_id)
+        chain.reverse()
+        return chain
 
     def ancestors(self, node_id):
         """Path of nodes from the given node up to (and including) Root."""
-        chain = self._chain(self.keys[self._checked(node_id)])
+        chain = self._chain(self._checked(node_id))
         return [self._node(i) for i in reversed(chain)]
 
     def lowest_common_ancestor(self, a, b):
         """Deepest node that is an ancestor-or-self of both nodes."""
-        key_a = self.keys[self._checked(a)]
-        key_b = self.keys[self._checked(b)]
-        chain_a = self._chain(key_a)
-        level = self._level((key_a ^ key_b).bit_length())
+        a, b = self._checked(a), self._checked(b)
+        chain_a = self._chain(a)
+        level = self._levels[(self.keys[a] ^ self.keys[b]).bit_length()]
         return self._node(chain_a[min(level, len(chain_a) - 1)])
 
     def _key(self, ref):
@@ -354,8 +384,7 @@ class Thesaurus:
 
     def _shift(self, distance):
         """Shift s: groups within ``distance`` are those with k1>>s == k2>>s."""
-        level = max((MAX_DISTANCE + 1 - distance) // 2, 0)
-        return self._bits * (_GROUP_LEVEL - level)
+        return self._shifts[max((MAX_DISTANCE + 1 - distance) // 2, 0)]
 
     def reference_distance(self, r1, r2):
         """Edges on the shortest tree path between two references' groups."""
@@ -421,9 +450,9 @@ class Thesaurus:
         Returns (labels, apex_index) where apex_index is the position of
         the lowest common ancestor's label (1, r2's entry, at distance 0).
         """
-        key1, key2 = self._key(r1), self._key(r2)
-        chain1, chain2 = self._chain(key1), self._chain(key2)
-        level = self._level((key1 ^ key2).bit_length())
+        level = self._levels[(self._key(r1) ^ self._key(r2)).bit_length()]
+        chain1 = self._chain(r1.semicolon_group)
+        chain2 = self._chain(r2.semicolon_group)
         up = [self._display_label(i) for i in reversed(chain1[level:-1])]
         down = [self._display_label(i) for i in chain2[level + 1:-1]]
         return [r1.entry_text] + up + down + [r2.entry_text], max(len(up), 1)

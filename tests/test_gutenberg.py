@@ -99,14 +99,25 @@ CONVERSIONS = {
          "C 4 CLASS IV: WORDS RELATING TO THE INTELLECT", "S 1 Section",
          "U 3 LOW", "G 1 [13]", "H 13 Head 13", "P VB", "Q 1", "; go"],
         _report(classes=2, sections=3, sub_sections=3, heads=4)),
-    # The second head's entries are cleaned, and counted, before the
-    # duplicate number skips it.
+    # A heading right after a class is not taken as the class's title.
+    "section-right-after-a-class": (
+        "CLASS IV\nSECTION I. EXISTENCE\n#13.-- V. go.\n",
+        ["C 4 CLASS IV", "S 1 EXISTENCE", "U 1 Sub-section", "G 1 [13]",
+         "H 13 Head 13", "P VB", "Q 1", "; go"],
+        _report()),
+    "sub-section-right-after-a-class": (
+        "CLASS II\n\n2. INTELLECT\n#20. Mind.-- N. mind.\n",
+        ["C 2 CLASS II", "S 1 Section", "U 2 INTELLECT", "G 1 [20]",
+         "H 20 Mind", "P N", "Q 1", "; mind"],
+        _report()),
+    # The duplicate number skips the second head before its entries are
+    # cleaned, so they are counted nowhere, as a non-integer head's are.
     "duplicate-head": (
         "CLASS I\n#1. Being.-- N. being.\n"
         "#1. Again.-- N. truth &c. 494, again.\n",
         ["C 1 CLASS I", "S 1 Section", "U 1 Sub-section", "G 1 [1]",
          "H 1 Being", "P N", "Q 1", "; being"],
-        _report(heads_skipped=1, entries_skipped=1,
+        _report(heads_skipped=1, entries_skipped=0,
                 notes=["duplicate head number 1 skipped"])),
     "non-integer-head": (
         "#3a. Odd.-- N. odd.\n#4. Even.-- N. even.\n",

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rogetsim import (MAX_DISTANCE, GutenbergImportError, InvalidNodeError,
-                      ParseError, evaluate_choice, import_gutenberg_1911,
+                      Level, ParseError, PartOfSpeech, Reference, TaxonomyNode,
+                      Thesaurus, evaluate_choice, import_gutenberg_1911,
                       load_pairs, load_questions, parse_interchange,
                       serialize, structure_signature, taxonomy,
                       validate_structure, word_min_distance)
@@ -122,17 +123,14 @@ def pair_loop(thesaurus, w1, w2):
     return best, pairs
 
 
-@pytest.mark.parametrize("few_pairs", [0, taxonomy._FEW_PAIRS, 10 ** 6])
-@settings(deadline=None)
-@given(thesauri(words=st.sampled_from(["a", "b", "c"])))
-def test_word_distance_equals_the_pair_loop(few_pairs, thesaurus):
-    # Every ordered pair of words, w1 == w2 included; "class 1" and
-    # "class 2" (when drawn) meet only at the root, so every pair of their
-    # references attains distance 16.  A cut-off of 0 sends every word
-    # pair through the key sort, 10**6 through per-pair reference_distance.
-    words = sorted(thesaurus.index)
-    for w1 in words:
-        for w2 in words:
+def check_word_distances(thesaurus, few_pairs):
+    """Every ordered pair of words, w1 == w2 included, against pair_loop.
+
+    A cut-off of 0 sends every word pair through the key sort, 10**6
+    through per-pair reference_distance.
+    """
+    for w1 in sorted(thesaurus.index):
+        for w2 in sorted(thesaurus.index):
             best, pairs = pair_loop(thesaurus, w1, w2)
             with mock.patch.object(taxonomy, "_FEW_PAIRS", few_pairs):
                 result = word_min_distance(thesaurus, w1, w2)
@@ -142,8 +140,90 @@ def test_word_distance_equals_the_pair_loop(few_pairs, thesaurus):
                 tuple(map(id, p)) for p in pairs]
             best_pair = evaluate_choice(thesaurus, w1, w2).best_pair
             assert tuple(map(id, best_pair)) == tuple(map(id, pairs[0]))
-            if {w1, w2} == {"class 1", "class 2"}:
-                assert best == MAX_DISTANCE
+
+
+@pytest.mark.parametrize("few_pairs", [0, taxonomy._FEW_PAIRS, 10 ** 6])
+@settings(deadline=None)
+@given(thesauri(words=st.sampled_from(["a", "b", "c"])))
+def test_word_distance_equals_the_pair_loop(few_pairs, thesaurus):
+    check_word_distances(thesaurus, few_pairs)
+    # "class 1" and "class 2" (when drawn) meet only at the root, so every
+    # pair of their references attains distance 16.
+    if "class 2" in thesaurus.index:
+        assert pair_loop(thesaurus, "class 1", "class 2")[0] == MAX_DISTANCE
+
+
+# Family sizes on both sides of the key's field-width boundaries: 1, and
+# 2**k - 1, 2**k and 2**k + 1 for k = 1, 2, 3.
+FAMILY_SIZES = (1, 2, 3, 4, 5, 7, 8, 9)
+
+
+def boundary_tree(turn):
+    """A thesaurus whose last node at each depth d < 8 has a family of
+    FAMILY_SIZES[(turn + d) % 8] children and every other node one child.
+
+    Each semicolon group holds "a", "b" or "c" in turn; "rare" is in the
+    first and last groups and "odd" in the next three, so "rare" and "odd"
+    make few pairs and the other words many.
+    """
+    nodes = [TaxonomyNode(id=0, level=Level.ROOT, label="T")]
+    level_ids = [0]
+    for depth in range(Level.SEMICOLON_GROUP):
+        size = FAMILY_SIZES[(turn + depth) % len(FAMILY_SIZES)]
+        below = []
+        for parent in level_ids:
+            for _ in range(size if parent == level_ids[-1] else 1):
+                below.append(len(nodes))
+                nodes.append(TaxonomyNode(id=len(nodes),
+                                          level=Level(depth + 1),
+                                          label=str(len(nodes)),
+                                          parent=parent))
+        level_ids = below
+    references = []
+    for i, group in enumerate(level_ids):
+        words = ["abc"[i % 3]]
+        words += ["rare"] * (i in (0, len(level_ids) - 1))
+        words += ["odd"] * (i in (1, 2, 3))
+        references += [Reference(word, group, PartOfSpeech.NOUN, 1, word)
+                       for word in words]
+    return Thesaurus(nodes, references)
+
+
+BOUNDARY_TREES = [boundary_tree(turn) for turn in range(len(FAMILY_SIZES))]
+
+
+@pytest.mark.parametrize("thesaurus", BOUNDARY_TREES)
+def test_keys_take_the_widths_of_the_largest_families(thesaurus):
+    # Level d's field is as wide as its largest family's size in bits, so
+    # keys that packed node ids, or fields of one width, would be longer.
+    widths = [0] * (Level.SEMICOLON_GROUP + 1)
+    for children in thesaurus.child_ids:
+        if children:
+            depth = thesaurus.levels[children[0]]
+            widths[depth] = max(widths[depth], len(children).bit_length())
+    assert max(thesaurus.keys).bit_length() == sum(widths)
+
+
+@pytest.mark.parametrize("thesaurus", BOUNDARY_TREES)
+def test_boundary_trees_match_the_oracles(thesaurus):
+    groups = {ref.semicolon_group: ref for ref in thesaurus.references}
+    for a, r1 in groups.items():
+        for b, r2 in groups.items():
+            assert (thesaurus.reference_distance(r1, r2)
+                    == bfs_distance(thesaurus, a, b))
+    node_ids = range(len(thesaurus.nodes))
+    for a in node_ids:
+        assert thesaurus.ancestors(a) == walk_ancestors(thesaurus, a)
+        for b in node_ids[a % 7::7]:
+            assert (thesaurus.lowest_common_ancestor(a, b)
+                    == walk_lca(thesaurus, a, b))
+
+
+@pytest.mark.parametrize("few_pairs", [0, taxonomy._FEW_PAIRS, 10 ** 6])
+@pytest.mark.parametrize("thesaurus", BOUNDARY_TREES)
+def test_boundary_trees_word_distance_equals_the_pair_loop(few_pairs,
+                                                           thesaurus):
+    check_word_distances(thesaurus, few_pairs)
 
 
 def _lines(name):
