@@ -8,9 +8,11 @@ Semicolons separate closely related word groups and commas separate
 entries, with ``&c.`` cross references pointing at other heads.
 
 The importer is deliberately tolerant: anything it cannot place is
-skipped and counted in the conversion report (a head numbered 0, say),
-and the emitted interchange document is re-parsed before being returned,
-so it is guaranteed to load; the report's structure counts are its own.
+skipped and counted in the conversion report (a head numbered 0, say);
+a class, section or sub-section numbered no higher than the one before
+it under the same parent takes the next number, with a note; and the
+emitted interchange document is re-parsed before being returned, so it
+is guaranteed to load; the report's structure counts are its own.
 """
 
 import re
@@ -134,11 +136,17 @@ class _DocumentBuilder:
         """Open a class, section, sub-section or head group.
 
         Each missing ancestor is opened first, with its placeholder label
-        and the next ordinal.
+        and the next ordinal.  An ordinal not above the last one at its
+        level under the open parent is replaced by the next, with a note.
         """
         for missing in range(self.depth + 1, level):
             self.add(missing, self.ordinals[missing] + 1,
                      _PLACEHOLDERS[missing])
+        last = self.ordinals[level]
+        if ordinal <= last:
+            self.report.notes.append("%s %d %r renumbered %d" % (
+                _PLACEHOLDERS[level].lower(), ordinal, label, last + 1))
+            ordinal = last + 1
         self.lines.append("%s %d %s" % (_KEYWORDS[level], ordinal, label))
         self.ordinals[level:] = [ordinal] + [0] * (Level.HEAD_GROUP - level)
         self.depth = level

@@ -12,9 +12,11 @@ tree each reference pair has exactly one path.
 
 For words with m and n references the minimum and the pair count cost
 O((m+n) log(m+n)), not m*n distance computations (see
-``Thesaurus.min_distance``, which measures up to 16 pairs one by one);
-the minimizing pairs themselves are built only when ``achieving_pairs``
-is read.
+``Thesaurus.min_distance``, which measures up to 16 pairs one by one).
+Past 16 pairs each word's group keys come from a per-word cache in the
+thesaurus, filled on the word's first such comparison, so a frequent
+word compared again does not re-read its references; the minimizing
+pairs themselves are built only when ``achieving_pairs`` is read.
 """
 
 from collections.abc import Callable
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, partial
 
+from . import taxonomy
 from .errors import WordNotFoundError
 from .taxonomy import MAX_DISTANCE
 
@@ -65,7 +68,13 @@ def word_min_distance(thesaurus, w1, w2):
     missing = [w for w, refs in ((w1, refs1), (w2, refs2)) if not refs]
     if missing:
         raise WordNotFoundError(missing)
-    distance, count = thesaurus.min_distance(refs1, refs2)
+    # Thesaurus.min_distance's two paths; past the cut-off, each word's keys
+    # come from the thesaurus's cache.
+    if len(refs1) * len(refs2) <= taxonomy._FEW_PAIRS:
+        distance, count = thesaurus._pair_loop(refs1, refs2)
+    else:
+        distance, count = thesaurus._closest(thesaurus._word_keys(w1),
+                                             thesaurus._word_keys(w2))
     return WordDistanceResult(
         word1=w1, word2=w2, min_distance=distance, pair_count=count,
         _pairs=partial(thesaurus.pairs_within, refs1, refs2, distance))

@@ -1,4 +1,4 @@
-"""Immutable 9-level thesaurus taxonomy, entry index and edge distance.
+"""Read-only 9-level thesaurus taxonomy, entry index and edge distance.
 
 The tree runs Root -> Class -> Section -> Sub-Section -> Head Group ->
 Head -> POS paragraph -> Paragraph -> Semicolon group.  Words and phrases
@@ -37,12 +37,13 @@ from .errors import InvalidNodeError, InvalidReferenceError
 MAX_DISTANCE = 16
 _GROUP_LEVEL = 8  # the depth of every semicolon group; no node is deeper
 
-# Thesaurus.min_distance measures each pair with reference_distance, instead
-# of sorting the keys, while there are at most this many pairs: sorting has
-# a fixed cost of some fourteen reference_distance calls, and past 16 to 25
-# pairs it is the cheaper way.  Those costs were measured when keys packed
-# node ids, 128 bits at the 1987 edition's scale; keys of sibling ranks are
-# one int digit there and sort faster, so the cut-off is due a new measure.
+# Thesaurus.min_distance and similarity.word_min_distance measure each pair
+# with reference_distance, instead of sorting the keys, while there are at
+# most this many pairs.  Sorting one-digit keys is the cheaper way from some
+# 9-12 pairs, but the value stays 16 because the traced benchmark pins the
+# per-pair reference_distance calls it gives; ROADMAP item 1 re-chooses it
+# once the benchmark stops counting them.  Both read it at call time, so
+# tests can patch it here.
 _FEW_PAIRS = 16
 
 
@@ -233,9 +234,12 @@ class Thesaurus:
     references the cost of ``min_distance`` and ``pairs_within`` grows as
     (m+n) log(m+n), not as m*n.
 
-    Instances are immutable after construction (the columns, ``keys``,
-    ``members`` and the index values are tuples); every query method is
-    safe to call concurrently.
+    Answers never change after construction: the columns, ``keys``,
+    ``members`` and the index values are tuples, and every query method is
+    safe to call concurrently.  The only state a query writes is the
+    private per-word cache of ``_word_keys``, which ``setdefault`` fills
+    with one tuple per index key at most, so it is bounded by the number
+    of references.
     """
 
     def __init__(self, nodes, references):
@@ -298,6 +302,7 @@ class Thesaurus:
         self._distance = tuple(MAX_DISTANCE - 2 * level
                                for level in self._levels)
         self.index = build_index(self)
+        self._shifted = {}  # index key -> _word_keys(key), filled on first use
 
     @property
     def nodes(self):
@@ -402,23 +407,47 @@ class Thesaurus:
         O((m+n) log(m+n)) for m and n references.
         """
         if len(refs1) * len(refs2) <= _FEW_PAIRS:
-            measure, best, count = self.reference_distance, MAX_DISTANCE + 1, 0
-            for r1 in refs1:
-                for r2 in refs2:
-                    distance = measure(r1, r2)
-                    if distance < best:
-                        best, count = distance, 1
-                    elif distance == best:
-                        count += 1
-            return best, count
-        keys1, keys2 = self._keys(refs1), self._keys(refs2)
+            return self._pair_loop(refs1, refs2)
+        keys = self.keys
+        return self._closest([keys[ref.semicolon_group] << 1 for ref in refs1],
+                             [keys[ref.semicolon_group] << 1 for ref in refs2])
+
+    def _pair_loop(self, refs1, refs2):
+        """``min_distance`` by ``reference_distance`` on every pair."""
+        measure, best, count = self.reference_distance, MAX_DISTANCE + 1, 0
+        for r1 in refs1:
+            for r2 in refs2:
+                distance = measure(r1, r2)
+                if distance < best:
+                    best, count = distance, 1
+                elif distance == best:
+                    count += 1
+        return best, count
+
+    def _word_keys(self, text):
+        """The keys of ``lookup(text)``'s groups, each shifted left one bit.
+
+        The tuple, in document order, is made on the word's first call and
+        kept by index key.  The text is in the index.  Threads that make
+        one word's tuple at once each build it; ``setdefault`` keeps one.
+        """
+        word = normalize(text)
+        shifted = self._shifted.get(word)
+        if shifted is None:
+            keys = self.keys
+            shifted = self._shifted.setdefault(word, tuple([
+                keys[ref.semicolon_group] << 1 for ref in self.index[word]]))
+        return shifted
+
+    def _closest(self, shifted1, shifted2):
+        """``min_distance`` over two lists of keys shifted left one bit."""
         # The low bit tags the list, so a pair across lists has an odd XOR.
-        tagged = sorted([k << 1 for k in keys1] + [k << 1 | 1 for k in keys2])
+        tagged = sorted([*shifted1, *[k | 1 for k in shifted2]])
         closest = min([x for x in map(xor, tagged, tagged[1:]) if x & 1])
         distance = self._distance[(closest >> 1).bit_length()]
-        shift = self._shift(distance)
-        counts = Counter([k >> shift for k in keys1])
-        return distance, sum(map(counts.get, [k >> shift for k in keys2],
+        shift = self._shift(distance) + 1
+        counts = Counter([k >> shift for k in shifted1])
+        return distance, sum(map(counts.get, [k >> shift for k in shifted2],
                                  repeat(0)))
 
     def pairs_within(self, refs1, refs2, distance):

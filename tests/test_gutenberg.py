@@ -119,6 +119,23 @@ CONVERSIONS = {
          "H 1 Being", "P N", "Q 1", "; being"],
         _report(heads_skipped=1, entries_skipped=0,
                 notes=["duplicate head number 1 skipped"])),
+    # A heading whose number its level has taken under the open parent,
+    # here by a placeholder or an earlier class, takes the next number.
+    "sub-section-numbered-as-a-placeholder": (
+        "#1. Being.-- N. being.\n1. FIRST\n#2. Two.-- N. two.\n",
+        PLACEHOLDERS + ["G 1 [1]", "H 1 Being", "P N", "Q 1", "; being",
+                        "U 2 FIRST", "G 1 [2]", "H 2 Two", "P N", "Q 1",
+                        "; two"],
+        _report(sub_sections=2, heads=2,
+                notes=["sub-section 1 'FIRST' renumbered 2"])),
+    "class-repeated": (
+        "CLASS I\n#1. One.-- N. one.\nCLASS I\n#2. Two.-- N. two.\n",
+        ["C 1 CLASS I", "S 1 Section", "U 1 Sub-section", "G 1 [1]",
+         "H 1 One", "P N", "Q 1", "; one",
+         "C 2 CLASS I", "S 1 Section", "U 1 Sub-section", "G 1 [2]",
+         "H 2 Two", "P N", "Q 1", "; two"],
+        _report(classes=2, sections=2, sub_sections=2, heads=2,
+                notes=["class 1 'CLASS I' renumbered 2"])),
     "non-integer-head": (
         "#3a. Odd.-- N. odd.\n#4. Even.-- N. even.\n",
         PLACEHOLDERS + ["G 1 [4]", "H 4 Even", "P N", "Q 1", "; even"],

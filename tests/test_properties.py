@@ -126,20 +126,30 @@ def pair_loop(thesaurus, w1, w2):
 def check_word_distances(thesaurus, few_pairs):
     """Every ordered pair of words, w1 == w2 included, against pair_loop.
 
-    A cut-off of 0 sends every word pair through the key sort, 10**6
-    through per-pair reference_distance.
+    A cut-off of 0 sends every word pair through the key sort, on each
+    word's cached keys, 10**6 through per-pair reference_distance.  The
+    pairs are checked twice, the second time with every word's keys
+    cached, then once more with the arguments of each pair reversed.
     """
-    for w1 in sorted(thesaurus.index):
-        for w2 in sorted(thesaurus.index):
-            best, pairs = pair_loop(thesaurus, w1, w2)
-            with mock.patch.object(taxonomy, "_FEW_PAIRS", few_pairs):
-                result = word_min_distance(thesaurus, w1, w2)
-            assert (result.min_distance, result.pair_count) == (best,
-                                                                len(pairs))
-            assert [tuple(map(id, p)) for p in result.achieving_pairs] == [
-                tuple(map(id, p)) for p in pairs]
-            best_pair = evaluate_choice(thesaurus, w1, w2).best_pair
-            assert tuple(map(id, best_pair)) == tuple(map(id, pairs[0]))
+    words = sorted(thesaurus.index)
+    expected = {(w1, w2): pair_loop(thesaurus, w1, w2)
+                for w1 in words for w2 in words}
+    reversed_pairs = [(w2, w1) for w1, w2 in expected]
+    for w1, w2 in [*expected, *expected, *reversed_pairs]:
+        best, pairs = expected[w1, w2]
+        with mock.patch.object(taxonomy, "_FEW_PAIRS", few_pairs):
+            result = word_min_distance(thesaurus, w1, w2)
+        assert (result.min_distance, result.pair_count) == (best, len(pairs))
+        assert [tuple(map(id, p)) for p in result.achieving_pairs] == [
+            tuple(map(id, p)) for p in pairs]
+        best_pair = evaluate_choice(thesaurus, w1, w2).best_pair
+        assert tuple(map(id, best_pair)) == tuple(map(id, pairs[0]))
+    # The cache holds each word's shifted keys once, by its index key.
+    for word, shifted in thesaurus._shifted.items():
+        assert shifted == tuple(thesaurus.keys[ref.semicolon_group] << 1
+                                for ref in thesaurus.index[word])
+    if few_pairs == 0:
+        assert thesaurus._shifted.keys() == thesaurus.index.keys()
 
 
 @pytest.mark.parametrize("few_pairs", [0, taxonomy._FEW_PAIRS, 10 ** 6])
@@ -292,8 +302,15 @@ def test_an_import_loads_and_reports_its_own_counts(lines):
     except GutenbergImportError as exc:
         assert str(exc).endswith(": no heads found")
         return
-    structure = validate_structure(parse_interchange(document))
+    thesaurus = parse_interchange(document)
+    structure = validate_structure(thesaurus)
     assert structure.ok and structure.heads > 0
     assert (structure.classes, structure.sections, structure.sub_sections,
             structure.heads) == (report.classes, report.sections,
                                  report.sub_sections, report.heads_converted)
+    # The classes, sections, sub-sections and head groups of one parent
+    # have positive ordinals, increasing in document order.
+    for children in thesaurus.child_ids:
+        if children and thesaurus.levels[children[0]] <= Level.HEAD_GROUP:
+            ordinals = [thesaurus.ordinals[child] for child in children]
+            assert ordinals == sorted(set(ordinals)) and ordinals[0] > 0

@@ -214,6 +214,51 @@ def test_first_reads_of_achieving_pairs_from_two_threads():
         sys.setswitchinterval(interval)
 
 
+def test_first_word_distances_from_several_threads():
+    # Eight threads make the first comparisons of four words of 1,000+
+    # references on a fresh thesaurus, each in its own order and half of
+    # them with other spellings, so they fill the per-word key cache at
+    # once.  A tiny switch interval makes the fills overlap.
+    words = ("alpha", "beta", "gamma", "delta")
+    pairs = [(w1, w2) for w1 in words for w2 in words]
+    serial_thesaurus = frequent_words_thesaurus()
+    serial = [(r.min_distance, r.pair_count) for r in (
+        word_min_distance(serial_thesaurus, w1, w2) for w1, w2 in pairs)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            thesaurus = frequent_words_thesaurus()
+            barrier, outcomes = threading.Barrier(8), {}
+
+            def compare(turn):
+                order = pairs[turn:] + pairs[:turn]
+                if turn % 2:
+                    order = [(" %s " % w1.upper(), w2.title())
+                             for w1, w2 in order]
+                barrier.wait(timeout=60)
+                try:
+                    results = [word_min_distance(thesaurus, w1, w2)
+                               for w1, w2 in order]
+                    answers = [(r.min_distance, r.pair_count)
+                               for r in results]
+                    outcomes[turn] = answers[-turn:] + answers[:-turn]
+                except Exception as exc:  # checked in the test's thread
+                    outcomes[turn] = exc
+
+            threads = [threading.Thread(target=compare, args=(turn,))
+                       for turn in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert outcomes == {turn: serial for turn in range(8)}
+            assert sorted(thesaurus._shifted) == sorted(words)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_a_thread_pool_gives_the_serial_answers(thesaurus):
     questions = []
     for name in ("questions_fixture.tsv", "questions_mixed.tsv"):
