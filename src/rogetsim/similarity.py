@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, partial
 
-from . import taxonomy
 from .errors import WordNotFoundError
 from .taxonomy import MAX_DISTANCE
 
@@ -68,13 +67,7 @@ def word_min_distance(thesaurus, w1, w2):
     missing = [w for w, refs in ((w1, refs1), (w2, refs2)) if not refs]
     if missing:
         raise WordNotFoundError(missing)
-    # Thesaurus.min_distance's two paths; past the cut-off, each word's keys
-    # come from the thesaurus's cache.
-    if len(refs1) * len(refs2) <= taxonomy._FEW_PAIRS:
-        distance, count = thesaurus._pair_loop(refs1, refs2)
-    else:
-        distance, count = thesaurus._closest(thesaurus._word_keys(w1),
-                                             thesaurus._word_keys(w2))
+    distance, count = thesaurus.min_distance(w1, refs1, w2, refs2)
     return WordDistanceResult(
         word1=w1, word2=w2, min_distance=distance, pair_count=count,
         _pairs=partial(thesaurus.pairs_within, refs1, refs2, distance))

@@ -37,13 +37,12 @@ from .errors import InvalidNodeError, InvalidReferenceError
 MAX_DISTANCE = 16
 _GROUP_LEVEL = 8  # the depth of every semicolon group; no node is deeper
 
-# Thesaurus.min_distance and similarity.word_min_distance measure each pair
-# with reference_distance, instead of sorting the keys, while there are at
-# most this many pairs.  Sorting one-digit keys is the cheaper way from some
-# 9-12 pairs, but the value stays 16 because the traced benchmark pins the
-# per-pair reference_distance calls it gives; ROADMAP item 1 re-chooses it
-# once the benchmark stops counting them.  Both read it at call time, so
-# tests can patch it here.
+# Thesaurus.min_distance measures each pair with reference_distance, instead
+# of sorting the keys, while there are at most this many pairs.  Sorting
+# one-digit keys is the cheaper way from some 9-12 pairs, but the value
+# stays 16 because the traced benchmark pins the per-pair reference_distance
+# calls it gives; ROADMAP item 1 re-chooses it once the benchmark stops
+# counting them.  It is read at call time, so tests can patch it here.
 _FEW_PAIRS = 16
 
 
@@ -395,34 +394,37 @@ class Thesaurus:
         """Edges on the shortest tree path between two references' groups."""
         return self._distance[(self._key(r1) ^ self._key(r2)).bit_length()]
 
-    def min_distance(self, refs1, refs2):
+    def min_distance(self, w1, refs1, w2, refs2):
         """(Minimum distance, number of pairs attaining it) over refs1 x refs2.
 
-        Both lists are non-empty.  When they make few pairs each pair is
-        measured by ``reference_distance``.  Otherwise the references
-        are taken to be this thesaurus's, as ``lookup`` returns them, and
-        each key is read once: the keys are sorted together, where a
-        closest pair across the two lists is adjacent, and the pairs at
-        that distance are those whose keys agree down to the shared level,
-        O((m+n) log(m+n)) for m and n references.
+        refs1 and refs2 are what ``lookup`` returned for the words w1 and
+        w2, and neither is empty.  When they make few pairs each pair is
+        measured by ``reference_distance``.  Otherwise each word's keys
+        come from ``_word_keys``, read from its references once and then
+        kept: the keys are sorted together, where a closest pair across
+        the two lists is adjacent, and the pairs at that distance are
+        those whose keys agree down to the shared level, O((m+n)
+        log(m+n)) for m and n references.
         """
         if len(refs1) * len(refs2) <= _FEW_PAIRS:
-            return self._pair_loop(refs1, refs2)
-        keys = self.keys
-        return self._closest([keys[ref.semicolon_group] << 1 for ref in refs1],
-                             [keys[ref.semicolon_group] << 1 for ref in refs2])
-
-    def _pair_loop(self, refs1, refs2):
-        """``min_distance`` by ``reference_distance`` on every pair."""
-        measure, best, count = self.reference_distance, MAX_DISTANCE + 1, 0
-        for r1 in refs1:
-            for r2 in refs2:
-                distance = measure(r1, r2)
-                if distance < best:
-                    best, count = distance, 1
-                elif distance == best:
-                    count += 1
-        return best, count
+            measure, best, count = self.reference_distance, MAX_DISTANCE + 1, 0
+            for r1 in refs1:
+                for r2 in refs2:
+                    distance = measure(r1, r2)
+                    if distance < best:
+                        best, count = distance, 1
+                    elif distance == best:
+                        count += 1
+            return best, count
+        shifted1, shifted2 = self._word_keys(w1), self._word_keys(w2)
+        # The low bit tags the list, so a pair across lists has an odd XOR.
+        tagged = sorted([*shifted1, *[k | 1 for k in shifted2]])
+        closest = min([x for x in map(xor, tagged, tagged[1:]) if x & 1])
+        distance = self._distance[(closest >> 1).bit_length()]
+        shift = self._shift(distance) + 1
+        counts = Counter([k >> shift for k in shifted1])
+        return distance, sum(map(counts.get, [k >> shift for k in shifted2],
+                                 repeat(0)))
 
     def _word_keys(self, text):
         """The keys of ``lookup(text)``'s groups, each shifted left one bit.
@@ -438,17 +440,6 @@ class Thesaurus:
             shifted = self._shifted.setdefault(word, tuple([
                 keys[ref.semicolon_group] << 1 for ref in self.index[word]]))
         return shifted
-
-    def _closest(self, shifted1, shifted2):
-        """``min_distance`` over two lists of keys shifted left one bit."""
-        # The low bit tags the list, so a pair across lists has an odd XOR.
-        tagged = sorted([*shifted1, *[k | 1 for k in shifted2]])
-        closest = min([x for x in map(xor, tagged, tagged[1:]) if x & 1])
-        distance = self._distance[(closest >> 1).bit_length()]
-        shift = self._shift(distance) + 1
-        counts = Counter([k >> shift for k in shifted1])
-        return distance, sum(map(counts.get, [k >> shift for k in shifted2],
-                                 repeat(0)))
 
     def pairs_within(self, refs1, refs2, distance):
         """Yield each pair of refs1 x refs2 at most ``distance`` apart.

@@ -131,6 +131,7 @@ def check_word_distances(thesaurus, few_pairs):
     pairs are checked twice, the second time with every word's keys
     cached, then once more with the arguments of each pair reversed.
     """
+    thesaurus._shifted.clear()  # thesauri may be shared between tests
     words = sorted(thesaurus.index)
     expected = {(w1, w2): pair_loop(thesaurus, w1, w2)
                 for w1 in words for w2 in words}
