@@ -63,6 +63,9 @@ _RECORDS = {
 _KEYWORD_LEVELS = {record.keyword: int(level)
                    for level, record in _RECORDS.items()}
 _POS_TAGS = {pos.value: pos for pos in PartOfSpeech}
+# Levels whose records carry an ordinal, which siblings must not share.
+_ORDINAL_LEVELS = frozenset([Level.CLASS, Level.SECTION, Level.SUB_SECTION,
+                             Level.HEAD_GROUP, Level.PARAGRAPH])
 
 
 def data_lines(source):
@@ -288,13 +291,18 @@ class StructureReport:
 
 
 def validate_structure(thesaurus):
-    """Count nodes per level and report the shape rules the tree breaks."""
+    """Count nodes per level and report the shape rules the tree breaks.
+
+    Siblings whose ordinal the document writes (classes, sections,
+    sub-sections, head groups and paragraphs) must not share one; each
+    repeat is reported once, in document order.
+    """
     t = thesaurus
     report = StructureReport()
     per_level = Counter(t.levels)
     for level, record in _RECORDS.items():
         setattr(report, record.counter, per_level[level])
-    head_numbers = set()
+    head_numbers, ordinals = set(), set()
     for node_id, (level, parent) in enumerate(zip(t.levels, t.parents)):
         if level == Level.ROOT:
             continue
@@ -304,6 +312,15 @@ def validate_structure(thesaurus):
                 "node %d (%s) skips a level under %s"
                 % (node_id, _RECORDS[level].name, _RECORDS[parent_level].name
                    if parent_level > 0 else "root"))
+        if level in _ORDINAL_LEVELS:
+            ordinal = t.ordinals[node_id]
+            if (parent, ordinal) in ordinals:
+                report.violations.append(
+                    "node %d (%s) repeats ordinal %d under %s"
+                    % (node_id, _RECORDS[level].name, ordinal,
+                       "node %d (%s)" % (parent, _RECORDS[parent_level].name)
+                       if parent_level > 0 else "root"))
+            ordinals.add((parent, ordinal))
         if level == Level.HEAD:
             number = t.head_numbers[node_id]
             if number in head_numbers:

@@ -19,10 +19,9 @@ word compared again does not re-read its references; the minimizing
 pairs themselves are built only when ``achieving_pairs`` is read.
 """
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property
 
 from .errors import WordNotFoundError
 from .taxonomy import MAX_DISTANCE
@@ -40,19 +39,24 @@ class WordDistanceResult:
 
     ``achieving_pairs`` lists the (Reference, Reference) pairs at the
     minimum, ``pair_count`` of them, in document order; it is built when
-    first read.  Each build makes its own iterator of the pairs, so
-    threads that read it first at the same time do not share one.
+    first read.  For it the result keeps, in a private tuple taken when
+    the result is made, the thesaurus, both words' reference lists and
+    the minimum distance, so changing ``min_distance`` later does not
+    change the pairs.  Each build makes its own iterator of the pairs
+    from that tuple, so threads that read it first at the same time do
+    not share one.
     """
 
     word1: str
     word2: str
     min_distance: int
     pair_count: int
-    _pairs: Callable = field(repr=False, compare=False)
+    _source: tuple = field(repr=False, compare=False)
 
     @cached_property
     def achieving_pairs(self):
-        return list(self._pairs())
+        thesaurus, refs1, refs2, distance = self._source
+        return list(thesaurus.pairs_within(refs1, refs2, distance))
 
 
 def word_min_distance(thesaurus, w1, w2):
@@ -64,13 +68,12 @@ def word_min_distance(thesaurus, w1, w2):
     """
     refs1 = thesaurus.lookup(w1)
     refs2 = thesaurus.lookup(w2)
-    missing = [w for w, refs in ((w1, refs1), (w2, refs2)) if not refs]
-    if missing:
-        raise WordNotFoundError(missing)
+    if not (refs1 and refs2):
+        raise WordNotFoundError(
+            [w for w, refs in ((w1, refs1), (w2, refs2)) if not refs])
     distance, count = thesaurus.min_distance(w1, refs1, w2, refs2)
-    return WordDistanceResult(
-        word1=w1, word2=w2, min_distance=distance, pair_count=count,
-        _pairs=partial(thesaurus.pairs_within, refs1, refs2, distance))
+    return WordDistanceResult(w1, w2, distance, count,
+                              (thesaurus, refs1, refs2, distance))
 
 
 def similarity(thesaurus, w1, w2):

@@ -366,17 +366,18 @@ class Thesaurus:
 
     def _key(self, ref):
         """Key of a reference's group, if the reference is a member."""
+        group = ref.semicolon_group
         try:
-            members = self.members[ref.semicolon_group]
+            members = self.members[group]
         except (IndexError, TypeError):
             members = ()
         # Identity first: Reference equality is a Python-level call, and
         # the references queried are nearly always this thesaurus's own.
         for member in members:
             if member is ref:
-                return self.keys[ref.semicolon_group]
+                return self.keys[group]
         if ref in members:
-            return self.keys[ref.semicolon_group]
+            return self.keys[group]
         raise InvalidReferenceError(
             "reference %r is not a member of its semicolon group in this "
             "thesaurus" % (ref,))
@@ -399,14 +400,18 @@ class Thesaurus:
 
         refs1 and refs2 are what ``lookup`` returned for the words w1 and
         w2, and neither is empty.  When they make few pairs each pair is
-        measured by ``reference_distance``.  Otherwise each word's keys
+        measured by ``reference_distance``; a single pair is one such call,
+        with a count of 1.  Otherwise each word's keys
         come from ``_word_keys``, read from its references once and then
         kept: the keys are sorted together, where a closest pair across
         the two lists is adjacent, and the pairs at that distance are
         those whose keys agree down to the shared level, O((m+n)
         log(m+n)) for m and n references.
         """
-        if len(refs1) * len(refs2) <= _FEW_PAIRS:
+        pairs = len(refs1) * len(refs2)
+        if pairs <= _FEW_PAIRS:
+            if pairs == 1:
+                return self.reference_distance(refs1[0], refs2[0]), 1
             measure, best, count = self.reference_distance, MAX_DISTANCE + 1, 0
             for r1 in refs1:
                 for r2 in refs2:

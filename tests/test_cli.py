@@ -266,6 +266,19 @@ def test_validate_exact_output(fmt, sep):
     assert run_fixture("--format", fmt, "validate") == (0, expected, "")
 
 
+def test_validate_repeated_class_ordinal_exact(tmp_path):
+    thesaurus = tmp_path / "t.rt"
+    thesaurus.write_text("".join(
+        "C 1 Class %s\nS 1 s\nU 1 u\nG 1 g\nH %d h\nP N\nQ 1\n; %s\n"
+        % (name, number, name) for number, name in ((1, "one"), (2, "two"))))
+    rows = ["Classes\t2", "Sections\t2", "Sub-Sections\t2", "Head Groups\t2",
+            "Heads\t2", "POS paragraphs\t2", "Paragraphs\t2",
+            "Semicolon groups\t2", "Entries\t2",
+            "VIOLATION\tnode 9 (class) repeats ordinal 1 under root"]
+    assert run("--thesaurus", str(thesaurus), "--format", "tsv",
+               "validate") == (0, "".join(row + "\n" for row in rows), "")
+
+
 def test_solve_comment_only_file_exact(tmp_path):
     questions = tmp_path / "q.tsv"
     questions.write_text("# only a comment\n")

@@ -277,6 +277,22 @@ def test_validate_reports_group_at_depth_seven():
         "semicolon group 7 has no entries"]
 
 
+def test_validate_reports_repeated_sibling_ordinals():
+    # Node 9 repeats class 1, node 11 section 1 of class 9, node 18
+    # paragraph 1 of POS paragraph 15, and node 20 class 1 once more.
+    # Ordinals repeated under different parents are no violation.
+    document = MINIMAL + (
+        "C 1 Class two\nS 1 Section\nS 1 Section again\nU 1 Sub\n"
+        "G 1 [2]\nH 2 Head two\nP N\nQ 1\n; a\nQ 1\n; b\n"
+        "C 1 Class three\n")
+    report = validate_structure(parse_interchange(document))
+    assert report.violations == [
+        "node 9 (class) repeats ordinal 1 under root",
+        "node 11 (section) repeats ordinal 1 under node 9 (class)",
+        "node 18 (paragraph) repeats ordinal 1 under node 15 (POS paragraph)",
+        "node 20 (class) repeats ordinal 1 under root"]
+
+
 def test_validate_empty_thesaurus():
     report = validate_structure(parse_interchange(""))
     assert report.classes == 0 and report.entries == 0

@@ -3,12 +3,13 @@
 import random
 import sys
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from rogetsim import (MAX_DISTANCE, SimilarityTier, SynonymQuestion,
-                      Thesaurus, WordNotFoundError,
+                      Thesaurus, WordNotFoundError, taxonomy,
                       answer_question, enumerate_shortest_paths,
                       evaluate_pairs, load_pairs, load_questions,
                       parse_interchange, similarity, similarity_tier,
@@ -52,6 +53,77 @@ def test_not_found_names_missing_words(thesaurus):
     with pytest.raises(WordNotFoundError) as excinfo:
         word_min_distance(thesaurus, "qqqq", "zzzz")
     assert excinfo.value.words == ["qqqq", "zzzz"]
+
+
+def test_not_found_names_only_the_first_word_when_only_it_is_missing(
+        thesaurus):
+    with pytest.raises(WordNotFoundError) as excinfo:
+        word_min_distance(thesaurus, "zzzz", "feline")
+    assert excinfo.value.words == ["zzzz"]
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of Thesaurus.reference_distance and pairs_within calls."""
+    counts = Counter()
+
+    def counted(name):
+        original = getattr(Thesaurus, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in ("reference_distance", "pairs_within"):
+        monkeypatch.setattr(Thesaurus, name, counted(name))
+    return counts
+
+
+def test_few_pairs_are_measured_one_by_one(thesaurus, calls):
+    words = sorted(thesaurus.index)
+    products = set()
+    for w1 in words:
+        for w2 in words:
+            pairs = len(thesaurus.lookup(w1)) * len(thesaurus.lookup(w2))
+            if pairs > taxonomy._FEW_PAIRS:
+                continue
+            calls.clear()
+            word_min_distance(thesaurus, w1, w2)
+            assert calls == {"reference_distance": pairs}
+            products.add(pairs)
+    assert {1, 2, 4} <= products
+
+
+def test_similarity_never_builds_the_achieving_pairs(thesaurus, calls):
+    words = sorted(thesaurus.index)
+    for w1 in words:
+        for w2 in words:
+            similarity(thesaurus, w1, w2)
+    assert calls["pairs_within"] == 0
+
+
+def test_achieving_pairs_are_built_once(thesaurus, calls):
+    result = word_min_distance(thesaurus, "ode", "poem")
+    assert calls["pairs_within"] == 0
+    first = result.achieving_pairs
+    assert result.achieving_pairs is first and len(first) == 2
+    assert calls["pairs_within"] == 1
+
+
+def test_achieving_pairs_keep_the_distance_of_the_call(thesaurus):
+    expected = word_min_distance(thesaurus, "ode", "poem").achieving_pairs
+    result = word_min_distance(thesaurus, "ode", "poem")
+    result.min_distance = MAX_DISTANCE
+    assert result.achieving_pairs == expected
+
+
+def test_results_compare_by_their_public_fields(thesaurus):
+    result = word_min_distance(thesaurus, "feline", "lynx")
+    assert result == word_min_distance(thesaurus, "feline", "lynx")
+    assert result != word_min_distance(thesaurus, "ode", "poem")
+    assert repr(result) == ("WordDistanceResult(word1='feline', "
+                            "word2='lynx', min_distance=2, pair_count=1)")
 
 
 @pytest.mark.parametrize("distance,w1,w2", TIER_PAIRS)
