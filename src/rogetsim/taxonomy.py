@@ -400,13 +400,13 @@ class Thesaurus:
 
         refs1 and refs2 are what ``lookup`` returned for the words w1 and
         w2, and neither is empty.  When they make few pairs each pair is
-        measured by ``reference_distance``; a single pair is one such call,
-        with a count of 1.  Otherwise each word's keys
-        come from ``_word_keys``, read from its references once and then
-        kept: the keys are sorted together, where a closest pair across
-        the two lists is adjacent, and the pairs at that distance are
-        those whose keys agree down to the shared level, O((m+n)
-        log(m+n)) for m and n references.
+        measured by ``reference_distance``; a single pair is one such
+        call, with a count of 1.  Otherwise each word's keys come from
+        ``_word_keys``, read from its references once and then kept: the
+        keys are sorted together, where a closest pair across the two
+        lists is adjacent, and the pairs at that distance are those whose
+        keys agree down to the shared level, O((m+n) log(m+n)) for m and
+        n references.
         """
         pairs = len(refs1) * len(refs2)
         if pairs <= _FEW_PAIRS:

@@ -53,10 +53,6 @@ def test_not_found_names_missing_words(thesaurus):
     with pytest.raises(WordNotFoundError) as excinfo:
         word_min_distance(thesaurus, "qqqq", "zzzz")
     assert excinfo.value.words == ["qqqq", "zzzz"]
-
-
-def test_not_found_names_only_the_first_word_when_only_it_is_missing(
-        thesaurus):
     with pytest.raises(WordNotFoundError) as excinfo:
         word_min_distance(thesaurus, "zzzz", "feline")
     assert excinfo.value.words == ["zzzz"]
