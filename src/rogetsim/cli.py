@@ -4,8 +4,8 @@ Commands: import, validate, distance, sim, paths, solve, bench.  The
 thesaurus is given with --thesaurus or the ROGET_THESAURUS environment
 variable; there is no implicit default path.
 
-Exit codes: 0 success, 1 lookup/answer-domain failures and a closed
-stdout, 2 input, parse and IO failures.
+Exit codes: 0 success, 1 lookup/answer-domain failures, a validate report
+with violations and a closed stdout, 2 input, parse and IO failures.
 """
 
 import argparse
@@ -92,10 +92,9 @@ def cmd_import(args, out, err):
 
 
 def cmd_validate(args, out, err):
-    thesaurus = _load_thesaurus(args)
-    _write_rows(out, validate_structure(thesaurus).lines(),
-                args.format == "tsv")
-    return EXIT_OK
+    report = validate_structure(_load_thesaurus(args))
+    _write_rows(out, report.lines(), args.format == "tsv")
+    return EXIT_OK if report.ok else EXIT_DOMAIN
 
 
 def cmd_pair(args, out, err):

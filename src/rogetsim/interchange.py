@@ -236,20 +236,12 @@ def _references(texts, group_columns, sizes):
     return references
 
 
-def _preorder(thesaurus, node_id=0):
-    yield node_id
-    for child in thesaurus.child_ids[node_id]:
-        yield from _preorder(thesaurus, child)
-
-
 def serialize(thesaurus):
-    """Render a Thesaurus back to interchange text."""
+    """Render a Thesaurus back to interchange text, nodes in key order."""
     t = thesaurus
     lines = []
-    for node_id in _preorder(t):
+    for node_id in sorted(range(1, len(t.keys)), key=t.keys.__getitem__):
         level, label = t.levels[node_id], t.labels[node_id]
-        if level == Level.ROOT:
-            continue
         if level == Level.HEAD:
             payload = "%d %s" % (t.head_numbers[node_id], label)
         elif level == Level.POS_PARAGRAPH:
@@ -304,22 +296,14 @@ def validate_structure(thesaurus):
         setattr(report, record.counter, per_level[level])
     head_numbers, ordinals = set(), set()
     for node_id, (level, parent) in enumerate(zip(t.levels, t.parents)):
-        if level == Level.ROOT:
-            continue
-        parent_level = t.levels[parent]
-        if parent_level != level - 1:
-            report.violations.append(
-                "node %d (%s) skips a level under %s"
-                % (node_id, _RECORDS[level].name, _RECORDS[parent_level].name
-                   if parent_level > 0 else "root"))
         if level in _ORDINAL_LEVELS:
             ordinal = t.ordinals[node_id]
             if (parent, ordinal) in ordinals:
                 report.violations.append(
                     "node %d (%s) repeats ordinal %d under %s"
                     % (node_id, _RECORDS[level].name, ordinal,
-                       "node %d (%s)" % (parent, _RECORDS[parent_level].name)
-                       if parent_level > 0 else "root"))
+                       "node %d (%s)" % (parent, _RECORDS[level - 1].name)
+                       if parent else "root"))
             ordinals.add((parent, ordinal))
         if level == Level.HEAD:
             number = t.head_numbers[node_id]
@@ -336,17 +320,16 @@ def validate_structure(thesaurus):
 
 
 def structure_signature(thesaurus):
-    """Nested-tuple fingerprint of the tree, for structural equality tests."""
+    """Fingerprint of the tree, for structural equality tests.
+
+    One tuple per node, in key order: with each node's level its depth,
+    the levels in that order fix the tree's shape.
+    """
     t = thesaurus
-
-    def sig(node_id):
-        pos = t.poses[node_id]
-        return (t.levels[node_id], t.ordinals[node_id], t.labels[node_id],
-                t.head_numbers[node_id], pos.value if pos else None,
-                tuple(r.entry_text for r in t.members[node_id]),
-                tuple(map(sig, t.child_ids[node_id])))
-
-    return sig(t.root_id)
+    return tuple((t.levels[i], t.ordinals[i], t.labels[i], t.head_numbers[i],
+                  t.poses[i].value if t.poses[i] else None,
+                  tuple(r.entry_text for r in t.members[i]))
+                 for i in sorted(range(len(t.keys)), key=t.keys.__getitem__))
 
 
 def _universal_newlines(text):

@@ -19,8 +19,8 @@ The tree is stored as per-node columns; ``TaxonomyNode`` records are made
 from them only when ``Thesaurus.nodes`` is read, and changing one changes
 nothing in the thesaurus.  Each semicolon group's references, in
 ``members``, are the same objects as in the index.  ``Thesaurus`` rejects
-a node whose level is not a ``Level``, a node deeper than level 8 and a
-reference outside a depth-8 group.
+a node whose level is not its depth and a reference outside a semicolon
+group.
 """
 
 import unicodedata
@@ -171,7 +171,7 @@ def build_index(thesaurus):
     return index
 
 
-def _pack_keys(parents, depths):
+def _pack_keys(parents, levels):
     """(keys, shifts): each node's key by id, and where each level's field is.
 
     Level d's field starts at bit shifts[d] and holds the 1-based rank of
@@ -181,19 +181,19 @@ def _pack_keys(parents, depths):
     """
     sizes = Counter(parents)
     del sizes[-1]  # the root's
-    largest = [0] * _GROUP_LEVEL  # by parent depth
-    for depth, size in zip(map(depths.__getitem__, sizes), sizes.values()):
-        if size > largest[depth]:
-            largest[depth] = size
+    largest = [0] * _GROUP_LEVEL  # by parent level
+    for level, size in zip(map(levels.__getitem__, sizes), sizes.values()):
+        if size > largest[level]:
+            largest[level] = size
     shifts = [0] * (_GROUP_LEVEL + 1)
-    for depth in reversed(range(_GROUP_LEVEL)):
-        shifts[depth] = shifts[depth + 1] + largest[depth].bit_length()
+    for level in reversed(range(_GROUP_LEVEL)):
+        shifts[level] = shifts[level + 1] + largest[level].bit_length()
     steps = [1 << shift for shift in shifts]
     keys = [0]
     latest = [0]  # per node, its last-numbered child's key, or its own
-    for parent, depth in zip(islice(parents, 1, None),
-                             islice(depths, 1, None)):
-        key = latest[parent] = latest[parent] + steps[depth]
+    for parent, level in zip(islice(parents, 1, None),
+                             islice(levels, 1, None)):
+        key = latest[parent] = latest[parent] + steps[level]
         keys.append(key)
         latest.append(key)
     return tuple(keys), tuple(shifts)
@@ -206,10 +206,12 @@ class Thesaurus:
     ``references`` each group's entries together, as ``parse_interchange``
     does.  The constructor raises ``InvalidNodeError`` for a node not at
     its id, a level that is not a ``Level``, a parent that is not an
-    earlier node (node 0 is the one root, with parent -1) or a node deeper
-    than level 8, and
-    ``InvalidReferenceError`` for a reference outside a semicolon group at
-    depth 8.  A node's children are the nodes naming it, in id order.
+    earlier node (node 0 is the one root, with parent -1), a level that is
+    not the node's depth (one more than its parent's, the root at 0), a
+    head whose ``head_number`` is not a positive int or a POS paragraph
+    whose ``pos`` is not a ``PartOfSpeech``, and ``InvalidReferenceError``
+    for a reference outside a semicolon group.  A node's children are the
+    nodes naming it, in id order.
 
     The tree is kept as per-node columns, tuples indexed by node id:
     ``parents`` (-1 for the root), ``levels`` (ints), ``labels``,
@@ -220,18 +222,19 @@ class Thesaurus:
     path: for each level d from 1 to 8, a bit field holding the 1-based
     rank of the node's level-d ancestor among its siblings (children of
     one parent, in id order), level 1 highest.  Levels below the node hold
-    0, and the root's key is 0.  A level's field is as wide as its largest
-    family needs: on the benchmark's synthetic thesaurus at the 1987
-    edition's scale a key takes 28 bits, so a key tagged with one more bit
-    still fits one 30-bit CPython int digit, and ``min_distance`` sorts,
-    XORs and shifts one-digit ints.  Two nodes first differ at the level
-    whose field holds the top set bit of ``k1 ^ k2``, so a reference
-    distance is one table lookup by that bit length.  ``members`` holds
-    the references of each semicolon group (empty for every other node),
-    so every reference is a member; ``index`` is ``build_index(self)``,
-    whose tuples hold the same reference objects.  For lists of m and n
-    references the cost of ``min_distance`` and ``pairs_within`` grows as
-    (m+n) log(m+n), not as m*n.
+    0 and the root's key is 0, so, as a node's level is its depth, the keys
+    sort into preorder with siblings in id order.  A level's field is as
+    wide as its largest family needs: on the benchmark's synthetic
+    thesaurus at the 1987 edition's scale a key takes 28 bits, so a key
+    tagged with one more bit still fits one 30-bit CPython int digit, and
+    ``min_distance`` sorts, XORs and shifts one-digit ints.  Two nodes
+    first differ at the level whose field holds the top set bit of
+    ``k1 ^ k2``, so a reference distance is one table lookup by that bit
+    length.  ``members`` holds the references of each semicolon group
+    (empty for every other node), so every reference is a member;
+    ``index`` is ``build_index(self)``, whose tuples hold the same
+    reference objects.  For m and n references ``min_distance`` and
+    ``pairs_within`` cost O((m+n) log(m+n)), not m*n.
 
     Answers never change after construction: the columns, ``keys``,
     ``members`` and the index values are tuples, and every query method is
@@ -245,26 +248,34 @@ class Thesaurus:
         nodes, references = list(nodes), list(references)
         if not nodes:
             raise InvalidNodeError("a thesaurus needs a root node")
-        depths = []
         for node_id, node in enumerate(nodes):
-            parent = node.parent
+            parent, level = node.parent, node.level
             if node.id != node_id:
                 raise InvalidNodeError("node %r is at position %d, not at its "
                                        "id" % (node.id, node_id))
-            if node.level not in _LEVELS:
+            if level not in _LEVELS:
                 raise InvalidNodeError("node %d's level %r is not a Level"
-                                       % (node_id, node.level))
+                                       % (node_id, level))
             if not (0 <= parent < node_id if node_id else parent == -1):
                 raise InvalidNodeError("node %d's parent %r is not an earlier "
                                        "node" % (node_id, parent))
-            depths.append(depths[parent] + 1 if node_id else 0)
-            if depths[-1] > _GROUP_LEVEL:
-                raise InvalidNodeError("node %d is deeper than level %d"
-                                       % (node_id, _GROUP_LEVEL))
+            depth = nodes[parent].level + 1 if node_id else Level.ROOT
+            if level != depth:
+                raise InvalidNodeError("node %d's level %d is not its depth %d"
+                                       % (node_id, level, depth))
+            number, pos = node.head_number, node.pos
+            if level == Level.HEAD and not (type(number) is int
+                                            and number > 0):
+                raise InvalidNodeError("head %d's number %r is not a positive "
+                                       "int" % (node_id, number))
+            if level == Level.POS_PARAGRAPH and not isinstance(
+                    pos, PartOfSpeech):
+                raise InvalidNodeError("POS paragraph %d's pos %r is not a "
+                                       "PartOfSpeech" % (node_id, pos))
         members = [()] * len(nodes)
         for group, refs in groupby(references, attrgetter("semicolon_group")):
             refs = tuple(refs)
-            if not (0 <= group < len(nodes) and depths[group] == _GROUP_LEVEL
+            if not (0 <= group < len(nodes)
                     and nodes[group].level == _GROUP_LEVEL):
                 raise InvalidReferenceError(
                     "reference %r at node %r is not in a semicolon group at "
@@ -275,23 +286,22 @@ class Thesaurus:
                      tuple(n.label for n in nodes),
                      tuple(n.ordinal for n in nodes),
                      tuple(n.head_number for n in nodes),
-                     tuple(n.pos for n in nodes)), depths, references,
-                    tuple(members))
+                     tuple(n.pos for n in nodes)), references, tuple(members))
 
     @classmethod
     def _from_columns(cls, columns, references, members):
-        """A parsed thesaurus, whose nodes' levels are their depths."""
+        """A thesaurus of ``_columns``' output, well-formed by its rules."""
         thesaurus = cls.__new__(cls)
-        thesaurus._setup(columns, columns[1], references, members)
+        thesaurus._setup(columns, references, members)
         return thesaurus
 
-    def _setup(self, columns, depths, references, members):
+    def _setup(self, columns, references, members):
         (self.parents, self.levels, self.labels, self.ordinals,
          self.head_numbers, self.poses) = columns
         self.references = references
         self.members = members
         self.root_id = 0
-        self.keys, self._shifts = _pack_keys(self.parents, depths)
+        self.keys, self._shifts = _pack_keys(self.parents, self.levels)
         # Indexed by the bit length of k1 ^ k2: the deepest level two keys
         # share, and the distance between two depth-8 groups.
         self._levels = tuple(
@@ -441,6 +451,11 @@ class Thesaurus:
         word = normalize(text)
         shifted = self._shifted.get(word)
         if shifted is None:
+            # Fresh ints, made together, lie close in memory, where the
+            # objects of ``keys`` lie scattered: with keys stored pre-shifted
+            # and these tuples sharing them, the sort kernel ran 6-10% slower
+            # on the benchmark's synonym-test questions, whose op_p50_ms
+            # rose 7%.
             keys = self.keys
             shifted = self._shifted.setdefault(word, tuple([
                 keys[ref.semicolon_group] << 1 for ref in self.index[word]]))

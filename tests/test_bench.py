@@ -114,6 +114,12 @@ def test_evaluate_pairs_policies(thesaurus):
     assert zero.rows[-1].system_similarity == 0
 
 
+def test_evaluate_pairs_unknown_policy(thesaurus):
+    with pytest.raises(ValueError, match="^unknown policy 'drop'$"):
+        evaluate_pairs(thesaurus, fixture_pairs(), PairScale(0.0, 4.0),
+                       policy="drop")
+
+
 def test_evaluate_pairs_all_not_found(thesaurus):
     pairs = [ScoredPair("zzzz", "qqqq", 1.0), ScoredPair("zzzz", "wwww", 2.0)]
     with pytest.raises(CorrelationUndefinedError):
@@ -135,6 +141,17 @@ def test_outlier_report(thesaurus):
     assert outliers[0].pair.word1 == "glass"
     assert outliers[0].system_similarity == 12
     assert outliers[0].discrepancy == pytest.approx(10.0)
+
+
+def test_outlier_report_leaves_out_skipped_pairs(thesaurus):
+    # A top human score for a missing word: an outlier under "zero", which
+    # scores the pair 0, but not under "skip", which scores it nothing.
+    pairs = fixture_pairs() + [ScoredPair("zzzz", "feline", 4.0)]
+    scale = PairScale(0.0, 4.0)
+    skip = evaluate_pairs(thesaurus, pairs, scale, policy="skip")
+    assert outlier_report(skip, threshold=4.0) == []
+    zero = evaluate_pairs(thesaurus, pairs, scale, policy="zero")
+    assert [row.pair.word1 for row in outlier_report(zero, 4.0)] == ["zzzz"]
 
 
 def test_outlier_report_empty_when_aligned(thesaurus):
@@ -164,6 +181,7 @@ def test_load_pairs_string_splits_like_stream(separator):
     "scale\t0\t4\nfeline\tlynx\tmany\n",         # non-numeric score
     "scale\t0\t4\nfeline\tlynx\t9.5\n",          # outside declared scale
     "scale\t4\t0\n",                             # inverted scale
+    "scale\tlow\t4\n",                           # non-numeric scale
 ])
 def test_load_pairs_rejects_malformed(text):
     with pytest.raises(ParseError):

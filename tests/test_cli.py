@@ -276,7 +276,32 @@ def test_validate_repeated_class_ordinal_exact(tmp_path):
             "Semicolon groups\t2", "Entries\t2",
             "VIOLATION\tnode 9 (class) repeats ordinal 1 under root"]
     assert run("--thesaurus", str(thesaurus), "--format", "tsv",
-               "validate") == (0, "".join(row + "\n" for row in rows), "")
+               "validate") == (1, "".join(row + "\n" for row in rows), "")
+
+
+def test_solve_tsv_exact():
+    assert run_fixture("--format", "tsv", "solve",
+                       data_path("questions_mixed.tsv")) == (0, (
+        "ode\tpoem\tCORRECT\t1\n"
+        "love\tdevotion\tTIE\t0.5\n"
+        "zzzz\t\tNOT-FOUND\t0\n"
+        "feline\tlynx\tCORRECT\t1\n"
+        "Correct\t2\nQuestions with ties\t1\nScore\t2.5\n"
+        "Percent\t62.50\nQuestions not found\t1\n"
+        "Other words not found\t0\n"), "")
+
+
+def test_solve_choice_not_found_exact(tmp_path):
+    questions = tmp_path / "q.tsv"
+    questions.write_text("ode\tpoem\tzzzz\theavy qqqq\tsurprise\t0\n")
+    assert run_fixture("solve", str(questions)) == (0, (
+        "ode N. to poem N., length = 2, 2 path(s) of this length\n"
+        "ode to zzzz: not found\n"
+        "ode N. to heavy qqqq N., length = 12, 2 path(s) of this length\n"
+        "ode N. to surprise N., length = 12, 4 path(s) of this length\n"
+        "→ Roget thinks that ode means poem: CORRECT\n\n"
+        "Correct: 1\nQuestions with ties: 0\nScore: 1\nPercent: 100.00\n"
+        "Questions not found: 0\nOther words not found: 2\n"), "")
 
 
 def test_solve_comment_only_file_exact(tmp_path):

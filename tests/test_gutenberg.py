@@ -156,6 +156,12 @@ CONVERSIONS = {
         "#7. Gone.-- N. truth &c. 494; &c. 5.\n#8. Kept.-- Adv. kept.\n",
         PLACEHOLDERS + ["G 1 [8]", "H 8 Kept", "P ADV", "Q 1", "; kept"],
         _report(heads_skipped=1, entries_skipped=2)),
+    # An entry with no letter left is skipped, and a group of only such
+    # entries with it.
+    "entries-without-a-letter": (
+        "#4. Four.-- N. four, 4; 44.\n",
+        PLACEHOLDERS + ["G 1 [4]", "H 4 Four", "P N", "Q 1", "; four"],
+        _report(entries_skipped=2)),
     "text-before-the-first-pos-marker": (
         "#6. Pre.-- see above. N. fore, front.\n",
         PLACEHOLDERS + ["G 1 [6]", "H 6 Pre", "P N", "Q 1", "; fore | front"],

@@ -9,10 +9,11 @@ import unicodedata
 
 import pytest
 
-from rogetsim import (Level, ParseError, Reference, TaxonomyNode, Thesaurus,
-                      build_index, interchange, load, load_pairs,
-                      load_questions, normalize, parse_interchange, serialize,
-                      structure_signature, taxonomy, validate_structure)
+from rogetsim import (InvalidNodeError, Level, ParseError, Reference,
+                      TaxonomyNode, Thesaurus, build_index, interchange, load,
+                      load_pairs, load_questions, normalize, parse_interchange,
+                      serialize, structure_signature, taxonomy,
+                      validate_structure)
 from tests.conftest import data_path, read_from_pipe
 
 MINIMAL = """\
@@ -246,6 +247,59 @@ def test_round_trip(thesaurus, fixture_text):
     assert serialize(reparsed) == serialize(thesaurus)
 
 
+def breadth_first(thesaurus):
+    """The same tree built directly, its ids in breadth-first order.
+
+    So every class comes before any section, and no family's ids run on
+    from its parent's as a parsed document's do.
+    """
+    order = sorted(range(len(thesaurus.nodes)),
+                   key=thesaurus.levels.__getitem__)
+    new_id = {old: new for new, old in enumerate(order)}
+    new_id[-1] = -1
+    nodes = [dataclasses.replace(thesaurus.nodes[old], id=new, children=[],
+                                 parent=new_id[thesaurus.parents[old]])
+             for new, old in enumerate(order)]
+    references = [dataclasses.replace(
+        ref, semicolon_group=new_id[ref.semicolon_group])
+        for ref in thesaurus.references]
+    return Thesaurus(nodes, references)
+
+
+TWO_CLASSES = MINIMAL + (
+    "C 2 Class two\nS 1 Section two\nU 1 Sub two\nG 1 [2]\nH 2 Head two\n"
+    "P VB\nQ 1\n; go | move\n")
+
+
+@pytest.mark.parametrize("text", [TWO_CLASSES, None],
+                         ids=["two-classes", "fixture"])
+def test_serialize_writes_each_node_under_its_parent(text, fixture_text):
+    parsed = parse_interchange(text or fixture_text)
+    built = breadth_first(parsed)
+    assert built.levels != parsed.levels
+    assert serialize(built) == serialize(parsed)
+    if text:
+        # Class 2 is node 2, before class 1's section, and still follows
+        # every record of class 1.
+        assert built.levels[:4] == (Level.ROOT, Level.CLASS, Level.CLASS,
+                                    Level.SECTION)
+        assert serialize(built) == text
+    reparsed = parse_interchange(serialize(built))
+    assert structure_signature(reparsed) == structure_signature(built)
+    assert build_index(reparsed) == build_index(parsed)
+
+
+def test_validate_reports_a_repeated_head_number():
+    # The parser refuses a repeated head number, so the tree is built
+    # directly, from the parsed one with head 2 renumbered 1.
+    nodes = parse_interchange(TWO_CLASSES).nodes[:]
+    nodes[13] = dataclasses.replace(nodes[13], head_number=1)
+    report = validate_structure(Thesaurus(nodes, []))
+    assert report.violations == [
+        "semicolon group 8 has no entries", "duplicate head number 1",
+        "semicolon group 16 has no entries"]
+
+
 def test_validate_structure_fixture_counts(thesaurus):
     report = validate_structure(thesaurus)
     assert report.ok
@@ -268,13 +322,14 @@ def test_validate_reports_group_without_entries():
 
 
 def test_validate_reports_group_at_depth_seven():
+    # A tree that skips a level cannot be built, so validate_structure
+    # never sees one.
     parsed = parse_interchange(MINIMAL)
     group = TaxonomyNode(id=7, level=Level.SEMICOLON_GROUP, label="word",
                          parent=6)
-    report = validate_structure(Thesaurus(parsed.nodes[:7] + [group], []))
-    assert report.violations == [
-        "node 7 (semicolon group) skips a level under POS paragraph",
-        "semicolon group 7 has no entries"]
+    with pytest.raises(InvalidNodeError,
+                       match="^node 7's level 8 is not its depth 7$"):
+        Thesaurus(parsed.nodes[:7] + [group], [])
 
 
 def test_validate_reports_repeated_sibling_ordinals():

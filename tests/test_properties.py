@@ -173,6 +173,7 @@ def boundary_tree(turn):
     """A thesaurus whose last node at each depth d < 8 has a family of
     FAMILY_SIZES[(turn + d) % 8] children and every other node one child.
 
+    A head's number is its id, and every POS paragraph is a noun one.
     Each semicolon group holds "a", "b" or "c" in turn; "rare" is in the
     first and last groups and "odd" in the next three, so "rare" and "odd"
     make few pairs and the other words many.
@@ -185,10 +186,13 @@ def boundary_tree(turn):
         for parent in level_ids:
             for _ in range(size if parent == level_ids[-1] else 1):
                 below.append(len(nodes))
-                nodes.append(TaxonomyNode(id=len(nodes),
-                                          level=Level(depth + 1),
-                                          label=str(len(nodes)),
-                                          parent=parent))
+                level = Level(depth + 1)
+                nodes.append(TaxonomyNode(
+                    id=len(nodes), level=level, label=str(len(nodes)),
+                    parent=parent,
+                    head_number=len(nodes) if level == Level.HEAD else None,
+                    pos=(PartOfSpeech.NOUN if level == Level.POS_PARAGRAPH
+                         else None)))
         level_ids = below
     references = []
     for i, group in enumerate(level_ids):

@@ -33,6 +33,18 @@ def test_evaluate_phrase_falls_back_to_best_token(thesaurus):
     assert evaluation.tokens_not_found == []
 
 
+def test_tied_tokens_add_their_pair_counts(thesaurus):
+    # "poetry" (1 pair) and "poem" (2 pairs) are both 2 from "ode"; the
+    # first stands for the phrase, with 3 paths, which beats "poem"'s 2.
+    evaluation = evaluate_choice(thesaurus, "ode", "poetry and poem")
+    assert (evaluation.effective_distance, evaluation.pair_count,
+            evaluation.contributing_token) == (2, 3, "poetry")
+    result = answer_question(thesaurus, SynonymQuestion(
+        "ode", ["poem", "poetry and poem", "heavy", "surprise"], 1))
+    assert (result.chosen_index, result.verdict, result.credit) == (
+        1, "CORRECT", 1)
+
+
 def test_evaluate_whole_phrase_hit_takes_precedence(thesaurus):
     evaluation = evaluate_choice(thesaurus, "ode", "sweet smell")
     assert evaluation.effective_distance == 16
@@ -187,6 +199,11 @@ def test_load_questions_roundtrip():
     assert len(questions) == 2
     assert questions[0].source_tag == "rdwp-938"
     assert questions[1].choices == ["lynx", "debt", "monk", "inspired"]
+
+
+def test_a_question_needs_four_choices():
+    with pytest.raises(ValueError, match="needs exactly 4 choices$"):
+        SynonymQuestion("ode", ["poem", "debt", "surprise"], 0)
 
 
 @pytest.mark.parametrize("line", [

@@ -7,7 +7,7 @@ from collections import deque
 import pytest
 
 from rogetsim import (InvalidNodeError, InvalidReferenceError, Level,
-                      Reference, TaxonomyNode, Thesaurus,
+                      PartOfSpeech, Reference, TaxonomyNode, Thesaurus,
                       enumerate_shortest_paths, load, parse_interchange,
                       word_min_distance)
 from tests.conftest import FIXTURE_PATH, TIER_PAIRS
@@ -51,12 +51,17 @@ def walk_lca(thesaurus, a, b):
 
 
 def tree_from_parents(parents):
-    """A directly built Thesaurus whose node i hangs under parents[i - 1]."""
+    """A directly built Thesaurus whose node i hangs under parents[i - 1].
+
+    A head's number is its id, and every POS paragraph is a noun one.
+    """
     nodes = [TaxonomyNode(id=0, level=Level.ROOT, label="T")]
     for child, parent in enumerate(parents, start=1):
         level = Level(min(nodes[parent].level + 1, Level.SEMICOLON_GROUP))
-        nodes.append(TaxonomyNode(id=child, level=level, label=str(child),
-                                  parent=parent))
+        nodes.append(TaxonomyNode(
+            id=child, level=level, label=str(child), parent=parent,
+            head_number=child if level == Level.HEAD else None,
+            pos=PartOfSpeech.NOUN if level == Level.POS_PARAGRAPH else None))
         nodes[parent].children.append(child)
     return Thesaurus(nodes, [])
 
@@ -197,6 +202,13 @@ def test_no_level_skipping(thesaurus):
             assert thesaurus.nodes[node.parent].level == node.level - 1
 
 
+def test_display_labels_along_a_path(thesaurus):
+    group = thesaurus.lookup("feline")[0].semicolon_group
+    assert [node.display_label for node in thesaurus.ancestors(group)] == [
+        "feline", "cat", "N.", "365. Animality", "[365]", "Vitality",
+        "Section three : Organic matter", "Class three : Matter", "T"]
+
+
 def test_head_numbers_unique(thesaurus):
     numbers = [n.head_number for n in thesaurus.nodes_at_level(Level.HEAD)]
     assert len(numbers) == len(set(numbers))
@@ -205,8 +217,9 @@ def test_head_numbers_unique(thesaurus):
 def test_tree_deeper_than_nine_levels_is_rejected():
     # A 14-deep spine (node i under i - 1) with a side branch at every level.
     spine = list(range(14))
+    # Node 9 gets level 8, the deepest Level, one short of its depth.
     with pytest.raises(InvalidNodeError,
-                       match="^node 9 is deeper than level 8$"):
+                       match="^node 9's level 8 is not its depth 9$"):
         tree_from_parents(spine + spine)
 
 
@@ -218,8 +231,17 @@ def test_tree_deeper_than_nine_levels_is_rejected():
     (3, {"parent": -2}, "node 3's parent -2 is not an earlier node"),
     (3, {"id": 4}, "node 4 is at position 3, not at its id"),
     (3, {"level": 12}, "node 3's level 12 is not a Level"),
+    (3, {"level": Level.HEAD}, "node 3's level 5 is not its depth 3"),
+    (0, {"level": Level.CLASS}, "node 0's level 1 is not its depth 0"),
+    (5, {"head_number": None}, "head 5's number None is not a positive int"),
+    (5, {"head_number": 0}, "head 5's number 0 is not a positive int"),
+    (6, {"pos": None}, "POS paragraph 6's pos None is not a PartOfSpeech"),
+    (6, {"pos": "N"}, "POS paragraph 6's pos 'N' is not a PartOfSpeech"),
 ], ids=["forward-parent", "self-parent", "root-with-a-parent", "second-root",
-        "negative-parent", "id-not-position", "level-not-a-level"])
+        "negative-parent", "id-not-position", "level-not-a-level",
+        "level-not-its-depth", "root-below-level-0", "head-without-a-number",
+        "head-numbered-0", "pos-paragraph-without-a-pos",
+        "pos-paragraph-with-a-tag"])
 def test_a_malformed_tree_is_rejected(position, changes, message):
     nodes = parse_interchange(MINIMAL).nodes[:]
     nodes[position] = dataclasses.replace(nodes[position], **changes)
@@ -242,14 +264,14 @@ def test_iterators_build_the_same_thesaurus():
 
 def test_group_at_depth_seven_is_not_a_member():
     # A semicolon group hung directly under a POS paragraph (depth 7).
-    nodes = [TaxonomyNode(id=0, level=Level.ROOT, label="T")]
-    for level in list(Level)[1:Level.PARAGRAPH] + [Level.SEMICOLON_GROUP]:
-        nodes.append(TaxonomyNode(id=len(nodes), level=level, label="x",
-                                  parent=len(nodes) - 1))
-    refs = [Reference(entry_text=text, semicolon_group=nodes[-1].id, pos=None,
-                      head_number=1, keyword="a") for text in ("a", "b")]
-    with pytest.raises(InvalidReferenceError, match="^reference 'a' at node 7 "
-                       "is not in a semicolon group at depth 8$"):
+    nodes = parse_interchange(MINIMAL).nodes[:7]
+    nodes.append(TaxonomyNode(id=7, level=Level.SEMICOLON_GROUP, label="a",
+                              parent=6))
+    refs = [Reference(entry_text=text, semicolon_group=7,
+                      pos=PartOfSpeech.NOUN, head_number=1, keyword="a")
+            for text in ("a", "b")]
+    with pytest.raises(InvalidNodeError,
+                       match="^node 7's level 8 is not its depth 7$"):
         Thesaurus(nodes, refs)
 
 
@@ -268,8 +290,10 @@ def test_reference_at_depth_8_outside_a_semicolon_group_is_rejected():
     parsed = parse_interchange(MINIMAL)
     nodes = parsed.nodes[:]
     nodes[8] = dataclasses.replace(nodes[8], level=Level.PARAGRAPH)
-    with pytest.raises(InvalidReferenceError, match="^reference 'word' at "
-                       "node 8 is not in a semicolon group"):
+    # The node is refused before its references are read; a reference at a
+    # node of another level is refused as in the pos-paragraph case above.
+    with pytest.raises(InvalidNodeError,
+                       match="^node 8's level 7 is not its depth 8$"):
         Thesaurus(nodes, parsed.references)
 
 
