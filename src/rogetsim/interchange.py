@@ -286,15 +286,17 @@ def validate_structure(thesaurus):
     """Count nodes per level and report the shape rules the tree breaks.
 
     Siblings whose ordinal the document writes (classes, sections,
-    sub-sections, head groups and paragraphs) must not share one; each
-    repeat is reported once, in document order.
+    sub-sections, head groups and paragraphs) must not share one, and no
+    two heads may share a number; each repeat is reported once, in
+    document order, naming the node that repeats and, for a head number,
+    the head that has it first.
     """
     t = thesaurus
     report = StructureReport()
     per_level = Counter(t.levels)
     for level, record in _RECORDS.items():
         setattr(report, record.counter, per_level[level])
-    head_numbers, ordinals = set(), set()
+    heads, ordinals = {}, set()  # heads: head number -> its first head
     for node_id, (level, parent) in enumerate(zip(t.levels, t.parents)):
         if level in _ORDINAL_LEVELS:
             ordinal = t.ordinals[node_id]
@@ -307,9 +309,11 @@ def validate_structure(thesaurus):
             ordinals.add((parent, ordinal))
         if level == Level.HEAD:
             number = t.head_numbers[node_id]
-            if number in head_numbers:
-                report.violations.append("duplicate head number %d" % number)
-            head_numbers.add(number)
+            first = heads.setdefault(number, node_id)
+            if first != node_id:
+                report.violations.append(
+                    "node %d (head) repeats head number %d of node %d"
+                    % (node_id, number, first))
         if level == Level.SEMICOLON_GROUP and not t.members[node_id]:
             report.violations.append("semicolon group %d has no entries"
                                      % node_id)

@@ -10,13 +10,15 @@ disambiguation.  The number of minimizing reference pairs doubles as the
 shortest-path count used by the synonym solver for tie-breaking: in a
 tree each reference pair has exactly one path.
 
-For words with m and n references the minimum and the pair count cost
-O((m+n) log(m+n)), not m*n distance computations (see
+For words with s and b >= s references the minimum and the pair count
+cost O(s log b), not s*b distance computations (see
 ``Thesaurus.min_distance``, which measures up to 16 pairs one by one).
-Past 16 pairs each word's group keys come from a per-word cache in the
-thesaurus, filled on the word's first such comparison, so a frequent
-word compared again does not re-read its references; the minimizing
-pairs themselves are built only when ``achieving_pairs`` is read.
+Past 16 pairs each word's sorted group keys come from a per-word cache
+in the thesaurus, filled on the word's first such comparison, so a
+frequent word compared again does not re-read its references, and each
+key of the word with fewer references is bisected into the other's; the
+minimizing pairs themselves are built only when ``achieving_pairs`` is
+read.
 """
 
 from dataclasses import dataclass, field

@@ -24,13 +24,14 @@ group.
 """
 
 import unicodedata
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import cached_property
-from itertools import groupby, islice, repeat
-from operator import attrgetter, xor
+from itertools import groupby, islice
+from operator import attrgetter
 
 from .errors import InvalidNodeError, InvalidReferenceError
 
@@ -38,11 +39,13 @@ MAX_DISTANCE = 16
 _GROUP_LEVEL = 8  # the depth of every semicolon group; no node is deeper
 
 # Thesaurus.min_distance measures each pair with reference_distance, instead
-# of sorting the keys, while there are at most this many pairs.  Sorting
-# one-digit keys is the cheaper way from some 9-12 pairs, but the value
-# stays 16 because the traced benchmark pins the per-pair reference_distance
-# calls it gives; ROADMAP item 1 re-chooses it once the benchmark stops
-# counting them.  It is read at call time, so tests can patch it here.
+# of bisecting cached keys, while there are at most this many pairs.  With
+# the keys cached, bisecting is the cheaper way from about 4 pairs (1x4 and
+# 2x2; a 5x5 call takes 16 us pair by pair and 5 us bisected on a 2-vCPU VM
+# with Python 3.11), but the value stays 16 because the traced benchmark
+# pins the per-pair reference_distance calls it gives; ROADMAP item 1
+# re-chooses it once the benchmark stops counting them.  It is read at call
+# time, so tests can patch it here.
 _FEW_PAIRS = 16
 
 
@@ -156,16 +159,24 @@ def normalize(text):
 def build_index(thesaurus):
     """Map each normalized entry text to its references, in document order.
 
-    The values are tuples.  ``normalize`` runs once per distinct entry text.
+    The values are tuples.  ``normalize`` runs at most once per distinct
+    entry text: an entry text that is already a key is its own
+    normalization, and a key equal to its entry text is that text's string.
     """
-    index, lists = {}, {}  # lists: entry text -> its index key's list
+    index, aliases = {}, {}  # aliases: entry text -> its other key's list
     for ref in thesaurus.references:
-        found = lists.get(ref.entry_text)
+        text = ref.entry_text
+        found = index.get(text)
         if found is None:
-            found = lists[ref.entry_text] = index.setdefault(
-                normalize(ref.entry_text), [])
+            found = aliases.get(text)
+            if found is None:
+                key = normalize(text)
+                if key == text:
+                    found = index[text] = []
+                else:
+                    found = aliases[text] = index.setdefault(key, [])
         found.append(ref)
-    del lists
+    del aliases
     for key, refs in index.items():
         index[key] = tuple(refs)
     return index
@@ -226,15 +237,16 @@ class Thesaurus:
     sort into preorder with siblings in id order.  A level's field is as
     wide as its largest family needs: on the benchmark's synthetic
     thesaurus at the 1987 edition's scale a key takes 28 bits, so a key
-    tagged with one more bit still fits one 30-bit CPython int digit, and
-    ``min_distance`` sorts, XORs and shifts one-digit ints.  Two nodes
-    first differ at the level whose field holds the top set bit of
-    ``k1 ^ k2``, so a reference distance is one table lookup by that bit
-    length.  ``members`` holds the references of each semicolon group
+    shifted left one bit, as ``_word_keys`` keeps it, still fits one 30-bit
+    CPython int digit, and ``min_distance`` bisects, XORs and shifts
+    one-digit ints.  Two nodes first differ at the level whose field holds
+    the top set bit of ``k1 ^ k2``, so a reference distance is one table
+    lookup by that bit length.  ``members`` holds the references of each semicolon group
     (empty for every other node), so every reference is a member;
     ``index`` is ``build_index(self)``, whose tuples hold the same
-    reference objects.  For m and n references ``min_distance`` and
-    ``pairs_within`` cost O((m+n) log(m+n)), not m*n.
+    reference objects.  For s references of one word and b >= s of the
+    other ``min_distance`` costs O(s log b), and ``pairs_within`` O(s + b)
+    plus one step per pair it yields, not s*b.
 
     Answers never change after construction: the columns, ``keys``,
     ``members`` and the index values are tuples, and every query method is
@@ -411,12 +423,14 @@ class Thesaurus:
         refs1 and refs2 are what ``lookup`` returned for the words w1 and
         w2, and neither is empty.  When they make few pairs each pair is
         measured by ``reference_distance``; a single pair is one such
-        call, with a count of 1.  Otherwise each word's keys come from
-        ``_word_keys``, read from its references once and then kept: the
-        keys are sorted together, where a closest pair across the two
-        lists is adjacent, and the pairs at that distance are those whose
-        keys agree down to the shared level, O((m+n) log(m+n)) for m and
-        n references.
+        call, with a count of 1.  Otherwise each word's sorted keys come
+        from ``_word_keys``, read from its references once and then kept:
+        each key of the shorter list is bisected into the longer one, where
+        its closest key is its predecessor or its successor, and the pairs
+        at that distance are counted by two more bisects per key, over the
+        keys that agree with it down to the shared level.  For s references
+        of one word and b >= s of the other that is O(s log b), so the cost
+        hardly grows with the larger word.
         """
         pairs = len(refs1) * len(refs2)
         if pairs <= _FEW_PAIRS:
@@ -431,34 +445,55 @@ class Thesaurus:
                     elif distance == best:
                         count += 1
             return best, count
-        shifted1, shifted2 = self._word_keys(w1), self._word_keys(w2)
-        # The low bit tags the list, so a pair across lists has an odd XOR.
-        tagged = sorted([*shifted1, *[k | 1 for k in shifted2]])
-        closest = min([x for x in map(xor, tagged, tagged[1:]) if x & 1])
+        small, big = self._word_keys(w1), self._word_keys(w2)
+        if len(small) > len(big):
+            small, big = big, small
+        # The key of big closest to k by XOR is its predecessor or its
+        # successor, big[i - 1] or big[i] for k's place i.  Capping i at
+        # len(big) - 1 keeps big[i] a key; at 0, big[i - 1] is the last key,
+        # so both stay real pairs, and a one-key big is compared with itself.
+        last, closest = len(big) - 1, big[0] ^ small[0]
+        for k in small:
+            i = bisect_left(big, k, 0, last)
+            x = k ^ big[i]
+            if x < closest:
+                closest = x
+            x = k ^ big[i - 1]
+            if x < closest:
+                closest = x
         distance = self._distance[(closest >> 1).bit_length()]
+        # The keys of big that share k's fields down to the closest pairs'
+        # level are those in [start, start + step).
         shift = self._shift(distance) + 1
-        counts = Counter([k >> shift for k in shifted1])
-        return distance, sum(map(counts.get, [k >> shift for k in shifted2],
-                                 repeat(0)))
+        step, count = 1 << shift, 0
+        for k in small:
+            start = k >> shift << shift
+            count += bisect_left(big, start + step) - bisect_left(big, start)
+        return distance, count
 
     def _word_keys(self, text):
-        """The keys of ``lookup(text)``'s groups, each shifted left one bit.
+        """The sorted keys of ``lookup(text)``'s groups, shifted left one bit.
 
-        The tuple, in document order, is made on the word's first call and
-        kept by index key.  The text is in the index.  Threads that make
-        one word's tuple at once each build it; ``setdefault`` keeps one.
+        The tuple is made on the word's first call and kept by index key;
+        a text that is a kept key is its own normalization, so it is read
+        without a second ``normalize``.  The text is in the index.  Threads
+        that make one word's tuple at once each build it; ``setdefault``
+        keeps one.
         """
-        word = normalize(text)
-        shifted = self._shifted.get(word)
+        shifted = self._shifted.get(text)
+        if shifted is None:
+            word = normalize(text)
+            shifted = self._shifted.get(word)
         if shifted is None:
             # Fresh ints, made together, lie close in memory, where the
             # objects of ``keys`` lie scattered: with keys stored pre-shifted
-            # and these tuples sharing them, the sort kernel ran 6-10% slower
-            # on the benchmark's synonym-test questions, whose op_p50_ms
-            # rose 7%.
+            # and these tuples sharing them, a kernel that sorted both words'
+            # keys ran 6-10% slower on the benchmark's synonym-test
+            # questions, whose op_p50_ms rose 7%.  A parsed thesaurus lists
+            # a word's references in key order, so the sort is one pass.
             keys = self.keys
-            shifted = self._shifted.setdefault(word, tuple([
-                keys[ref.semicolon_group] << 1 for ref in self.index[word]]))
+            shifted = self._shifted.setdefault(word, tuple(sorted([
+                keys[ref.semicolon_group] << 1 for ref in self.index[word]])))
         return shifted
 
     def pairs_within(self, refs1, refs2, distance):

@@ -1,5 +1,6 @@
 """Property tests on small generated thesauri."""
 
+import random
 from unittest import mock
 
 import pytest
@@ -10,7 +11,7 @@ from rogetsim import (MAX_DISTANCE, GutenbergImportError, InvalidNodeError,
                       Level, ParseError, PartOfSpeech, Reference, TaxonomyNode,
                       Thesaurus, evaluate_choice, import_gutenberg_1911,
                       load_pairs, load_questions, parse_interchange,
-                      serialize, structure_signature, taxonomy,
+                      normalize, serialize, structure_signature, taxonomy,
                       validate_structure, word_min_distance)
 from tests.conftest import data_path
 from tests.test_interchange import MINIMAL
@@ -169,22 +170,19 @@ def test_word_distance_equals_the_pair_loop(few_pairs, thesaurus):
 FAMILY_SIZES = (1, 2, 3, 4, 5, 7, 8, 9)
 
 
-def boundary_tree(turn):
-    """A thesaurus whose last node at each depth d < 8 has a family of
-    FAMILY_SIZES[(turn + d) % 8] children and every other node one child.
+def layered_nodes(family):
+    """(nodes, group ids) of a tree made one depth at a time.
 
-    A head's number is its id, and every POS paragraph is a noun one.
-    Each semicolon group holds "a", "b" or "c" in turn; "rare" is in the
-    first and last groups and "odd" in the next three, so "rare" and "odd"
-    make few pairs and the other words many.
+    Each node at depth d < 8 gets ``family(d, whether it is the depth's
+    last node)`` children; a head's number is its id, and every POS
+    paragraph is a noun one.
     """
     nodes = [TaxonomyNode(id=0, level=Level.ROOT, label="T")]
     level_ids = [0]
     for depth in range(Level.SEMICOLON_GROUP):
-        size = FAMILY_SIZES[(turn + depth) % len(FAMILY_SIZES)]
         below = []
         for parent in level_ids:
-            for _ in range(size if parent == level_ids[-1] else 1):
+            for _ in range(family(depth, parent == level_ids[-1])):
                 below.append(len(nodes))
                 level = Level(depth + 1)
                 nodes.append(TaxonomyNode(
@@ -194,6 +192,21 @@ def boundary_tree(turn):
                     pos=(PartOfSpeech.NOUN if level == Level.POS_PARAGRAPH
                          else None)))
         level_ids = below
+    return nodes, level_ids
+
+
+def boundary_tree(turn):
+    """A thesaurus whose last node at each depth d < 8 has a family of
+    FAMILY_SIZES[(turn + d) % 8] children and every other node one child.
+
+    A head's number is its id, and every POS paragraph is a noun one.
+    Each semicolon group holds "a", "b" or "c" in turn; "rare" is in the
+    first and last groups and "odd" in the next three, so "rare" and "odd"
+    make few pairs and the other words many.
+    """
+    nodes, level_ids = layered_nodes(
+        lambda depth, last: FAMILY_SIZES[
+            (turn + depth) % len(FAMILY_SIZES)] if last else 1)
     references = []
     for i, group in enumerate(level_ids):
         words = ["abc"[i % 3]]
@@ -239,6 +252,65 @@ def test_boundary_trees_match_the_oracles(thesaurus):
 def test_boundary_trees_word_distance_equals_the_pair_loop(few_pairs,
                                                            thesaurus):
     check_word_distances(thesaurus, few_pairs)
+
+
+# Words of a scattered thesaurus: references per word, and how many groups
+# hold the word twice.  "huge" has 20 to 240 times the references of every
+# word but "wide".
+SCATTERED = {"huge": (240, 0), "wide": (60, 0), "twice": (12, 6),
+             "mid": (12, 0), "few": (3, 0), "pair": (2, 1), "one": (1, 0)}
+
+
+def scattered_thesaurus(seed):
+    """A directly built thesaurus whose references are in no key order.
+
+    The tree has three classes and one to three children per node below
+    them; each word of SCATTERED is in that many random semicolon groups,
+    and the references are shuffled, so the index lists a word's references
+    in an order its group keys do not sort in.
+    """
+    rng = random.Random(seed)
+    nodes, level_ids = layered_nodes(
+        lambda depth, last: 3 if depth == 0 else rng.randint(1, 3))
+    references = []
+    for word, (size, doubled) in SCATTERED.items():
+        groups = rng.sample(level_ids, size - doubled)
+        references += [Reference(word, group, PartOfSpeech.NOUN, 1, word)
+                       for group in groups + groups[:doubled]]
+    rng.shuffle(references)
+    return Thesaurus(nodes, references)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_word_distance_on_references_out_of_key_order(seed):
+    thesaurus = scattered_thesaurus(seed)
+    keys = [thesaurus.keys[ref.semicolon_group]
+            for ref in thesaurus.lookup("huge")]
+    assert keys != sorted(keys)
+    expected = {(w1, w2): pair_loop(thesaurus, w1, w2)
+                for w1 in SCATTERED for w2 in SCATTERED}
+    # A cut-off of 0 sends every pair through the bisecting kernel, the
+    # one-key word's too.
+    for few_pairs in (0, taxonomy._FEW_PAIRS):
+        with mock.patch.object(taxonomy, "_FEW_PAIRS", few_pairs):
+            for (w1, w2), (best, pairs) in expected.items():
+                assert thesaurus.min_distance(
+                    w1, thesaurus.lookup(w1), w2, thesaurus.lookup(w2)) == (
+                        best, len(pairs))
+    for word, shifted in thesaurus._shifted.items():
+        assert shifted == tuple(sorted(
+            thesaurus.keys[ref.semicolon_group] << 1
+            for ref in thesaurus.index[word]))
+    # A kept word's own key is read without normalizing it again.
+    with mock.patch.object(taxonomy, "normalize", side_effect=AssertionError):
+        assert thesaurus._word_keys("huge") is thesaurus._shifted["huge"]
+
+
+@given(st.text())
+def test_normalize_is_idempotent(text):
+    # The index and the key cache take a text equal to one of their keys
+    # as its own normalization.
+    assert normalize(normalize(text)) == normalize(text)
 
 
 def _lines(name):
