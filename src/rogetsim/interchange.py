@@ -20,22 +20,23 @@ are duplicate head numbers and empty semicolon groups.  One leading
 byte-order mark is dropped, from a string, a stream or a file alike.
 
 ``parse_interchange`` reads the document in one pass: each record is
-appended to the per-node columns of ``Thesaurus`` and each entry text to
-one per-reference column; the references are made in bulk after the pass
-and each semicolon group's members are a slice of them.  No node objects
-are built.  ``serialize``, ``validate_structure`` and ``structure_signature``
-read those columns.
+appended to the per-node columns of ``Thesaurus``, each entry text to one
+per-reference column and each semicolon group's POS, head and keyword to
+per-group columns, which are put at the group's node id after the pass.
+No node or ``Reference`` objects are built.  ``serialize``,
+``validate_structure`` and ``structure_signature`` read those columns.
 """
 
 import gc
 import io
+from array import array
 from collections import Counter, deque
-from dataclasses import dataclass, field, fields
-from itertools import chain, islice, repeat
+from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .errors import ParseError
-from .taxonomy import Level, PartOfSpeech, Reference, Thesaurus
+from .taxonomy import Level, PartOfSpeech, Thesaurus
 from .taxonomy import build_index, normalize  # noqa: F401  (public names)
 
 
@@ -108,12 +109,12 @@ def _ordinal_and_label(payload, level, line_no):
 def parse_interchange(source):
     """Parse interchange text (a string or a text stream) into a Thesaurus.
 
-    The cyclic garbage collector is paused meanwhile: a thesaurus at the
-    1987 edition's scale is some 300,000 long-lived tuples and no reference
-    cycles, which the collector would traverse again and again as the heap
-    grows and, after a pause alone, three more times as they age.  So the
-    pause ends by moving every tracked object to the oldest generation at
-    once, untraversed (``gc.freeze`` then ``gc.unfreeze``).
+    The cyclic garbage collector is paused meanwhile: at the 1987
+    edition's scale the parse makes some 200,000 short-lived lists (each
+    line's fields, each word's reference ids), and no reference cycles, so
+    the collections they would set off find nothing to free.  The pause
+    ends by moving the few tracked objects left to the oldest generation,
+    untraversed (``gc.freeze`` then ``gc.unfreeze``).
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -127,13 +128,13 @@ def parse_interchange(source):
 
 
 def _columns(source):
-    """(Node columns, references, members) of the interchange text.
+    """(Node columns, reference columns) of the interchange text.
 
     One pass appends each record to per-node columns, each semicolon
     group's entry texts to one per-reference column, and the group's id,
     POS, head, keyword and size to per-group columns.  Equal entry texts
-    share one string.  The references are then made all at once, and each
-    group's ``members`` entry is a slice of them.
+    share one string.  Then the group ids are repeated over each group's
+    references, and its POS, head and keyword are put at its node id.
     """
     parents, levels, labels, ordinals = [-1], [0], ["T"], [0]
     head_numbers, poses = [None], [None]
@@ -209,31 +210,14 @@ def _columns(source):
         open_ids[level] = node_id
         depth = level
 
-    references = _references(texts, (groups, group_poses, group_heads,
-                                     keywords), sizes)
-    members = [()] * len(parents)
-    chunks = iter(references)
-    for group, size in zip(groups, sizes):
-        members[group] = tuple(islice(chunks, size))
+    by_node = []
+    for column in (group_poses, group_heads, keywords):
+        values = [None] * len(parents)
+        deque(map(values.__setitem__, groups, column), maxlen=0)
+        by_node.append(values)
+    groups = array("i", list(chain.from_iterable(map(repeat, groups, sizes))))
     return (tuple(map(tuple, (parents, levels, labels, ordinals, head_numbers,
-                              poses))), references, tuple(members))
-
-
-def _references(texts, group_columns, sizes):
-    """References of the per-reference texts and the per-group columns.
-
-    Each is equal to ``Reference(text, group, pos, head, keyword)``, but is
-    made by ``object.__new__`` and filled one field at a time for all of
-    them, through the slot descriptors: the frozen dataclass's
-    ``__init__`` would go through ``object.__setattr__`` once per field.
-    """
-    references = list(map(object.__new__, repeat(Reference, len(texts))))
-    columns = [texts] + [chain.from_iterable(map(repeat, column, sizes))
-                         for column in group_columns]
-    for name, values in zip((f.name for f in fields(Reference)), columns):
-        deque(map(getattr(Reference, name).__set__, references, values),
-              maxlen=0)
-    return references
+                              poses))), (texts, groups, *by_node))
 
 
 def serialize(thesaurus):
@@ -249,7 +233,7 @@ def serialize(thesaurus):
         elif level == Level.PARAGRAPH:
             payload = "%d" % t.ordinals[node_id]
         elif level == Level.SEMICOLON_GROUP:
-            payload = " | ".join(r.entry_text for r in t.members[node_id])
+            payload = " | ".join(t._entry_texts(node_id))
         else:
             payload = "%d %s" % (t.ordinals[node_id], label)
         lines.append("%s %s" % (_RECORDS[level].keyword, payload))
@@ -314,7 +298,7 @@ def validate_structure(thesaurus):
                 report.violations.append(
                     "node %d (head) repeats head number %d of node %d"
                     % (node_id, number, first))
-        if level == Level.SEMICOLON_GROUP and not t.members[node_id]:
+        if level == Level.SEMICOLON_GROUP and not t._member_ids_of(node_id):
             report.violations.append("semicolon group %d has no entries"
                                      % node_id)
     report.entries = len(t.references)
@@ -332,7 +316,7 @@ def structure_signature(thesaurus):
     t = thesaurus
     return tuple((t.levels[i], t.ordinals[i], t.labels[i], t.head_numbers[i],
                   t.poses[i].value if t.poses[i] else None,
-                  tuple(r.entry_text for r in t.members[i]))
+                  tuple(t._entry_texts(i)))
                  for i in sorted(range(len(t.keys)), key=t.keys.__getitem__))
 
 

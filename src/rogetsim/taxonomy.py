@@ -15,22 +15,25 @@ common ancestor of two groups is read off the top set bit of their keys'
 XOR (see ``Thesaurus``), and the closest pairs between two lists of
 references are found from their sorted keys, without comparing every pair.
 
-The tree is stored as per-node columns; ``TaxonomyNode`` records are made
-from them only when ``Thesaurus.nodes`` is read, and changing one changes
-nothing in the thesaurus.  Each semicolon group's references, in
-``members``, are the same objects as in the index.  ``Thesaurus`` rejects
-a node whose level is not its depth and a reference outside a semicolon
-group.
+The tree is stored as per-node columns and the references as
+per-reference columns; ``TaxonomyNode`` and ``Reference`` records are made
+from them only when read, and changing a node record changes nothing in
+the thesaurus.  A word's references are made on its first ``lookup`` or
+``index`` read and then kept, so later reads return the same objects;
+``references`` and ``members`` make new, equal records on each read.
+``Thesaurus`` rejects a node whose level is not its depth and a reference
+outside a semicolon group.
 """
 
 import unicodedata
-from bisect import bisect_left
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, field, fields
 from enum import Enum, IntEnum
 from functools import cached_property
-from itertools import groupby, islice
+from itertools import accumulate, chain, islice
 from operator import attrgetter
 
 from .errors import InvalidNodeError, InvalidReferenceError
@@ -122,26 +125,123 @@ class TaxonomyNode:
         return _display(self.level, self.label, self.head_number, self.pos)
 
 
-class _Nodes(Sequence):
-    """Read-only sequence of a Thesaurus's nodes.
+_new = object.__new__
+(_set_text, _set_group, _set_pos, _set_head,
+ _set_keyword) = (getattr(Reference, f.name).__set__ for f in fields(Reference))
 
-    Each read makes a new ``TaxonomyNode`` from the columns; a slice gives
-    a list of them.
+
+def _made(columns, ids):
+    """New records of the reference ids, read from the reference columns.
+
+    ``columns`` are a Thesaurus's ``_columns``: per reference its entry
+    text, group and row, and per row a POS, head number and keyword.
+    Each record is made by ``object.__new__`` and filled through the slot
+    descriptors, at about half the cost of ``Reference(...)``, whose frozen
+    ``__init__`` goes through ``object.__setattr__`` once per field.
+    """
+    texts, groups, rows, poses, heads, keywords = columns
+    refs = []
+    for i in ids:
+        row = rows[i]
+        ref = _new(Reference)
+        _set_text(ref, texts[i])
+        _set_group(ref, groups[i])
+        _set_pos(ref, poses[row])
+        _set_head(ref, heads[row])
+        _set_keyword(ref, keywords[row])
+        refs.append(ref)
+    return refs
+
+
+class _Records(Sequence):
+    """Read-only sequence whose items a Thesaurus makes when they are read.
+
+    ``read`` makes the item at an index, a new record from the columns
+    each time; a slice gives a list of them.  Two such sequences are equal
+    when their records are.
     """
 
-    __slots__ = ("_thesaurus",)
+    __slots__ = ("_length", "_read")
 
-    def __init__(self, thesaurus):
-        self._thesaurus = thesaurus
+    def __init__(self, length, read):
+        self._length, self._read = length, read
 
     def __len__(self):
-        return len(self._thesaurus.parents)
+        return self._length
 
     def __getitem__(self, index):
-        ids = range(len(self))[index]
+        ids = range(self._length)[index]
         if isinstance(ids, range):
-            return list(map(self._thesaurus._node, ids))
-        return self._thesaurus._node(ids)
+            return list(map(self._read, ids))
+        return self._read(ids)
+
+    def __iter__(self):
+        return map(self._read, range(self._length))
+
+    def __eq__(self, other):
+        if not isinstance(other, _Records):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+
+class _Index(Mapping):
+    """Read-only map of each normalized entry text to its references.
+
+    Each key's reference ids are one run of an id array, in document
+    order.  A key's tuple of references is made when the key is first
+    read, by ``Thesaurus.lookup`` or ``index[key]``, and kept in a private
+    cache, which ``setdefault`` fills with one tuple per key at most, so
+    later reads return the same objects.  It holds the reference columns
+    but not the thesaurus, and ``_aliases``, the key of each entry text
+    that is not its own normalization.
+    """
+
+    __slots__ = ("_columns", "_runs", "_ids", "_starts", "_records",
+                 "_aliases")
+
+    def __init__(self, columns, runs, aliases):
+        self._columns, self._aliases = columns, aliases
+        # From a list: an array reads an iterator one item at a time.
+        self._ids = array("i", list(chain.from_iterable(runs.values())))
+        self._starts = array("i", accumulate(map(len, runs.values()),
+                                             initial=0))
+        self._runs = dict(zip(runs, range(len(runs))))  # key -> run number
+        self._records = {}
+
+    def __len__(self):
+        return len(self._runs)
+
+    def __iter__(self):
+        return iter(self._runs)
+
+    def __contains__(self, key):
+        return key in self._runs
+
+    def __getitem__(self, key):
+        refs = self._read(key)
+        if not refs:
+            raise KeyError(key)
+        return refs
+
+    def _ids_of(self, key):
+        """The reference ids of a key, which is in the index."""
+        run = self._runs[key]
+        return self._ids[self._starts[run]:self._starts[run + 1]]
+
+    def _read(self, key):
+        """The kept references of ``key``, made on its first read; () if
+        it is not a key.  Threads that read one key first at once each
+        make its records; ``setdefault`` keeps one tuple for all of them.
+        """
+        refs = self._records.get(key)
+        if refs is None:
+            if key not in self._runs:
+                return ()
+            refs = self._records.setdefault(key, tuple(
+                _made(self._columns, self._ids_of(key))))
+        return refs
 
 
 def normalize(text):
@@ -159,27 +259,26 @@ def normalize(text):
 def build_index(thesaurus):
     """Map each normalized entry text to its references, in document order.
 
-    The values are tuples.  ``normalize`` runs at most once per distinct
+    The map is read-only and its values are tuples, made on a key's first
+    read (see ``_Index``).  ``normalize`` runs at most once per distinct
     entry text: an entry text that is already a key is its own
     normalization, and a key equal to its entry text is that text's string.
     """
-    index, aliases = {}, {}  # aliases: entry text -> its other key's list
-    for ref in thesaurus.references:
-        text = ref.entry_text
-        found = index.get(text)
-        if found is None:
-            found = aliases.get(text)
-            if found is None:
+    texts = thesaurus._columns[0]
+    runs, aliases = {}, {}  # aliases: entry text -> its other key
+    for i, text in enumerate(texts):
+        run = runs.get(text)
+        if run is None:
+            key = aliases.get(text)
+            if key is None:
                 key = normalize(text)
                 if key == text:
-                    found = index[text] = []
+                    key = text
                 else:
-                    found = aliases[text] = index.setdefault(key, [])
-        found.append(ref)
-    del aliases
-    for key, refs in index.items():
-        index[key] = tuple(refs)
-    return index
+                    aliases[text] = key
+            run = runs.setdefault(key, [])
+        run.append(i)
+    return _Index(thesaurus._columns, runs, aliases)
 
 
 def _pack_keys(parents, levels):
@@ -214,9 +313,9 @@ class Thesaurus:
     """A read-only taxonomy tree plus the references it defines.
 
     ``nodes`` lists each node at its id, parents before children, and
-    ``references`` each group's entries together, as ``parse_interchange``
-    does.  The constructor raises ``InvalidNodeError`` for a node not at
-    its id, a level that is not a ``Level``, a parent that is not an
+    ``references`` are kept in the order given.  The constructor raises
+    ``InvalidNodeError`` for a node whose id is not an int at its
+    position, a level that is not a ``Level``, a parent that is not an
     earlier node (node 0 is the one root, with parent -1), a level that is
     not the node's depth (one more than its parent's, the root at 0), a
     head whose ``head_number`` is not a positive int or a POS paragraph
@@ -227,7 +326,15 @@ class Thesaurus:
     The tree is kept as per-node columns, tuples indexed by node id:
     ``parents`` (-1 for the root), ``levels`` (ints), ``labels``,
     ``ordinals``, ``head_numbers`` and ``poses``.  ``nodes`` is a read-only
-    sequence that makes a ``TaxonomyNode`` from them when read.
+    sequence that makes a ``TaxonomyNode`` from them when read.  The
+    references are kept as columns, in the order given (``_columns``):
+    each one's entry text, group and row, and per row a POS, head number
+    and keyword.  A parsed thesaurus's rows are its groups, whose
+    references share those three fields; a directly built one gives each
+    reference its own row.  ``references`` makes a new record from the
+    columns on each read, and ``members``, per node id, a tuple of the
+    records of a semicolon group's references in that order (empty for
+    every other node), so every reference is a member.
 
     Per node id, ``keys`` holds one int packing the node's root-first
     path: for each level d from 1 to 8, a bit field holding the 1-based
@@ -241,19 +348,19 @@ class Thesaurus:
     CPython int digit, and ``min_distance`` bisects, XORs and shifts
     one-digit ints.  Two nodes first differ at the level whose field holds
     the top set bit of ``k1 ^ k2``, so a reference distance is one table
-    lookup by that bit length.  ``members`` holds the references of each semicolon group
-    (empty for every other node), so every reference is a member;
-    ``index`` is ``build_index(self)``, whose tuples hold the same
-    reference objects.  For s references of one word and b >= s of the
-    other ``min_distance`` costs O(s log b), and ``pairs_within`` O(s + b)
-    plus one step per pair it yields, not s*b.
+    lookup by that bit length.  ``index`` is ``build_index(self)``, which
+    keeps each word's reference ids.  For s references of one word and
+    b >= s of the other ``min_distance`` costs O(s log b), and
+    ``pairs_within`` O(s + b) plus one step per pair it yields, not s*b.
 
-    Answers never change after construction: the columns, ``keys``,
-    ``members`` and the index values are tuples, and every query method is
-    safe to call concurrently.  The only state a query writes is the
-    private per-word cache of ``_word_keys``, which ``setdefault`` fills
-    with one tuple per index key at most, so it is bounded by the number
-    of references.
+    Answers never change after construction: the columns and ``keys`` are
+    tuples or arrays no method writes, ``nodes``, ``references``,
+    ``members`` and ``index`` are read-only, and every query method is
+    safe to call concurrently.  The only state a query writes is two
+    private per-word caches, each filled by ``setdefault`` with one tuple
+    per index key at most, so each is bounded by the index: the records
+    of a word's references, made on its first ``lookup`` or ``index``
+    read, and the sorted shifted keys of ``_word_keys``.
     """
 
     def __init__(self, nodes, references):
@@ -262,7 +369,7 @@ class Thesaurus:
             raise InvalidNodeError("a thesaurus needs a root node")
         for node_id, node in enumerate(nodes):
             parent, level = node.parent, node.level
-            if node.id != node_id:
+            if type(node.id) is not int or node.id != node_id:
                 raise InvalidNodeError("node %r is at position %d, not at its "
                                        "id" % (node.id, node_id))
             if level not in _LEVELS:
@@ -284,34 +391,55 @@ class Thesaurus:
                     pos, PartOfSpeech):
                 raise InvalidNodeError("POS paragraph %d's pos %r is not a "
                                        "PartOfSpeech" % (node_id, pos))
-        members = [()] * len(nodes)
-        for group, refs in groupby(references, attrgetter("semicolon_group")):
-            refs = tuple(refs)
+        for ref in references:
+            group = ref.semicolon_group
             if not (0 <= group < len(nodes)
                     and nodes[group].level == _GROUP_LEVEL):
                 raise InvalidReferenceError(
                     "reference %r at node %r is not in a semicolon group at "
-                    "depth %d" % (refs[0].entry_text, group, _GROUP_LEVEL))
-            members[group] += refs
+                    "depth %d" % (ref.entry_text, group, _GROUP_LEVEL))
+        texts, groups, poses, heads, keywords = (
+            list(map(attrgetter(f.name), references))
+            for f in fields(Reference))
+        groups, rows = array("i", groups), range(len(references))
+        # Each group's references, in the order given, are one run of the
+        # reference ids sorted stably by group.
+        member_ids = array("i", sorted(range(len(groups)),
+                                       key=groups.__getitem__))
         self._setup((tuple(n.parent for n in nodes),
                      tuple(int(n.level) for n in nodes),
                      tuple(n.label for n in nodes),
                      tuple(n.ordinal for n in nodes),
                      tuple(n.head_number for n in nodes),
-                     tuple(n.pos for n in nodes)), references, tuple(members))
+                     tuple(n.pos for n in nodes)),
+                    (texts, groups, rows, poses, heads, keywords),
+                    member_ids, array("i", map(groups.__getitem__, member_ids)))
 
     @classmethod
-    def _from_columns(cls, columns, references, members):
-        """A thesaurus of ``_columns``' output, well-formed by its rules."""
+    def _from_columns(cls, columns, references):
+        """A thesaurus of ``_columns``' output, well-formed by its rules.
+
+        ``references`` are the texts and groups of the references, whose
+        groups run in id order, and the POS, head number and keyword of
+        each group by node id; so the groups are the rows, and each group's
+        references are one run of the reference ids.
+        """
+        texts, groups, poses, heads, keywords = references
         thesaurus = cls.__new__(cls)
-        thesaurus._setup(columns, references, members)
+        thesaurus._setup(columns, (texts, groups, groups, poses, heads,
+                                   keywords), range(len(texts)), groups)
         return thesaurus
 
-    def _setup(self, columns, references, members):
+    def _setup(self, columns, references, member_ids, member_groups):
+        """Keep the node and reference columns and build the keys and index.
+
+        ``member_ids`` lists the reference ids grouped by semicolon group,
+        and ``member_groups`` the group of each, in the same order.
+        """
         (self.parents, self.levels, self.labels, self.ordinals,
          self.head_numbers, self.poses) = columns
-        self.references = references
-        self.members = members
+        self._columns = references
+        self._member_ids, self._member_groups = member_ids, member_groups
         self.root_id = 0
         self.keys, self._shifts = _pack_keys(self.parents, self.levels)
         # Indexed by the bit length of k1 ^ k2: the deepest level two keys
@@ -323,11 +451,37 @@ class Thesaurus:
         self._distance = tuple(MAX_DISTANCE - 2 * level
                                for level in self._levels)
         self.index = build_index(self)
+        self._records = self.index._records  # index key -> its references
         self._shifted = {}  # index key -> _word_keys(key), filled on first use
 
     @property
     def nodes(self):
-        return _Nodes(self)
+        return _Records(len(self.parents), self._node)
+
+    @property
+    def references(self):
+        return _Records(len(self._columns[0]), self._reference)
+
+    @property
+    def members(self):
+        return _Records(len(self.parents), self._members)
+
+    def _reference(self, i):
+        return _made(self._columns, (i,))[0]
+
+    def _member_ids_of(self, node_id):
+        """The ids of a node's references: a run of ``_member_ids``."""
+        groups = self._member_groups
+        start = bisect_left(groups, node_id)
+        return self._member_ids[start:bisect_right(groups, node_id, start)]
+
+    def _members(self, node_id):
+        return tuple(_made(self._columns, self._member_ids_of(node_id)))
+
+    def _entry_texts(self, node_id):
+        """The entry texts of a node's references, in the order given."""
+        return list(map(self._columns[0].__getitem__,
+                        self._member_ids_of(node_id)))
 
     @cached_property
     def child_ids(self):
@@ -350,7 +504,7 @@ class Thesaurus:
                         self.head_numbers[node_id], self.poses[node_id])
 
     def _checked(self, node_id):
-        if not isinstance(node_id, int) or not 0 <= node_id < len(self.parents):
+        if type(node_id) is not int or not 0 <= node_id < len(self.parents):
             raise InvalidNodeError("unknown node id: %r" % (node_id,))
         return node_id
 
@@ -388,18 +542,26 @@ class Thesaurus:
 
     def _key(self, ref):
         """Key of a reference's group, if the reference is a member."""
-        group = ref.semicolon_group
-        try:
-            members = self.members[group]
-        except (IndexError, TypeError):
-            members = ()
-        # Identity first: Reference equality is a Python-level call, and
-        # the references queried are nearly always this thesaurus's own.
-        for member in members:
-            if member is ref:
+        group, text = ref.semicolon_group, ref.entry_text
+        # Identity first, with the kept records of the word the entry text
+        # is indexed under: the references queried are nearly always this
+        # thesaurus's own, from ``lookup``, and Reference equality is a
+        # Python-level call.
+        kept = self._records.get(text)
+        if kept is None:
+            kept = self._records.get(self.index._aliases.get(text), ())
+        for own in kept:
+            if own is ref:
                 return self.keys[group]
-        if ref in members:
-            return self.keys[group]
+        # Then by value, with the group's references of the same text.
+        texts = self._columns[0]
+        try:
+            ids = self._member_ids_of(group)
+        except TypeError:
+            ids = ()
+        for i in ids:
+            if texts[i] == text and self._reference(i) == ref:
+                return self.keys[group]
         raise InvalidReferenceError(
             "reference %r is not a member of its semicolon group in this "
             "thesaurus" % (ref,))
@@ -424,7 +586,7 @@ class Thesaurus:
         w2, and neither is empty.  When they make few pairs each pair is
         measured by ``reference_distance``; a single pair is one such
         call, with a count of 1.  Otherwise each word's sorted keys come
-        from ``_word_keys``, read from its references once and then kept:
+        from ``_word_keys``, read from its groups once and then kept:
         each key of the shorter list is bisected into the longer one, where
         its closest key is its predecessor or its successor, and the pairs
         at that distance are counted by two more bisects per key, over the
@@ -491,9 +653,9 @@ class Thesaurus:
             # keys ran 6-10% slower on the benchmark's synonym-test
             # questions, whose op_p50_ms rose 7%.  A parsed thesaurus lists
             # a word's references in key order, so the sort is one pass.
-            keys = self.keys
+            keys, groups = self.keys, self._columns[1]
             shifted = self._shifted.setdefault(word, tuple(sorted([
-                keys[ref.semicolon_group] << 1 for ref in self.index[word]])))
+                keys[groups[i]] << 1 for i in self.index._ids_of(word)])))
         return shifted
 
     def pairs_within(self, refs1, refs2, distance):
@@ -543,4 +705,4 @@ class Thesaurus:
 
     def lookup(self, text):
         """New list of references whose normalized text is normalize(text)."""
-        return list(self.index.get(normalize(text), ()))
+        return list(self.index._read(normalize(text)))

@@ -430,9 +430,12 @@ def test_one_leading_byte_order_mark_is_dropped(tmp_path, parse, name,
 
 
 def test_parsed_references_equal_constructed_ones(thesaurus):
-    for ref in thesaurus.references:
+    read = [*thesaurus.references, *thesaurus.index["feline"],
+            *(ref for members in thesaurus.members for ref in members)]
+    for ref in read:
         built = Reference(ref.entry_text, ref.semicolon_group, ref.pos,
                           ref.head_number, ref.keyword)
+        assert type(ref) is Reference
         assert ref == built
         assert hash(ref) == hash(built)
         assert repr(ref) == repr(built)
@@ -446,6 +449,35 @@ def test_parsed_references_equal_constructed_ones(thesaurus):
     assert type(moved) is Reference
     assert moved == Reference(ref.entry_text, 0, ref.pos, ref.head_number,
                               ref.keyword)
+
+
+def test_parsed_records_read_the_document(thesaurus, fixture_text):
+    # Each reference's text is the document's entry, in document order, and
+    # its POS, head number and keyword are those of its POS paragraph, head
+    # and paragraph; members and the index hold the same records by value.
+    refs = list(thesaurus.references)
+    assert [r.entry_text for r in refs] == [
+        entry.strip() for line in fixture_text.splitlines()
+        if line.startswith("; ") for entry in line[2:].split("|")]
+    for ref in refs:
+        above = {n.level: n for n in thesaurus.ancestors(ref.semicolon_group)}
+        assert ref.pos is above[Level.POS_PARAGRAPH].pos
+        assert ref.head_number == above[Level.HEAD].head_number
+        assert ref.keyword == above[Level.PARAGRAPH].label
+    assert list(thesaurus.members) == [
+        tuple(r for r in refs if r.semicolon_group == node_id)
+        for node_id in range(len(thesaurus.nodes))]
+    assert dict(thesaurus.index) == {
+        key: tuple(r for r in refs if normalize(r.entry_text) == key)
+        for key in {normalize(r.entry_text) for r in refs}}
+
+
+def test_parse_makes_no_references(fixture_text):
+    before = {id(o) for o in gc.get_objects() if type(o) is Reference}
+    thesaurus = parse_interchange(fixture_text)
+    assert [o for o in gc.get_objects()
+            if type(o) is Reference and id(o) not in before] == []
+    assert thesaurus._records == {}
 
 
 def test_equal_entry_texts_share_one_string(thesaurus):

@@ -306,6 +306,28 @@ def test_word_distance_on_references_out_of_key_order(seed):
         assert thesaurus._word_keys("huge") is thesaurus._shifted["huge"]
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_a_built_thesaurus_keeps_the_references_given(seed):
+    # Random fields per reference, so those of one group differ, and
+    # spellings that share an index key, in no group or key order.
+    rng = random.Random(seed)
+    nodes, groups = layered_nodes(lambda depth, last: rng.randint(1, 2))
+    references = [Reference(rng.choice(["a", "A", "b", "B b", "c"]),
+                            rng.choice(groups), rng.choice(list(PartOfSpeech)),
+                            rng.randint(1, 9), rng.choice("xyz"))
+                  for _ in range(80)]
+    thesaurus = Thesaurus(nodes, references)
+    assert list(thesaurus.references) == references
+    assert list(thesaurus.members) == [
+        tuple(r for r in references if r.semicolon_group == node_id)
+        for node_id in range(len(nodes))]
+    assert dict(thesaurus.index) == {
+        key: tuple(r for r in references if normalize(r.entry_text) == key)
+        for key in {normalize(r.entry_text) for r in references}}
+    for key in thesaurus.index:
+        assert thesaurus.lookup(key) == list(thesaurus.index[key])
+
+
 @given(st.text())
 def test_normalize_is_idempotent(text):
     # The index and the key cache take a text equal to one of their keys

@@ -283,29 +283,35 @@ def test_first_reads_of_achieving_pairs_from_two_threads():
 
 
 def test_first_word_distances_from_several_threads():
-    # Eight threads make the first comparisons of four words of 1,000+
-    # references on a fresh thesaurus, each in its own order and half of
-    # them with other spellings, so they fill the per-word key cache at
-    # once.  A tiny switch interval makes the fills overlap.
+    # Eight threads make the first lookups and then the first comparisons
+    # of four words of 1,000+ references on a fresh thesaurus, each in its
+    # own order and half of them with other spellings, so they fill the
+    # per-word caches of records and of keys at once.  A tiny switch
+    # interval makes the fills overlap.
     words = ("alpha", "beta", "gamma", "delta")
     pairs = [(w1, w2) for w1 in words for w2 in words]
     serial_thesaurus = frequent_words_thesaurus()
     serial = [(r.min_distance, r.pair_count) for r in (
         word_min_distance(serial_thesaurus, w1, w2) for w1, w2 in pairs)]
+    serial_refs = {w: serial_thesaurus.lookup(w) for w in words}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
             thesaurus = frequent_words_thesaurus()
-            barrier, outcomes = threading.Barrier(8), {}
+            barrier, outcomes, found = threading.Barrier(8), {}, {}
 
             def compare(turn):
                 order = pairs[turn:] + pairs[:turn]
+                spellings = list(words[turn % 4:] + words[:turn % 4])
                 if turn % 2:
                     order = [(" %s " % w1.upper(), w2.title())
                              for w1, w2 in order]
+                    spellings = [" %s " % w.upper() for w in spellings]
                 barrier.wait(timeout=60)
                 try:
+                    found[turn] = {w.strip().lower(): thesaurus.lookup(w)
+                                   for w in spellings}
                     results = [word_min_distance(thesaurus, w1, w2)
                                for w1, w2 in order]
                     answers = [(r.min_distance, r.pair_count)
@@ -323,6 +329,14 @@ def test_first_word_distances_from_several_threads():
                 assert not thread.is_alive()
             assert outcomes == {turn: serial for turn in range(8)}
             assert sorted(thesaurus._shifted) == sorted(words)
+            # One tuple of records is kept per word, and every thread's
+            # first lookup returned its records, equal to the serial ones.
+            assert sorted(thesaurus._records) == sorted(words)
+            for refs in found.values():
+                for word in words:
+                    assert refs[word] == serial_refs[word]
+                    assert all(a is b for a, b in zip(
+                        refs[word], thesaurus._records[word], strict=True))
     finally:
         sys.setswitchinterval(interval)
 

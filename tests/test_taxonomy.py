@@ -1,6 +1,7 @@
 """Tree queries: LCA, edge distance, path rendering."""
 
 import dataclasses
+import gc
 import random
 from collections import deque
 
@@ -111,6 +112,39 @@ def test_distance_rejects_foreign_reference(thesaurus):
             thesaurus.reference_distance(thesaurus.references[0], stray)
         with pytest.raises(InvalidReferenceError):
             thesaurus.tree_path(stray, thesaurus.references[0])
+
+
+def test_a_lookup_makes_its_words_records_once(fixture_text):
+    thesaurus = parse_interchange(fixture_text)
+    before = {id(o) for o in gc.get_objects() if type(o) is Reference}
+    refs = thesaurus.lookup("Feline")
+    made = [o for o in gc.get_objects()
+            if type(o) is Reference and id(o) not in before]
+    assert len(refs) == 3
+    assert sorted(map(id, made)) == sorted(map(id, refs))
+    # Later reads return the kept records: a new list of the same objects.
+    again = thesaurus.lookup(" feline ")
+    assert again is not refs
+    for read in (again, thesaurus.index["feline"]):
+        assert all(a is b for a, b in zip(read, refs, strict=True))
+    assert list(thesaurus._records) == ["feline"]
+
+
+def test_bool_node_ids_are_refused(thesaurus):
+    for node_id in (True, False):
+        for query in (thesaurus.node, thesaurus.ancestors):
+            with pytest.raises(InvalidNodeError,
+                               match="^unknown node id: %r$" % node_id):
+                query(node_id)
+    with pytest.raises(InvalidNodeError, match="^unknown node id: True$"):
+        thesaurus.lowest_common_ancestor(True, False)
+    nodes = parse_interchange(MINIMAL).nodes[:]
+    for position, node_id in ((0, False), (1, True)):
+        bad = nodes[:]
+        bad[position] = dataclasses.replace(nodes[position], id=node_id)
+        with pytest.raises(InvalidNodeError, match="^node %r is at position "
+                           "%d, not at its id$" % (node_id, position)):
+            Thesaurus(bad, [])
 
 
 def test_distance_accepts_an_equal_copy(thesaurus, fixture_text):
@@ -259,6 +293,7 @@ def test_iterators_build_the_same_thesaurus():
     built = Thesaurus(iter(parsed.nodes), iter(parsed.references))
     assert built.references == parsed.references
     assert built.members == parsed.members
+    assert built.nodes == parsed.nodes
     assert built.index == parsed.index
 
 
@@ -283,7 +318,7 @@ def test_reference_outside_a_semicolon_group_is_rejected(group):
                                 semicolon_group=group)
     with pytest.raises(InvalidReferenceError, match="^reference 'stray' at "
                        "node %d is not in a semicolon group" % group):
-        Thesaurus(parsed.nodes, parsed.references + [stray])
+        Thesaurus(parsed.nodes, [*parsed.references, stray])
 
 
 def test_reference_at_depth_8_outside_a_semicolon_group_is_rejected():
