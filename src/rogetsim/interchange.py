@@ -19,12 +19,13 @@ emitting level L without a live L-1 ancestor is a hard parse error, as
 are duplicate head numbers and empty semicolon groups.  One leading
 byte-order mark is dropped, from a string, a stream or a file alike.
 
-``parse_interchange`` reads the document in one pass: each record is
-appended to the per-node columns of ``Thesaurus``, each entry text to one
-per-reference column and each semicolon group's POS, head and keyword to
-per-group columns, which are put at the group's node id after the pass.
-No node or ``Reference`` objects are built.  ``serialize``,
-``validate_structure`` and ``structure_signature`` read those columns.
+``parse_interchange`` reads the document line by line, appending each
+record to the per-node columns of ``Thesaurus``; the entries of the
+semicolon groups are split, stripped and appended to one per-reference
+column a block of groups at a time, and each group's POS, head and keyword
+are read from its ancestors after the last line.  No node or ``Reference``
+objects are built.  ``serialize``, ``validate_structure`` and
+``structure_signature`` read those columns.
 """
 
 import gc
@@ -32,7 +33,7 @@ import io
 from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from typing import NamedTuple
 
 from .errors import ParseError
@@ -67,22 +68,38 @@ _POS_TAGS = {pos.value: pos for pos in PartOfSpeech}
 # Levels whose records carry an ordinal, which siblings must not share.
 _ORDINAL_LEVELS = frozenset([Level.CLASS, Level.SECTION, Level.SUB_SECTION,
                              Level.HEAD_GROUP, Level.PARAGRAPH])
+# Semicolon groups whose payloads ``_columns`` splits and strips together.
+# Splitting all 48,000 of the benchmark's seed-1 thesaurus at once raised a
+# load's peak RSS from 53.3 to 58.3 MB (Python 3.11); in blocks of this size
+# the splitting is as fast and the peak stays at 53.3 MB.
+_BLOCK = 1024
+_EMPTY_ENTRY = "empty semicolon group entry"
 
 
-def data_lines(source):
-    """Yield (1-based line number, line) for each non-blank, non-'#' line.
+def _numbered_lines(source):
+    """(1-based line number, line) of every line of ``source``.
 
     ``source`` is a string or a text stream.  A string is read as a stream
     with universal newlines, so it splits into lines exactly as a file
     opened in text mode does.  One byte-order mark (U+FEFF) at the start
-    of the source is dropped; anywhere else it is text.  The line keeps its
-    whitespace but not its line ending.
+    of the source is dropped; anywhere else it is text.  A line keeps its
+    line ending.
     """
     if isinstance(source, str):
         source = io.StringIO(source, newline=None)
     lines = iter(source)
     first = next(lines, "").removeprefix("\ufeff")
-    for line_no, raw in enumerate(chain((first,), lines), start=1):
+    return enumerate(chain((first,), lines), start=1)
+
+
+def data_lines(source):
+    """Yield (1-based line number, line) for each non-blank, non-'#' line.
+
+    The lines are those of ``_numbered_lines``: ``source`` is a string or a
+    text stream, and one leading byte-order mark is dropped.  The line
+    keeps its whitespace but not its line ending.
+    """
+    for line_no, raw in _numbered_lines(source):
         line = raw.rstrip("\n").rstrip("\r")
         text = line.lstrip()
         if text and text[0] != "#":
@@ -110,11 +127,12 @@ def parse_interchange(source):
     """Parse interchange text (a string or a text stream) into a Thesaurus.
 
     The cyclic garbage collector is paused meanwhile: at the 1987
-    edition's scale the parse makes some 200,000 short-lived lists (each
-    line's fields, each word's reference ids), and no reference cycles, so
-    the collections they would set off find nothing to free.  The pause
-    ends by moving the few tracked objects left to the oldest generation,
-    untraversed (``gc.freeze`` then ``gc.unfreeze``).
+    edition's scale the index build makes one list of reference ids per
+    word, some 64,000, which live until the index packs them into an
+    array, and no reference cycles, so the 90 or so collections they would
+    set off find nothing to free.  The pause ends by moving the few tracked
+    objects left to the oldest generation, untraversed (``gc.freeze`` then
+    ``gc.unfreeze``).
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -127,91 +145,145 @@ def parse_interchange(source):
             gc.enable()
 
 
+def _first_empty(payloads, line_numbers):
+    """The line number of the first group payload with an empty entry, if
+    any."""
+    for payload, line_no in zip(payloads, line_numbers):
+        if "" in map(str.strip, payload.split("|")):
+            return line_no
+    return None
+
+
 def _columns(source):
     """(Node columns, reference columns) of the interchange text.
 
-    One pass appends each record to per-node columns, each semicolon
-    group's entry texts to one per-reference column, and the group's id,
-    POS, head, keyword and size to per-group columns.  Equal entry texts
-    share one string.  Then the group ids are repeated over each group's
-    references, and its POS, head and keyword are put at its node id.
+    The loop over the lines keeps the tree: it appends each record to the
+    per-node columns, a semicolon group with no label yet, and keeps each
+    group's payload and line number.  Every ``_BLOCK`` groups, and after
+    the last line, the payloads kept are joined, split into entries and
+    stripped, each in one pass over the block, and the entry texts are
+    appended to one per-reference column, equal texts sharing one string.
+    After the loop each group's label, its first entry, is read from that
+    column; its paragraph's keyword, and label, is its first group's label;
+    and its POS, head and keyword are read from its ancestors and put at
+    its node id.  Errors are raised in document order: one the loop raises
+    gives way to an empty entry in a group not yet split, which comes
+    before it.
     """
     parents, levels, labels, ordinals = [-1], [0], ["T"], [0]
     head_numbers, poses = [None], [None]
-    texts = []  # per reference
-    groups, group_poses, group_heads, keywords, sizes = [], [], [], [], []
+    groups = []  # node id of each semicolon group
+    texts, sizes = [], []  # per reference; per group its entry count
+    payloads, payload_lines = [], []  # of the groups not yet split
     share = {}.setdefault  # entry text -> its one string object
-    open_ids = [0] * 9   # most recent node id per level
-    counts = [0] * 10    # children so far of the open node one level up
+    open_ids = [0] * 8   # most recent node id per level
+    counts = [0] * 9     # children so far of the open node one level up
     depth = 0            # level of the last record: levels 0..depth are open
     seen_heads = set()
-    head = pos = keyword = None  # of the open head, POS and paragraph
 
-    for line_no, line in data_lines(source):
-        parts = line.split(None, 1)
-        kind = parts[0]
-        level = _KEYWORD_LEVELS.get(kind)
-        if level is None:
-            _fail("unknown record keyword %r" % kind, line_no)
-        if level > depth + 1:
-            _fail("%s record has no open %s to attach to (nesting rule: "
-                  "level %d attaches to the most recent level %d record)"
-                  % (_RECORDS[level].name, _RECORDS[level - 1].name,
-                     level, level - 1), line_no)
-        payload = parts[1].strip() if len(parts) > 1 else ""
-        node_id, parent = len(parents), open_ids[level - 1]
-        counts[level] += 1
-        counts[level + 1] = 0
-        label, ordinal, number, tag = "", counts[level], None, None
-        if kind == ";":
-            entries = list(map(str.strip, payload.split("|")))
-            if "" in entries:
-                _fail("empty semicolon group entry", line_no, 3)
-            start = len(texts)
-            texts += map(share, entries, entries)
-            label = texts[start]
-            if not keyword:  # paragraph keyword = first entry, first group
-                keyword = labels[parent] = label
-            groups.append(node_id)
-            group_poses.append(pos)
-            group_heads.append(head)
-            keywords.append(keyword)
-            sizes.append(len(entries))
-        elif kind == "Q":
-            try:
-                ordinal = int(payload)
-            except ValueError:
-                _fail("paragraph record has non-integer ordinal %r" % payload,
-                      line_no, 3)
-            keyword = ""
-        elif kind == "P":
-            pos = tag = _POS_TAGS.get(payload)
-            if tag is None:
-                _fail("POS must be one of N, ADJ, VB, ADV, got %r" % payload,
-                      line_no, 3)
-            label = payload
-        elif kind == "H":
-            number, label = _ordinal_and_label(payload, level, line_no)
-            if number <= 0:
-                _fail("head number must be positive, got %d" % number,
-                      line_no, 3)
-            if number in seen_heads:
-                _fail("duplicate head number %d" % number, line_no, 3)
-            seen_heads.add(number)
-            head = number
-        else:
-            ordinal, label = _ordinal_and_label(payload, level, line_no)
-        parents.append(parent)
-        levels.append(level)
-        labels.append(label)
-        ordinals.append(ordinal)
-        head_numbers.append(number)
-        poses.append(tag)
-        open_ids[level] = node_id
-        depth = level
+    def split_payloads():
+        entries = list(map(str.strip, "|".join(payloads).split("|")))
+        if "" in entries:
+            _fail(_EMPTY_ENTRY, _first_empty(payloads, payload_lines), 3)
+        texts.extend(map(share, entries, entries))
+        sizes.extend(map((1).__add__, map(str.count, payloads, repeat("|"))))
+        payloads.clear()
+        payload_lines.clear()
 
+    try:
+        for line_no, line in _numbered_lines(source):
+            parts = line.split(None, 1)
+            if not parts:
+                continue
+            kind = parts[0]
+            if kind == ";" and depth > 6 and len(parts) == 2:
+                payloads.append(parts[1])
+                payload_lines.append(line_no)
+                node_id, parent = len(parents), open_ids[7]
+                groups.append(node_id)
+                parents.append(parent)
+                levels.append(8)
+                labels.append(None)
+                ordinals.append(node_id - parent)  # a paragraph's groups
+                head_numbers.append(None)          # follow it
+                poses.append(None)
+                depth = 8
+                if len(payloads) == _BLOCK:
+                    split_payloads()
+                continue
+            if kind[0] == "#":
+                continue
+            level = _KEYWORD_LEVELS.get(kind)
+            if level is None:
+                _fail("unknown record keyword %r" % kind, line_no)
+            if level > depth + 1:
+                _fail("%s record has no open %s to attach to (nesting rule: "
+                      "level %d attaches to the most recent level %d record)"
+                      % (_RECORDS[level].name, _RECORDS[level - 1].name,
+                         level, level - 1), line_no)
+            if kind == ";":  # a group with no payload
+                _fail(_EMPTY_ENTRY, line_no, 3)
+            payload = parts[1].strip() if len(parts) > 1 else ""
+            node_id, parent = len(parents), open_ids[level - 1]
+            counts[level] += 1
+            counts[level + 1] = 0
+            label, ordinal, number, tag = "", counts[level], None, None
+            if kind == "Q":
+                try:
+                    ordinal = int(payload)
+                except ValueError:
+                    _fail("paragraph record has non-integer ordinal %r"
+                          % payload, line_no, 3)
+            elif kind == "P":
+                tag = _POS_TAGS.get(payload)
+                if tag is None:
+                    _fail("POS must be one of N, ADJ, VB, ADV, got %r"
+                          % payload, line_no, 3)
+                label = payload
+            elif kind == "H":
+                number, label = _ordinal_and_label(payload, level, line_no)
+                if number <= 0:
+                    _fail("head number must be positive, got %d" % number,
+                          line_no, 3)
+                if number in seen_heads:
+                    _fail("duplicate head number %d" % number, line_no, 3)
+                seen_heads.add(number)
+            else:
+                ordinal, label = _ordinal_and_label(payload, level, line_no)
+            parents.append(parent)
+            levels.append(level)
+            labels.append(label)
+            ordinals.append(ordinal)
+            head_numbers.append(number)
+            poses.append(tag)
+            open_ids[level] = node_id
+            depth = level
+    except (ParseError, UnicodeDecodeError):
+        # The groups not yet split come before the line that raised, or the
+        # text that could not be decoded.
+        line_no = _first_empty(payloads, payload_lines)
+        if line_no is None:
+            raise
+        raise ParseError(_EMPTY_ENTRY, line=line_no, column=3) from None
+    if payloads:
+        split_payloads()
+
+    # A group's label is its first entry, and a paragraph's keyword, which
+    # is its label and its groups' keyword, the first entry of its first
+    # group.
+    firsts = list(map(texts.__getitem__,
+                      list(accumulate(sizes, initial=0))[:-1]))
+    paragraphs = list(map(parents.__getitem__, groups))
+    keyword_of = {}  # paragraph id -> its keyword
+    keywords = list(map(keyword_of.setdefault, paragraphs, firsts))
+    deque(map(labels.__setitem__, chain(groups, keyword_of),
+              chain(firsts, keyword_of.values())), maxlen=0)
+    pos_paragraphs = list(map(parents.__getitem__, paragraphs))
     by_node = []
-    for column in (group_poses, group_heads, keywords):
+    for column in (map(poses.__getitem__, pos_paragraphs),
+                   map(head_numbers.__getitem__,
+                       map(parents.__getitem__, pos_paragraphs)),
+                   keywords):
         values = [None] * len(parents)
         deque(map(values.__setitem__, groups, column), maxlen=0)
         by_node.append(values)

@@ -553,15 +553,22 @@ class Thesaurus:
         for own in kept:
             if own is ref:
                 return self.keys[group]
-        # Then by value, with the group's references of the same text.
-        texts = self._columns[0]
-        try:
-            ids = self._member_ids_of(group)
-        except TypeError:
-            ids = ()
+        # Then by value, as Reference equality would compare it, with the
+        # columns of the group's references of the same text; no record is
+        # made.
+        texts, _, rows, poses, heads, keywords = self._columns
+        ids = ()
+        if type(ref) is Reference:
+            try:
+                ids = self._member_ids_of(group)
+            except TypeError:
+                pass
         for i in ids:
-            if texts[i] == text and self._reference(i) == ref:
-                return self.keys[group]
+            if texts[i] == text:
+                row = rows[i]
+                if (poses[row], heads[row], keywords[row]) == (
+                        ref.pos, ref.head_number, ref.keyword):
+                    return self.keys[group]
         raise InvalidReferenceError(
             "reference %r is not a member of its semicolon group in this "
             "thesaurus" % (ref,))

@@ -123,16 +123,33 @@ PARSE_ERRORS = [
     (MINIMAL + "; a |\n", 9, 3, "empty semicolon group entry"),
     (MINIMAL + ";\n", 9, 3, "empty semicolon group entry"),
     (MINIMAL + "; \n", 9, 3, "empty semicolon group entry"),
+    # Groups are split a block at a time, and the test below also runs
+    # each document in blocks of two: an empty entry in the first group,
+    # in the first group past a block of two, and in the last group, which
+    # is split after the last line.
+    (MINIMAL.replace("; word", "; | word") + "; b\n; c\nQ 2\n; d\n", 8, 3,
+     "empty semicolon group entry"),
+    (MINIMAL + "; b\nQ 2\n; c |\n; d\n", 11, 3,
+     "empty semicolon group entry"),
+    (MINIMAL + "; b\n; c\nQ 2\n; d\n; e | | f\n", 13, 3,
+     "empty semicolon group entry"),
+    # Of two errors, the first in the document is raised, whichever kind.
+    (MINIMAL + "; b | \n# note\nX 1 What\n", 9, 3,
+     "empty semicolon group entry"),
+    (MINIMAL + "X 1 What\n; b | \n", 9, 1, "unknown record keyword 'X'"),
 ]
 
 
 @pytest.mark.parametrize("document,line,column,message", PARSE_ERRORS)
-def test_parse_error_is_pinned(document, line, column, message):
-    with pytest.raises(ParseError) as info:
-        parse_interchange(document)
-    error = info.value
-    assert (error.line, error.column) == (line, column)
-    assert str(error) == "line %d, column %d: %s" % (line, column, message)
+def test_parse_error_is_pinned(document, line, column, message, monkeypatch):
+    for block in (interchange._BLOCK, 2):
+        monkeypatch.setattr(interchange, "_BLOCK", block)
+        with pytest.raises(ParseError) as info:
+            parse_interchange(document)
+        error = info.value
+        assert (error.line, error.column) == (line, column)
+        assert str(error) == "line %d, column %d: %s" % (line, column,
+                                                          message)
 
 
 def test_line_endings_split_like_a_file(tmp_path):
@@ -161,6 +178,16 @@ def test_load_reports_bytes_that_are_not_utf8(tmp_path, ending):
     line = 2000 + MINIMAL.count("\n") + 1
     assert str(info.value) == (
         "line %d, column 6: byte 0xe9 is not UTF-8" % line)
+
+
+def test_load_reports_an_empty_entry_before_a_bad_byte(tmp_path):
+    # The bad byte lies past the first 8 KiB, which decode before it.
+    path = tmp_path / "bad.rt"
+    path.write_bytes((MINIMAL + "; a | \n" + "# café\n" * 2000).encode()
+                     + b"; caf\xe9\n")
+    with pytest.raises(ParseError) as info:
+        load(path)
+    assert str(info.value) == "line 9, column 3: empty semicolon group entry"
 
 
 def test_load_reads_a_pipe_once(tmp_path):

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from rogetsim import (MAX_DISTANCE, GutenbergImportError, InvalidNodeError,
                       Level, ParseError, PartOfSpeech, Reference, TaxonomyNode,
                       Thesaurus, evaluate_choice, import_gutenberg_1911,
-                      load_pairs, load_questions, parse_interchange,
-                      normalize, serialize, structure_signature, taxonomy,
-                      validate_structure, word_min_distance)
+                      interchange, load_pairs, load_questions,
+                      parse_interchange, normalize, serialize,
+                      structure_signature, taxonomy, validate_structure,
+                      word_min_distance)
 from tests.conftest import data_path
 from tests.test_interchange import MINIMAL
 from tests.test_taxonomy import (bfs_distance, tree_from_parents,
@@ -74,6 +75,16 @@ def shaped_trees(draw):
 def test_serialize_round_trip(thesaurus):
     reparsed = parse_interchange(serialize(thesaurus))
     assert structure_signature(reparsed) == structure_signature(thesaurus)
+
+
+@settings(deadline=None)
+@given(thesauri(), st.integers(1, 3))
+def test_serialize_round_trip_in_small_blocks(thesaurus, block):
+    # Groups are split a block at a time; with small blocks the boundaries
+    # fall inside paragraphs and between them.
+    text = serialize(thesaurus)
+    with mock.patch.object(interchange, "_BLOCK", block):
+        assert serialize(parse_interchange(text)) == text
 
 
 @settings(deadline=None)

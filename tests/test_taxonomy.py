@@ -10,7 +10,7 @@ import pytest
 from rogetsim import (InvalidNodeError, InvalidReferenceError, Level,
                       PartOfSpeech, Reference, TaxonomyNode, Thesaurus,
                       enumerate_shortest_paths, load, parse_interchange,
-                      word_min_distance)
+                      taxonomy, word_min_distance)
 from tests.conftest import FIXTURE_PATH, TIER_PAIRS
 from tests.test_interchange import MINIMAL  # nodes 0-8, the group is node 8
 
@@ -128,6 +128,34 @@ def test_a_lookup_makes_its_words_records_once(fixture_text):
     for read in (again, thesaurus.index["feline"]):
         assert all(a is b for a, b in zip(read, refs, strict=True))
     assert list(thesaurus._records) == ["feline"]
+
+
+def test_equal_copies_are_measured_without_new_records(fixture_text,
+                                                       monkeypatch):
+    thesaurus = parse_interchange(fixture_text)
+    copies = list(thesaurus.references)  # equal to the kept records
+    # Every record is made by taxonomy._made, kept or not.
+    made, make = [], taxonomy._made
+    monkeypatch.setattr(taxonomy, "_made",
+                        lambda columns, ids: made.extend(ids)
+                        or make(columns, ids))
+    distances = [thesaurus.reference_distance(a, b)
+                 for a, b in zip(copies, reversed(copies))]
+    assert made == []
+    monkeypatch.undo()
+    kept = {ref: ref for key in thesaurus.index
+            for ref in thesaurus.index[key]}
+    assert distances == [thesaurus.reference_distance(kept[a], kept[b])
+                         for a, b in zip(copies, reversed(copies))]
+    # A copy of the same text and group but another keyword, POS or head
+    # is not a member.
+    ref = copies[0]
+    pos = next(p for p in PartOfSpeech if p is not ref.pos)
+    for change in ({"keyword": ref.keyword + "x"}, {"pos": pos},
+                   {"head_number": ref.head_number + 1}):
+        stray = dataclasses.replace(ref, **change)
+        with pytest.raises(InvalidReferenceError):
+            thesaurus.reference_distance(ref, stray)
 
 
 def test_bool_node_ids_are_refused(thesaurus):
