@@ -149,8 +149,9 @@ def outlier_report(report, threshold=4.0):
 def load_pairs(source):
     """Parse the TSV pair format.
 
-    First line: ``scale<TAB><min><TAB><max>``; then one
-    ``word1<TAB>word2<TAB>human_score`` row per line, '#' comments.
+    First line: ``scale<TAB><min><TAB><max>``, finite bounds with max
+    above min; then one ``word1<TAB>word2<TAB>human_score`` row per line,
+    each score within the bounds, '#' comments.
     Returns (PairScale, [ScoredPair, ...]).
     """
     scale = None
@@ -166,6 +167,12 @@ def load_pairs(source):
                 scale = PairScale(low=float(fields[1]), high=float(fields[2]))
             except ValueError:
                 raise ParseError("scale bounds must be numbers", line=line_no)
+            for column, name, bound in ((2, "min", scale.low),
+                                        (3, "max", scale.high)):
+                if not math.isfinite(bound):
+                    raise ParseError("scale %s %s is not a finite number"
+                                     % (name, fields[column - 1]),
+                                     line=line_no, column=column)
             if scale.high <= scale.low:
                 raise ParseError("scale max must exceed scale min",
                                  line=line_no)

@@ -15,10 +15,11 @@ cost O(s log b), not s*b distance computations (see
 ``Thesaurus.min_distance``, which measures up to 16 pairs one by one).
 Past 16 pairs each word's sorted group keys come from a per-word cache
 in the thesaurus, filled on the word's first such comparison, so a
-frequent word compared again does not re-read its references, and each
-key of the word with fewer references is bisected into the other's; the
-minimizing pairs themselves are built only when ``achieving_pairs`` is
-read.
+frequent word compared again does not re-read its references.  Each key
+of the word with fewer references is bisected into the other's, and only
+the keys whose closest key is at the minimum are bisected again to count
+the pairs; the minimizing pairs themselves are built only when
+``achieving_pairs`` is read.
 """
 
 from dataclasses import dataclass, field

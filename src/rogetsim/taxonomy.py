@@ -43,9 +43,11 @@ _GROUP_LEVEL = 8  # the depth of every semicolon group; no node is deeper
 
 # Thesaurus.min_distance measures each pair with reference_distance, instead
 # of bisecting cached keys, while there are at most this many pairs.  With
-# the keys cached, bisecting is the cheaper way from about 4 pairs (1x4 and
-# 2x2; a 5x5 call takes 16 us pair by pair and 5 us bisected on a 2-vCPU VM
-# with Python 3.11), but the value stays 16 because the traced benchmark
+# the keys cached, bisecting is the cheaper way from about 4 pairs.  Per
+# call, pair by pair against bisected, on a 2-vCPU VM with Python 3.11
+# (seed-1 benchmark thesaurus, best of 9 interleaved rounds): 1x1 0.6 and
+# 1.6 us, 1x3 1.7 and 1.7, 1x4 2.2 and 1.8, 2x2 2.0 and 2.0, and 5x5 11-14
+# and 2.7-2.9.  The value stays 16 because the traced benchmark
 # pins the per-pair reference_distance calls it gives; ROADMAP item 1
 # re-chooses it once the benchmark stops counting them.  It is read at call
 # time, so tests can patch it here.
@@ -594,10 +596,12 @@ class Thesaurus:
         measured by ``reference_distance``; a single pair is one such
         call, with a count of 1.  Otherwise each word's sorted keys come
         from ``_word_keys``, read from its groups once and then kept:
-        each key of the shorter list is bisected into the longer one, where
-        its closest key is its predecessor or its successor, and the pairs
-        at that distance are counted by two more bisects per key, over the
-        keys that agree with it down to the shared level.  For s references
+        each key of the shorter list is bisected into the longer one, from
+        where the key before it landed, and its closest key is its
+        predecessor or its successor there.  The pairs at the least of
+        those distances are counted by two more bisects for each key whose
+        closest key is at that distance, over the keys that agree with it
+        down to the shared level; no other key has any.  For s references
         of one word and b >= s of the other that is O(s log b), so the cost
         hardly grows with the larger word.
         """
@@ -618,26 +622,27 @@ class Thesaurus:
         if len(small) > len(big):
             small, big = big, small
         # The key of big closest to k by XOR is its predecessor or its
-        # successor, big[i - 1] or big[i] for k's place i.  Capping i at
+        # successor, big[i - 1] or big[i] for k's place i; small is sorted,
+        # so each search starts at the last key's place.  Capping i at
         # len(big) - 1 keeps big[i] a key; at 0, big[i - 1] is the last key,
         # so both stay real pairs, and a one-key big is compared with itself.
-        last, closest = len(big) - 1, big[0] ^ small[0]
+        last, i, nearest = len(big) - 1, 0, []
         for k in small:
-            i = bisect_left(big, k, 0, last)
-            x = k ^ big[i]
-            if x < closest:
-                closest = x
-            x = k ^ big[i - 1]
-            if x < closest:
-                closest = x
-        distance = self._distance[(closest >> 1).bit_length()]
+            i = bisect_left(big, k, i, last)
+            x, y = k ^ big[i], k ^ big[i - 1]
+            nearest.append(x if x < y else y)
+        distance = self._distance[(min(nearest) >> 1).bit_length()]
         # The keys of big that share k's fields down to the closest pairs'
-        # level are those in [start, start + step).
+        # level are those in [start, start + step).  Only a k whose nearest
+        # key shares them has any, as the nearest key shares the longest
+        # prefix, so only such keys are bisected again.
         shift = self._shift(distance) + 1
         step, count = 1 << shift, 0
-        for k in small:
-            start = k >> shift << shift
-            count += bisect_left(big, start + step) - bisect_left(big, start)
+        for k, x in zip(small, nearest):
+            if not x >> shift:
+                start = k >> shift << shift
+                count += (bisect_left(big, start + step)
+                          - bisect_left(big, start))
         return distance, count
 
     def _word_keys(self, text):

@@ -186,3 +186,19 @@ def test_load_pairs_string_splits_like_stream(separator):
 def test_load_pairs_rejects_malformed(text):
     with pytest.raises(ParseError):
         load_pairs(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("scale\t0\tinf\nfeline\tlynx\t3\n",
+     "line 1, column 3: scale max inf is not a finite number"),
+    ("scale\t-inf\t4\nfeline\tlynx\t3\n",
+     "line 1, column 2: scale min -inf is not a finite number"),
+    ("scale\tnan\t4\nfeline\tlynx\t3\n",
+     "line 1, column 2: scale min nan is not a finite number"),
+])
+def test_load_pairs_rejects_a_scale_bound_that_is_not_finite(text, message):
+    # Each loaded before: an infinite max mapped every human score to 0.0,
+    # an infinite min gave NaN gaps, and a NaN min failed at line 2.
+    with pytest.raises(ParseError) as caught:
+        load_pairs(text)
+    assert str(caught.value) == message

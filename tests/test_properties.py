@@ -1,5 +1,6 @@
 """Property tests on small generated thesauri."""
 
+import bisect
 import random
 from unittest import mock
 
@@ -315,6 +316,99 @@ def test_word_distance_on_references_out_of_key_order(seed):
     # A kept word's own key is read without normalizing it again.
     with mock.patch.object(taxonomy, "normalize", side_effect=AssertionError):
         assert thesaurus._word_keys("huge") is thesaurus._shifted["huge"]
+
+
+def placed_thesaurus(places):
+    """A thesaurus with each word of ``places`` in the groups it lists.
+
+    The tree has two classes and two children per node below them, but
+    four paragraphs per POS paragraph and four groups per paragraph; a
+    word's places index its 1,024 groups in key order, so groups 0-511 are
+    class 1's, 4p to 4p + 3 share paragraph p, and paragraphs 4q to
+    4q + 3 share a POS paragraph.  Ranks 1 to 4 fill a field of 3 bits.
+    """
+    nodes, groups = layered_nodes(
+        lambda depth, last: 4 if depth >= Level.POS_PARAGRAPH else 2)
+    return Thesaurus(nodes, [
+        Reference(word, groups[place], PartOfSpeech.NOUN, 1, word)
+        for word, word_places in places.items() for place in word_places])
+
+
+def counted_min_distance(thesaurus, w1, w2, few_pairs=taxonomy._FEW_PAIRS):
+    """min_distance of two words and the bisect_left calls it made.
+
+    Each call is kept as (its arguments, its result).
+    """
+    refs1, refs2 = thesaurus.lookup(w1), thesaurus.lookup(w2)
+    calls = []
+
+    def bisect_left(*args):
+        calls.append((args, bisect.bisect_left(*args)))
+        return calls[-1][1]
+
+    # min_distance reads bisect_left from its module's globals at call time.
+    with mock.patch.object(taxonomy, "bisect_left", bisect_left), \
+            mock.patch.object(taxonomy, "_FEW_PAIRS", few_pairs):
+        result = thesaurus.min_distance(w1, refs1, w2, refs2)
+    best, pairs = pair_loop(thesaurus, w1, w2)
+    assert result == (best, len(pairs))
+    return result, calls
+
+
+def test_only_keys_that_reach_the_minimum_are_bisected_again():
+    # "big" is in the first group of the second paragraph (rank 0b010) of
+    # the first eight POS paragraphs.  Two of "small"'s five keys share a
+    # paragraph with one of them.  Group 8, in the third paragraph (rank
+    # 0b011), differs from group 4 only in the paragraph field's lowest
+    # bit, one bit above the fields the minimum's pairs share; group 161
+    # lies under another POS paragraph and group 1023 in class 2.
+    thesaurus = placed_thesaurus({"big": range(4, 128, 16),
+                                  "small": [5, 8, 37, 161, 1023]})
+    for w1, w2 in (("small", "big"), ("big", "small")):
+        result, calls = counted_min_distance(thesaurus, w1, w2)
+        # One search bisect per key of "small", two counting ones for
+        # each of the two keys at distance 2.
+        assert (result, len(calls)) == ((2, 2), 5 + 2 * 2)
+        # Each search starts where the one before it ended.
+        starts = [args[2] for args, _ in calls[:5]]
+        assert starts == [0] + [found for _, found in calls[:4]]
+        assert starts[-1] > 0
+
+
+def test_the_minimum_through_the_last_key_before_every_key():
+    # In one paragraph the group ranks 1, 2 and 3 are 0b001, 0b010 and
+    # 0b011 in the group field: group 0's key precedes both of "big"'s, and is
+    # nearer by XOR to big[-1] than to big[0].  The search reads big[-1]
+    # at i == 0, so that pair gives the least XOR; both lie at distance 2.
+    thesaurus = placed_thesaurus({"one": [0], "big": [1, 2]})
+    (k,), big = thesaurus._word_keys("one"), thesaurus._word_keys("big")
+    assert k < big[0] and k ^ big[-1] < k ^ big[0]
+    for w1, w2 in (("one", "big"), ("big", "one")):
+        result, calls = counted_min_distance(thesaurus, w1, w2, 0)
+        assert (result, len(calls)) == ((2, 2), 1 + 2)
+
+
+def test_the_kernel_on_words_of_one_key():
+    # A one-key word is bisected into another one-key word and compared
+    # with that key from both sides; its key always reaches the minimum.
+    thesaurus = placed_thesaurus({"one": [5], **{
+        "at %d" % place: [place]
+        for place in (5, 4, 7, 0, 16, 32, 64, 128, 256, 600)}})
+    distances = []
+    for word in sorted(thesaurus.index):
+        (distance, count), calls = counted_min_distance(
+            thesaurus, "one", word, 0)
+        assert (count, len(calls)) == (1, 1 + 2)
+        distances.append(distance)
+    assert sorted(distances) == [0, 0, 2, 2, 4, 6, 8, 10, 12, 14, 16]
+
+
+def test_every_key_is_counted_at_distance_16():
+    thesaurus = placed_thesaurus({"small": [0, 77, 511], "big": [
+        512, 600, 601, 800, 802, 1022, 1023]})
+    for w1, w2 in (("small", "big"), ("big", "small")):
+        result, calls = counted_min_distance(thesaurus, w1, w2)
+        assert (result, len(calls)) == ((MAX_DISTANCE, 3 * 7), 3 + 2 * 3)
 
 
 @pytest.mark.parametrize("seed", range(3))
