@@ -33,7 +33,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum, IntEnum
 from functools import cached_property
-from itertools import accumulate, chain, islice
+from itertools import islice
 from operator import attrgetter
 
 from .errors import InvalidNodeError, InvalidReferenceError
@@ -191,35 +191,32 @@ class _Records(Sequence):
 class _Index(Mapping):
     """Read-only map of each normalized entry text to its references.
 
-    Each key's reference ids are one run of an id array, in document
-    order.  A key's tuple of references is made when the key is first
-    read, by ``Thesaurus.lookup`` or ``index[key]``, and kept in a private
-    cache, which ``setdefault`` fills with one tuple per key at most, so
-    later reads return the same objects.  It holds the reference columns
-    but not the thesaurus, and ``_aliases``, the key of each entry text
-    that is not its own normalization.
+    Each key's reference ids are a chain: ``_last`` holds its last id,
+    and ``_previous`` each id's previous id with the same key, or -1.  A
+    key's tuple of references is made from its chain, walked back and
+    reversed into document order, when the key is first read, by
+    ``Thesaurus.lookup`` or ``index[key]``, and kept in a private cache,
+    which ``setdefault`` fills with one tuple per key at most, so later
+    reads return the same objects.  It holds the reference columns, not
+    the thesaurus, and ``_aliases``, the key of each entry text that is
+    not its own normalization.
     """
 
-    __slots__ = ("_columns", "_runs", "_ids", "_starts", "_records",
-                 "_aliases")
+    __slots__ = ("_columns", "_last", "_previous", "_records", "_aliases")
 
-    def __init__(self, columns, runs, aliases):
-        self._columns, self._aliases = columns, aliases
-        # From a list: an array reads an iterator one item at a time.
-        self._ids = array("i", list(chain.from_iterable(runs.values())))
-        self._starts = array("i", accumulate(map(len, runs.values()),
-                                             initial=0))
-        self._runs = dict(zip(runs, range(len(runs))))  # key -> run number
+    def __init__(self, columns, last, previous, aliases):
+        self._columns, self._last = columns, last
+        self._previous, self._aliases = previous, aliases
         self._records = {}
 
     def __len__(self):
-        return len(self._runs)
+        return len(self._last)
 
     def __iter__(self):
-        return iter(self._runs)
+        return iter(self._last)
 
     def __contains__(self, key):
-        return key in self._runs
+        return key in self._last
 
     def __getitem__(self, key):
         refs = self._read(key)
@@ -228,9 +225,13 @@ class _Index(Mapping):
         return refs
 
     def _ids_of(self, key):
-        """The reference ids of a key, which is in the index."""
-        run = self._runs[key]
-        return self._ids[self._starts[run]:self._starts[run + 1]]
+        """The reference ids of a key in the index, in document order."""
+        ids, i, previous = [], self._last[key], self._previous
+        while i >= 0:
+            ids.append(i)
+            i = previous[i]
+        ids.reverse()
+        return ids
 
     def _read(self, key):
         """The kept references of ``key``, made on its first read; () if
@@ -239,7 +240,7 @@ class _Index(Mapping):
         """
         refs = self._records.get(key)
         if refs is None:
-            if key not in self._runs:
+            if key not in self._last:
                 return ()
             refs = self._records.setdefault(key, tuple(
                 _made(self._columns, self._ids_of(key))))
@@ -262,25 +263,29 @@ def build_index(thesaurus):
     """Map each normalized entry text to its references, in document order.
 
     The map is read-only and its values are tuples, made on a key's first
-    read (see ``_Index``).  ``normalize`` runs at most once per distinct
-    entry text: an entry text that is already a key is its own
+    read (see ``_Index``).  One pass over the entry texts chains each
+    key's reference ids, with no per-key list: ``last`` keeps each key's
+    latest id, in the order the keys are first seen, and ``previous`` the
+    id before each id with its key.  ``normalize`` runs at most once per
+    distinct entry text: an entry text that is already a key is its own
     normalization, and a key equal to its entry text is that text's string.
     """
     texts = thesaurus._columns[0]
-    runs, aliases = {}, {}  # aliases: entry text -> its other key
+    last, aliases = {}, {}  # aliases: entry text -> its other key
+    previous = array("i", [-1]) * len(texts)
     for i, text in enumerate(texts):
-        run = runs.get(text)
-        if run is None:
+        j = last.get(text)
+        if j is None:
             key = aliases.get(text)
             if key is None:
                 key = normalize(text)
-                if key == text:
-                    key = text
-                else:
-                    aliases[text] = key
-            run = runs.setdefault(key, [])
-        run.append(i)
-    return _Index(thesaurus._columns, runs, aliases)
+                key = text if key == text else aliases.setdefault(text, key)
+            j = last.get(key, -1)
+            last[key] = i
+        else:
+            last[text] = i
+        previous[i] = j
+    return _Index(thesaurus._columns, last, previous, aliases)
 
 
 def _pack_keys(parents, levels):
@@ -351,9 +356,10 @@ class Thesaurus:
     one-digit ints.  Two nodes first differ at the level whose field holds
     the top set bit of ``k1 ^ k2``, so a reference distance is one table
     lookup by that bit length.  ``index`` is ``build_index(self)``, which
-    keeps each word's reference ids.  For s references of one word and
-    b >= s of the other ``min_distance`` costs O(s log b), and
-    ``pairs_within`` O(s + b) plus one step per pair it yields, not s*b.
+    chains each word's reference ids and walks them on the word's first
+    read.  For s references of one word and b >= s of the other
+    ``min_distance`` costs O(s log b), and ``pairs_within`` O(s + b) plus
+    one step per pair it yields, not s*b.
 
     Answers never change after construction: the columns and ``keys`` are
     tuples or arrays no method writes, ``nodes``, ``references``,

@@ -2,6 +2,7 @@
 
 import bisect
 import random
+import unicodedata
 from unittest import mock
 
 import pytest
@@ -431,6 +432,95 @@ def test_a_built_thesaurus_keeps_the_references_given(seed):
         for key in {normalize(r.entry_text) for r in references}}
     for key in thesaurus.index:
         assert thesaurus.lookup(key) == list(thesaurus.index[key])
+
+
+# A tree of two children per node: 256 semicolon groups.
+CHAIN_NODES, CHAIN_GROUPS = layered_nodes(lambda depth, last: 2)
+
+
+@st.composite
+def spellings(draw):
+    """A spelling of one of a few words: any case, extra spaces or a tab
+    around and inside it, and its accent composed (NFC) or not (NFD)."""
+    word = draw(st.sampled_from(["café", "ice cream", "tea", "Crème brûlée"]))
+    word = draw(st.sampled_from([str.lower, str.upper, str.title]))(word)
+    word = word.replace(" ", draw(st.sampled_from([" ", "  ", "\t"])))
+    word = unicodedata.normalize(draw(st.sampled_from(["NFC", "NFD"])), word)
+    pad = st.sampled_from(["", " ", "\t "])
+    return draw(pad) + word + draw(pad)
+
+
+def grouped_by_key(references):
+    """A naive index: each normalized entry text's references, in order."""
+    grouped = {}
+    for ref in references:
+        grouped.setdefault(normalize(ref.entry_text), []).append(ref)
+    return grouped
+
+
+def check_index(references):
+    """Build a thesaurus of the references and check its index against
+    ``grouped_by_key``; return the thesaurus."""
+    thesaurus = Thesaurus(CHAIN_NODES, references)
+    grouped = grouped_by_key(references)
+    assert list(thesaurus.index) == list(grouped)  # first-seen key order
+    assert len(thesaurus.index) == len(grouped)
+    for key, refs in grouped.items():
+        assert key in thesaurus.index
+        assert list(thesaurus.index[key]) == refs  # document order
+        assert thesaurus.lookup(key) == list(thesaurus.index[key])
+    for ref in references:
+        assert thesaurus.lookup(ref.entry_text) == grouped[
+            normalize(ref.entry_text)]
+    return thesaurus
+
+
+@settings(deadline=None)
+@given(st.lists(st.builds(Reference, spellings(),
+                          st.sampled_from(CHAIN_GROUPS),
+                          st.sampled_from(list(PartOfSpeech)),
+                          st.integers(1, 9), st.sampled_from("xyz")),
+                max_size=40))
+def test_the_index_chains_each_keys_references_in_document_order(
+        references):
+    check_index(references)
+
+
+def test_an_index_of_no_references():
+    thesaurus = check_index([])
+    assert len(thesaurus.index) == 0 and "tea" not in thesaurus.index
+    assert thesaurus.lookup("tea") == []
+    with pytest.raises(KeyError):
+        thesaurus.index["tea"]
+
+
+def test_a_key_met_through_an_alias_then_as_itself():
+    references = [Reference(text, group, PartOfSpeech.NOUN, 1, "k")
+                  for text, group in zip(
+                      ["Cat", "dog", "cat", " Dog", "CAT", "cat"],
+                      CHAIN_GROUPS)]
+    seen = []
+    with mock.patch.object(taxonomy, "normalize",
+                           side_effect=lambda text: seen.append(text)
+                           or normalize(text)):
+        Thesaurus(CHAIN_NODES, references)
+    # Once per distinct text; "cat" is already a key when it is first met.
+    assert seen == ["Cat", "dog", " Dog", "CAT"]
+    thesaurus = check_index(references)
+    assert list(thesaurus.index) == ["cat", "dog"]
+    assert [r.entry_text for r in thesaurus.index["cat"]] == [
+        "Cat", "cat", "CAT", "cat"]
+    assert thesaurus.index._aliases == {"Cat": "cat", " Dog": "dog",
+                                        "CAT": "cat"}
+
+
+def test_one_key_holding_every_reference():
+    references = [Reference(text, group, PartOfSpeech.NOUN, 1, "k")
+                  for text, group in zip(
+                      ["tea", "TEA", " Tea ", "tea"] * 40, CHAIN_GROUPS * 2)]
+    thesaurus = check_index(references)
+    assert list(thesaurus.index) == ["tea"]
+    assert thesaurus.index["tea"] == tuple(references)
 
 
 @given(st.text())
