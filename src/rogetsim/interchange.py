@@ -389,6 +389,19 @@ def _universal_newlines(text):
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
+def _bad_byte(data, start):
+    """(Text of the lines before byte ``start``'s line, ParseError at it).
+
+    The byte at ``start`` is the first of ``data`` that is not UTF-8; its
+    line and column are counted in the bytes as given.
+    """
+    before = _universal_newlines(data[:start].decode("utf-8"))
+    line_start = before.rfind("\n") + 1
+    return before[:line_start], ParseError(
+        "byte 0x%02x is not UTF-8" % data[start],
+        line=before.count("\n") + 1, column=len(before) - line_start + 1)
+
+
 def decode_utf8(data):
     """Text of the bytes ``data``, with line endings read as in text mode.
 
@@ -399,10 +412,7 @@ def decode_utf8(data):
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        before = _universal_newlines(data[:exc.start].decode("utf-8"))
-        raise ParseError("byte 0x%02x is not UTF-8" % data[exc.start],
-                         line=before.count("\n") + 1,
-                         column=len(before) - before.rfind("\n")) from None
+        raise _bad_byte(data, exc.start)[1] from None
     return _universal_newlines(text)
 
 
@@ -411,7 +421,8 @@ def load(path):
 
     The file is read once, as bytes, and parsed as a stream of its text.
     A file that is not UTF-8 raises ParseError at the line and column of
-    its first undecodable byte, like any malformed input.
+    its first undecodable byte, like any malformed input, unless a line
+    before that byte's line has an error, which is raised instead.
     """
     with open(path, "rb") as handle:
         data = handle.read()
@@ -419,5 +430,13 @@ def load(path):
         with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as text:
             return parse_interchange(text)
     except UnicodeDecodeError:
-        decode_utf8(data)  # raises ParseError at the first bad byte
-        raise
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lines, error = _bad_byte(data, exc.start)
+        else:
+            raise
+    # The stream decodes whole chunks, so the lines before the bad byte in
+    # its chunk were never parsed; the first error in them comes first.
+    _columns(lines)
+    raise error

@@ -12,8 +12,8 @@ tree each reference pair has exactly one path.
 
 For words with s and b >= s references the minimum and the pair count
 cost O(s log b), not s*b distance computations (see
-``Thesaurus.min_distance``, which measures up to 16 pairs one by one).
-Past 16 pairs each word's sorted group keys come from a per-word cache
+``Thesaurus.min_distance``, which measures up to 6 pairs one by one).
+Past 6 pairs each word's sorted group keys come from a per-word cache
 in the thesaurus, filled on the word's first such comparison, so a
 frequent word compared again does not re-read its references.  Each key
 of the word with fewer references is bisected into the other's, and only

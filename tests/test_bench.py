@@ -160,7 +160,8 @@ def test_outlier_report_empty_when_aligned(thesaurus):
 
 
 def test_load_pairs_file():
-    scale, pairs = load_pairs(open(data_path("pairs_fixture.tsv")).read())
+    with open(data_path("pairs_fixture.tsv"), encoding="utf-8") as source:
+        scale, pairs = load_pairs(source.read())
     assert (scale.low, scale.high) == (0.0, 4.0)
     assert len(pairs) == 9
     assert pairs[0].word1 == "journey's end"

@@ -190,6 +190,20 @@ def test_load_reports_an_empty_entry_before_a_bad_byte(tmp_path):
     assert str(info.value) == "line 9, column 3: empty semicolon group entry"
 
 
+@pytest.mark.parametrize("line,message", [
+    ("X foo\n", "line 9, column 1: unknown record keyword 'X'"),
+    ("; a | \n", "line 9, column 3: empty semicolon group entry")])
+def test_load_reports_an_error_before_a_bad_byte_in_its_chunk(tmp_path, line,
+                                                              message):
+    # The file is one chunk of the text stream, which fails to decode
+    # before any of its lines is parsed.
+    path = tmp_path / "bad.rt"
+    path.write_bytes((MINIMAL + line).encode() + b"; caf\xe9\n")
+    with pytest.raises(ParseError) as info:
+        load(path)
+    assert str(info.value) == message
+
+
 def test_load_reads_a_pipe_once(tmp_path):
     with pytest.raises(ParseError) as info:
         read_from_pipe(tmp_path / "bad", MINIMAL.encode() + b"; caf\xe9\n",

@@ -356,6 +356,33 @@ def counted_min_distance(thesaurus, w1, w2, few_pairs=taxonomy._FEW_PAIRS):
     return result, calls
 
 
+@pytest.mark.parametrize("few_pairs", [taxonomy._FEW_PAIRS, 0, 16])
+def test_the_path_is_chosen_by_the_number_of_pairs(few_pairs):
+    # Words of 1 to 4 references, sharing some groups and paragraphs, so
+    # each ordered pair of them makes 1 to 16 pairs of references.
+    thesaurus = placed_thesaurus({"one": [9], "two": [9, 600],
+                                  "three": [8, 40, 900],
+                                  "four": [2, 77, 600, 1023]})
+    words = list(thesaurus.index)
+    expected = {(w1, w2): pair_loop(thesaurus, w1, w2)
+                for w1 in words for w2 in words}
+    measured, measure = [], Thesaurus.reference_distance
+    products = set()
+    with mock.patch.object(taxonomy, "_FEW_PAIRS", few_pairs), \
+            mock.patch.object(Thesaurus, "reference_distance",
+                              lambda self, r1, r2: measured.append(r1)
+                              or measure(self, r1, r2)):
+        for (w1, w2), (best, pairs) in expected.items():
+            refs1, refs2 = thesaurus.lookup(w1), thesaurus.lookup(w2)
+            measured.clear()
+            assert thesaurus.min_distance(w1, refs1, w2, refs2) == (
+                best, len(pairs))
+            product = len(refs1) * len(refs2)
+            assert len(measured) == (product if product <= few_pairs else 0)
+            products.add(product)
+    assert products == {1, 2, 3, 4, 6, 8, 9, 12, 16}
+
+
 def test_only_keys_that_reach_the_minimum_are_bisected_again():
     # "big" is in the first group of the second paragraph (rank 0b010) of
     # the first eight POS paragraphs.  Two of "small"'s five keys share a

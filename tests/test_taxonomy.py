@@ -130,6 +130,24 @@ def test_a_lookup_makes_its_words_records_once(fixture_text):
     assert list(thesaurus._records) == ["feline"]
 
 
+def test_a_first_comparison_walks_each_words_ids_once(fixture_text,
+                                                      monkeypatch):
+    thesaurus = parse_interchange(fixture_text)
+    walked, walk = [], taxonomy._Index._ids_of
+    monkeypatch.setattr(taxonomy._Index, "_ids_of",
+                        lambda index, key: walked.append(key)
+                        or walk(index, key))
+    monkeypatch.setattr(taxonomy, "_FEW_PAIRS", 0)  # every pair bisects
+    for _ in range(2):
+        word_min_distance(thesaurus, "Feline", "lynx")
+        assert sorted(walked) == ["feline", "lynx"]
+    # A word never looked up has its keys read from the columns, with one
+    # walk and no records made.
+    thesaurus._word_keys("ode")
+    assert walked[2:] == ["ode"]
+    assert sorted(thesaurus._records) == ["feline", "lynx"]
+
+
 def test_equal_copies_are_measured_without_new_records(fixture_text,
                                                        monkeypatch):
     thesaurus = parse_interchange(fixture_text)
