@@ -370,8 +370,8 @@ class Thesaurus:
     safe to call concurrently.  The only state a query writes is two
     private per-word caches, each filled by ``setdefault`` with one tuple
     per index key at most, so each is bounded by the index: the records
-    of a word's references, made on its first ``lookup`` or ``index``
-    read, and the sorted shifted keys of ``_word_keys``.
+    of a word's references, made on its first ``lookup``, ``index`` or
+    ``_word_keys`` read, and the sorted shifted keys of ``_word_keys``.
     """
 
     def __init__(self, nodes, references):
@@ -660,26 +660,18 @@ class Thesaurus:
     def _word_keys(self, text):
         """The sorted keys of ``lookup(text)``'s groups, shifted left one bit.
 
-        The tuple is made on the word's first call and kept by index key;
-        a text that is a kept key is its own normalization, so it is read
-        without a second ``normalize``.  The text is in the index.  Threads
-        that make one word's tuple at once each build it; ``setdefault``
-        keeps one.
+        The tuple is made on the word's first call and kept by index key,
+        from the word's kept records, so a word that ``lookup`` has read
+        has its id chain walked once.  A text under which keys or records
+        are kept is its own normalization, so it is read without a second
+        ``normalize``.  The text is in the index.  Threads that make
+        one word's tuple at once each build it; ``setdefault`` keeps one.
         """
         shifted = self._shifted.get(text)
         if shifted is None:
-            word = normalize(text)
+            word = text if text in self._records else normalize(text)
             shifted = self._shifted.get(word)
         if shifted is None:
-            # The groups are read from the word's kept records when
-            # ``lookup`` has made them, so the word's id chain is walked
-            # once; otherwise from the columns, and no record is made.
-            refs = self._records.get(word)
-            if refs is None:
-                groups = map(self._columns[1].__getitem__,
-                             self.index._ids_of(word))
-            else:
-                groups = map(attrgetter("semicolon_group"), refs)
             # Fresh ints, made together, lie close in memory, where the
             # objects of ``keys`` lie scattered: with keys stored pre-shifted
             # and these tuples sharing them, a kernel that sorted both words'
@@ -688,7 +680,8 @@ class Thesaurus:
             # a word's references in key order, so the sort is one pass.
             keys = self.keys
             shifted = self._shifted.setdefault(word, tuple(sorted([
-                keys[group] << 1 for group in groups])))
+                keys[ref.semicolon_group] << 1
+                for ref in self.index._read(word)])))
         return shifted
 
     def pairs_within(self, refs1, refs2, distance):

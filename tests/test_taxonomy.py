@@ -137,15 +137,17 @@ def test_a_first_comparison_walks_each_words_ids_once(fixture_text,
     monkeypatch.setattr(taxonomy._Index, "_ids_of",
                         lambda index, key: walked.append(key)
                         or walk(index, key))
+    normalized, fold = [], taxonomy.normalize
+    monkeypatch.setattr(taxonomy, "normalize",
+                        lambda text: normalized.append(text) or fold(text))
     monkeypatch.setattr(taxonomy, "_FEW_PAIRS", 0)  # every pair bisects
     for _ in range(2):
-        word_min_distance(thesaurus, "Feline", "lynx")
+        normalized.clear()
+        word_min_distance(thesaurus, "feline", "lynx")
         assert sorted(walked) == ["feline", "lynx"]
-    # A word never looked up has its keys read from the columns, with one
-    # walk and no records made.
-    thesaurus._word_keys("ode")
-    assert walked[2:] == ["ode"]
-    assert sorted(thesaurus._records) == ["feline", "lynx"]
+        # Only ``lookup`` normalizes: each word's keys are found by the
+        # index key it was read under.
+        assert normalized == ["feline", "lynx"]
 
 
 def test_equal_copies_are_measured_without_new_records(fixture_text,
