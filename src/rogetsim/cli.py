@@ -185,8 +185,6 @@ def build_parser():
     p = sub.add_parser("import", help="convert a 1911 Roget's text to "
                                       "interchange format")
     p.add_argument("source", help="path to the plain-text source")
-    p.add_argument("--source-format", choices=["gutenberg1911"],
-                   default="gutenberg1911")
     p.set_defaults(func=cmd_import)
 
     p = sub.add_parser("validate", help="report structure counts and "
