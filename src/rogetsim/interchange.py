@@ -22,9 +22,9 @@ byte-order mark is dropped, from a string, a stream or a file alike.
 ``parse_interchange`` reads the document line by line, appending each
 record to the per-node columns of ``Thesaurus``; the entries of the
 semicolon groups are split, stripped and appended to one per-reference
-column a block of groups at a time, and each group's POS, head and keyword
-are read from its ancestors after the last line.  No node or ``Reference``
-objects are built.  ``serialize``, ``validate_structure`` and
+column a block of groups at a time, and each group's and paragraph's label
+is set from them after the last line.  No node or ``Reference`` objects
+are built.  ``serialize``, ``validate_structure`` and
 ``structure_signature`` read those columns.
 """
 
@@ -148,7 +148,7 @@ def _first_empty(payloads, line_numbers):
 
 
 def _columns(source):
-    """(Node columns, reference columns) of the interchange text.
+    """(Node columns, (entry texts, groups)) of the interchange text.
 
     The loop over the lines keeps the tree: it appends each record to the
     per-node columns, a semicolon group with no label yet, and keeps each
@@ -157,9 +157,8 @@ def _columns(source):
     stripped, each in one pass over the block, and the entry texts are
     appended to one per-reference column, equal texts sharing one string.
     After the loop each group's label, its first entry, is read from that
-    column; its paragraph's keyword, and label, is its first group's label;
-    and its POS, head and keyword are read from its ancestors and put at
-    its node id.  Errors are raised in document order: one the loop raises
+    column, and each paragraph's label, its keyword, is its first group's
+    label.  Errors are raised in document order: one the loop raises
     gives way to an empty entry in a group not yet split, which comes
     before it.
     """
@@ -261,28 +260,16 @@ def _columns(source):
     if payloads:
         split_payloads()
 
-    # A group's label is its first entry, and a paragraph's keyword, which
-    # is its label and its groups' keyword, the first entry of its first
-    # group.
+    # Reversed, so that a paragraph's first group is the one the dict keeps.
     firsts = list(map(texts.__getitem__,
                       list(accumulate(sizes, initial=0))[:-1]))
-    paragraphs = list(map(parents.__getitem__, groups))
-    keyword_of = {}  # paragraph id -> its keyword
-    keywords = list(map(keyword_of.setdefault, paragraphs, firsts))
+    keyword_of = dict(zip(map(parents.__getitem__, reversed(groups)),
+                          reversed(firsts)))
     deque(map(labels.__setitem__, chain(groups, keyword_of),
               chain(firsts, keyword_of.values())), maxlen=0)
-    pos_paragraphs = list(map(parents.__getitem__, paragraphs))
-    by_node = []
-    for column in (map(poses.__getitem__, pos_paragraphs),
-                   map(head_numbers.__getitem__,
-                       map(parents.__getitem__, pos_paragraphs)),
-                   keywords):
-        values = [None] * len(parents)
-        deque(map(values.__setitem__, groups, column), maxlen=0)
-        by_node.append(values)
     groups = array("i", list(chain.from_iterable(map(repeat, groups, sizes))))
     return (tuple(map(tuple, (parents, levels, labels, ordinals, head_numbers,
-                              poses))), (texts, groups, *by_node))
+                              poses))), (texts, groups))
 
 
 def serialize(thesaurus):

@@ -15,14 +15,14 @@ common ancestor of two groups is read off the top set bit of their keys'
 XOR (see ``Thesaurus``), and the closest pairs between two lists of
 references are found from their sorted keys, without comparing every pair.
 
-The tree is stored as per-node columns and the references as
-per-reference columns; ``TaxonomyNode`` and ``Reference`` records are made
-from them only when read, and changing a node record changes nothing in
-the thesaurus.  A word's references are made on its first ``lookup`` or
+The tree is stored as per-node columns and each reference as its entry
+text and group; ``TaxonomyNode`` and ``Reference`` records are made from
+them only when read, and changing a node record changes nothing in the
+thesaurus.  A word's references are made on its first ``lookup`` or
 ``index`` read and then kept, so later reads return the same objects;
 ``references`` and ``members`` make new, equal records on each read.
 ``Thesaurus`` rejects a node whose level is not its depth and a reference
-outside a semicolon group.
+outside a semicolon group or unlike its group (see ``Reference``).
 """
 
 import unicodedata
@@ -36,7 +36,7 @@ from functools import cached_property
 from itertools import islice
 from operator import attrgetter
 
-from .errors import InvalidNodeError, InvalidReferenceError
+from .errors import InvalidNodeError, InvalidReferenceError, WordNotFoundError
 
 MAX_DISTANCE = 16
 _GROUP_LEVEL = 8  # the depth of every semicolon group; no node is deeper
@@ -88,8 +88,10 @@ class PartOfSpeech(Enum):
 class Reference:
     """One occurrence of a word or phrase at a specific semicolon group.
 
-    ``keyword`` is the owning paragraph's keyword (its first entry), used
-    for the printed form ``cat 365 N.``.
+    ``pos``, ``head_number`` and ``keyword`` are read from the group's POS
+    paragraph, head and paragraph, whose label, its first entry, is the
+    keyword of the printed form ``cat 365 N.``; a ``Thesaurus`` rejects a
+    reference whose fields are not its group's.
     """
 
     entry_text: str
@@ -135,25 +137,34 @@ _new = object.__new__
  _set_keyword) = (getattr(Reference, f.name).__set__ for f in fields(Reference))
 
 
-def _made(columns, ids):
-    """New records of the reference ids, read from the reference columns.
+def _group_fields(tree, group):
+    """(POS, head number, keyword) of a semicolon group's references: of
+    its POS paragraph, head and paragraph in ``tree``, the node columns."""
+    parents, _, labels, _, heads, poses = tree
+    paragraph = parents[group]
+    above = parents[paragraph]  # the POS paragraph
+    return poses[above], heads[parents[above]], labels[paragraph]
 
-    ``columns`` are a Thesaurus's ``_columns``: per reference its entry
-    text, group and row, and per row a POS, head number and keyword.
-    Each record is made by ``object.__new__`` and filled through the slot
-    descriptors, at about half the cost of ``Reference(...)``, whose frozen
-    ``__init__`` goes through ``object.__setattr__`` once per field.
+
+def _made(columns, ids):
+    """New records of the reference ids, read from a Thesaurus's columns.
+
+    ``columns`` are a Thesaurus's ``_columns``: entry texts, groups and
+    node columns.  Each record is made by ``object.__new__`` and filled
+    through the slot descriptors, at about half the cost of ``Reference``,
+    whose frozen ``__init__`` calls ``object.__setattr__`` per field.
     """
-    texts, groups, rows, poses, heads, keywords = columns
+    texts, groups, tree = columns
     refs = []
     for i in ids:
-        row = rows[i]
+        group = groups[i]
+        pos, head, keyword = _group_fields(tree, group)
         ref = _new(Reference)
         _set_text(ref, texts[i])
-        _set_group(ref, groups[i])
-        _set_pos(ref, poses[row])
-        _set_head(ref, heads[row])
-        _set_keyword(ref, keywords[row])
+        _set_group(ref, group)
+        _set_pos(ref, pos)
+        _set_head(ref, head)
+        _set_keyword(ref, keyword)
         refs.append(ref)
     return refs
 
@@ -200,9 +211,10 @@ class _Index(Mapping):
     reversed into document order, when the key is first read, by
     ``Thesaurus.lookup`` or ``index[key]``, and kept in a private cache,
     which ``setdefault`` fills with one tuple per key at most, so later
-    reads return the same objects.  It holds the reference columns, not
-    the thesaurus, and ``_aliases``, the key of each entry text that is
-    not its own normalization.
+    reads return the same objects, under the thesaurus's own string
+    (``_own``), not a new one from ``normalize``.  It holds the columns,
+    not the thesaurus, and ``_aliases``, the key of each entry text that
+    is not its own normalization.
     """
 
     __slots__ = ("_columns", "_last", "_previous", "_records", "_aliases")
@@ -236,6 +248,14 @@ class _Index(Mapping):
         ids.reverse()
         return ids
 
+    def _own(self, key):
+        """The thesaurus's own string equal to ``key``; None if not a key."""
+        i = self._last.get(key)
+        if i is None:
+            return None
+        text = self._columns[0][i]
+        return self._aliases.get(text, text)
+
     def _read(self, key):
         """The kept references of ``key``, made on its first read; () if
         it is not a key.  Threads that read one key first at once each
@@ -243,7 +263,8 @@ class _Index(Mapping):
         """
         refs = self._records.get(key)
         if refs is None:
-            if key not in self._last:
+            key = self._own(key)
+            if key is None:
                 return ()
             refs = self._records.setdefault(key, tuple(
                 _made(self._columns, self._ids_of(key))))
@@ -330,21 +351,18 @@ class Thesaurus:
     not the node's depth (one more than its parent's, the root at 0), a
     head whose ``head_number`` is not a positive int or a POS paragraph
     whose ``pos`` is not a ``PartOfSpeech``, and ``InvalidReferenceError``
-    for a reference outside a semicolon group.  A node's children are the
-    nodes naming it, in id order.
+    for a reference outside a semicolon group or unlike its group.  A
+    node's children are the nodes naming it, in id order.
 
     The tree is kept as per-node columns, tuples indexed by node id:
     ``parents`` (-1 for the root), ``levels`` (ints), ``labels``,
     ``ordinals``, ``head_numbers`` and ``poses``.  ``nodes`` is a read-only
-    sequence that makes a ``TaxonomyNode`` from them when read.  The
-    references are kept as columns, in the order given (``_columns``):
-    each one's entry text, group and row, and per row a POS, head number
-    and keyword.  A parsed thesaurus's rows are its groups, whose
-    references share those three fields; a directly built one gives each
-    reference its own row.  ``references`` makes a new record from the
-    columns on each read, and ``members``, per node id, a tuple of the
-    records of a semicolon group's references in that order (empty for
-    every other node), so every reference is a member.
+    sequence that makes a ``TaxonomyNode`` from them when read.  Each
+    reference is kept as its entry text and group, in the order given.
+    ``references`` makes a new record from the columns on each read, and
+    ``members``, per node id, a tuple of the records of a semicolon
+    group's references in that order (empty for every other node), so
+    every reference is a member.
 
     Per node id, ``keys`` holds one int packing the node's root-first
     path: for each level d from 1 to 8, a bit field holding the 1-based
@@ -402,54 +420,54 @@ class Thesaurus:
                     pos, PartOfSpeech):
                 raise InvalidNodeError("POS paragraph %d's pos %r is not a "
                                        "PartOfSpeech" % (node_id, pos))
+        tree = (tuple(n.parent for n in nodes),
+                tuple(int(n.level) for n in nodes),
+                tuple(n.label for n in nodes),
+                tuple(n.ordinal for n in nodes),
+                tuple(n.head_number for n in nodes),
+                tuple(n.pos for n in nodes))
         for ref in references:
             group = ref.semicolon_group
-            if not (0 <= group < len(nodes)
+            if not (type(group) is int and 0 <= group < len(nodes)
                     and nodes[group].level == _GROUP_LEVEL):
                 raise InvalidReferenceError(
                     "reference %r at node %r is not in a semicolon group at "
                     "depth %d" % (ref.entry_text, group, _GROUP_LEVEL))
-        texts, groups, poses, heads, keywords = (
-            list(map(attrgetter(f.name), references))
-            for f in fields(Reference))
-        groups, rows = array("i", groups), range(len(references))
+            if (ref.pos, ref.head_number, ref.keyword) != _group_fields(
+                    tree, group):
+                raise InvalidReferenceError(
+                    "reference %r does not have its semicolon group's POS, "
+                    "head number and keyword" % (ref,))
+        groups = array("i", map(attrgetter("semicolon_group"), references))
         # Each group's references, in the order given, are one run of the
         # reference ids sorted stably by group.
         member_ids = array("i", sorted(range(len(groups)),
                                        key=groups.__getitem__))
-        self._setup((tuple(n.parent for n in nodes),
-                     tuple(int(n.level) for n in nodes),
-                     tuple(n.label for n in nodes),
-                     tuple(n.ordinal for n in nodes),
-                     tuple(n.head_number for n in nodes),
-                     tuple(n.pos for n in nodes)),
-                    (texts, groups, rows, poses, heads, keywords),
-                    member_ids, array("i", map(groups.__getitem__, member_ids)))
+        self._setup(tree, list(map(attrgetter("entry_text"), references)),
+                    groups, member_ids,
+                    array("i", map(groups.__getitem__, member_ids)))
 
     @classmethod
-    def _from_columns(cls, columns, references):
+    def _from_columns(cls, tree, references):
         """A thesaurus of ``_columns``' output, well-formed by its rules.
 
-        ``references`` are the texts and groups of the references, whose
-        groups run in id order, and the POS, head number and keyword of
-        each group by node id; so the groups are the rows, and each group's
-        references are one run of the reference ids.
+        ``references`` are the entry texts and groups, whose groups run in
+        id order, so each group's references are one run of the ids.
         """
-        texts, groups, poses, heads, keywords = references
+        texts, groups = references
         thesaurus = cls.__new__(cls)
-        thesaurus._setup(columns, (texts, groups, groups, poses, heads,
-                                   keywords), range(len(texts)), groups)
+        thesaurus._setup(tree, texts, groups, range(len(texts)), groups)
         return thesaurus
 
-    def _setup(self, columns, references, member_ids, member_groups):
+    def _setup(self, tree, texts, groups, member_ids, member_groups):
         """Keep the node and reference columns and build the keys and index.
 
         ``member_ids`` lists the reference ids grouped by semicolon group,
         and ``member_groups`` the group of each, in the same order.
         """
         (self.parents, self.levels, self.labels, self.ordinals,
-         self.head_numbers, self.poses) = columns
-        self._columns = references
+         self.head_numbers, self.poses) = tree
+        self._columns = (texts, groups, tree)
         self._member_ids, self._member_groups = member_ids, member_groups
         self.root_id = 0
         self.keys, self._shifts = _pack_keys(self.parents, self.levels)
@@ -564,30 +582,18 @@ class Thesaurus:
         for own in kept:
             if own is ref:
                 return self.keys[group]
-        # Then by value, as Reference equality would compare it, with the
-        # columns of the group's references of the same text; no record is
-        # made.
-        texts, _, rows, poses, heads, keywords = self._columns
-        ids = ()
-        if type(ref) is Reference:
-            try:
-                ids = self._member_ids_of(group)
-            except TypeError:
-                pass
-        for i in ids:
-            if texts[i] == text:
-                row = rows[i]
-                if (poses[row], heads[row], keywords[row]) == (
-                        ref.pos, ref.head_number, ref.keyword):
-                    return self.keys[group]
+        # Then by value, as Reference equality would compare it, with no
+        # record made: the group has the text, and its fields are the
+        # reference's.  A thesaurus holds no group that is not an int.
+        texts, _, tree = self._columns
+        if (type(ref) is Reference and type(group) is int
+                and text in map(texts.__getitem__, self._member_ids_of(group))
+                and _group_fields(tree, group) == (
+                    ref.pos, ref.head_number, ref.keyword)):
+            return self.keys[group]
         raise InvalidReferenceError(
             "reference %r is not a member of its semicolon group in this "
             "thesaurus" % (ref,))
-
-    def _keys(self, refs):
-        """Keys of references that ``lookup`` returned, one read each."""
-        keys = self.keys
-        return [keys[ref.semicolon_group] for ref in refs]
 
     def _shift(self, distance):
         """Shift s: groups within ``distance`` are those with k1>>s == k2>>s."""
@@ -664,14 +670,18 @@ class Thesaurus:
         from the word's kept records, so a word that ``lookup`` has read
         has its id chain walked once.  A text under which keys or records
         are kept is its own normalization, so it is read without a second
-        ``normalize``.  The text is in the index.  Threads that make
-        one word's tuple at once each build it; ``setdefault`` keeps one.
+        ``normalize``.  An absent text raises WordNotFoundError.  Threads
+        that make one word's tuple at once each build it; ``setdefault``
+        keeps one.
         """
         shifted = self._shifted.get(text)
         if shifted is None:
             word = text if text in self._records else normalize(text)
             shifted = self._shifted.get(word)
         if shifted is None:
+            word = self.index._own(word)
+            if word is None:
+                raise WordNotFoundError([text])
             # Fresh ints, made together, lie close in memory, where the
             # objects of ``keys`` lie scattered: with keys stored pre-shifted
             # and these tuples sharing them, a kernel that sorted both words'
@@ -688,15 +698,15 @@ class Thesaurus:
         """Yield each pair of refs1 x refs2 at most ``distance`` apart.
 
         Pairs come in document order (refs1 outer, refs2 inner), lazily;
-        the references are this thesaurus's, as ``lookup`` returns them,
-        and ``distance`` is at least 0.
+        ``distance`` is at least 0, and a reference not in this thesaurus
+        raises InvalidReferenceError, as in ``reference_distance``.
         """
-        shift = self._shift(distance)
+        shift, key = self._shift(distance), self._key
         near = {}
-        for ref, key in zip(refs2, self._keys(refs2)):
-            near.setdefault(key >> shift, []).append(ref)
-        for ref, key in zip(refs1, self._keys(refs1)):
-            for other in near.get(key >> shift, ()):
+        for ref in refs2:
+            near.setdefault(key(ref) >> shift, []).append(ref)
+        for ref in refs1:
+            for other in near.get(key(ref) >> shift, ()):
                 yield ref, other
 
     def tree_path(self, r1, r2):

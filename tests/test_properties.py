@@ -3,6 +3,7 @@
 import bisect
 import random
 import unicodedata
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -208,6 +209,15 @@ def layered_nodes(family):
     return nodes, level_ids
 
 
+def tree_reference(nodes, text, group):
+    """A Reference of ``text`` at ``group`` with the POS, head number and
+    keyword of its POS paragraph, head and paragraph in ``nodes``."""
+    paragraph = nodes[nodes[group].parent]
+    pos_paragraph = nodes[paragraph.parent]
+    return Reference(text, group, pos_paragraph.pos,
+                     nodes[pos_paragraph.parent].head_number, paragraph.label)
+
+
 def boundary_tree(turn):
     """A thesaurus whose last node at each depth d < 8 has a family of
     FAMILY_SIZES[(turn + d) % 8] children and every other node one child.
@@ -225,8 +235,7 @@ def boundary_tree(turn):
         words = ["abc"[i % 3]]
         words += ["rare"] * (i in (0, len(level_ids) - 1))
         words += ["odd"] * (i in (1, 2, 3))
-        references += [Reference(word, group, PartOfSpeech.NOUN, 1, word)
-                       for word in words]
+        references += [tree_reference(nodes, word, group) for word in words]
     return Thesaurus(nodes, references)
 
 
@@ -288,7 +297,7 @@ def scattered_thesaurus(seed):
     references = []
     for word, (size, doubled) in SCATTERED.items():
         groups = rng.sample(level_ids, size - doubled)
-        references += [Reference(word, group, PartOfSpeech.NOUN, 1, word)
+        references += [tree_reference(nodes, word, group)
                        for group in groups + groups[:doubled]]
     rng.shuffle(references)
     return Thesaurus(nodes, references)
@@ -331,7 +340,7 @@ def placed_thesaurus(places):
     nodes, groups = layered_nodes(
         lambda depth, last: 4 if depth >= Level.POS_PARAGRAPH else 2)
     return Thesaurus(nodes, [
-        Reference(word, groups[place], PartOfSpeech.NOUN, 1, word)
+        tree_reference(nodes, word, groups[place])
         for word, word_places in places.items() for place in word_places])
 
 
@@ -441,13 +450,13 @@ def test_every_key_is_counted_at_distance_16():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_a_built_thesaurus_keeps_the_references_given(seed):
-    # Random fields per reference, so those of one group differ, and
-    # spellings that share an index key, in no group or key order.
+    # Random groups, and spellings that share an index key, in no group or
+    # key order.
     rng = random.Random(seed)
     nodes, groups = layered_nodes(lambda depth, last: rng.randint(1, 2))
-    references = [Reference(rng.choice(["a", "A", "b", "B b", "c"]),
-                            rng.choice(groups), rng.choice(list(PartOfSpeech)),
-                            rng.randint(1, 9), rng.choice("xyz"))
+    references = [tree_reference(nodes,
+                                 rng.choice(["a", "A", "b", "B b", "c"]),
+                                 rng.choice(groups))
                   for _ in range(80)]
     thesaurus = Thesaurus(nodes, references)
     assert list(thesaurus.references) == references
@@ -503,10 +512,8 @@ def check_index(references):
 
 
 @settings(deadline=None)
-@given(st.lists(st.builds(Reference, spellings(),
-                          st.sampled_from(CHAIN_GROUPS),
-                          st.sampled_from(list(PartOfSpeech)),
-                          st.integers(1, 9), st.sampled_from("xyz")),
+@given(st.lists(st.builds(partial(tree_reference, CHAIN_NODES),
+                          spellings(), st.sampled_from(CHAIN_GROUPS)),
                 max_size=40))
 def test_the_index_chains_each_keys_references_in_document_order(
         references):
@@ -522,7 +529,7 @@ def test_an_index_of_no_references():
 
 
 def test_a_key_met_through_an_alias_then_as_itself():
-    references = [Reference(text, group, PartOfSpeech.NOUN, 1, "k")
+    references = [tree_reference(CHAIN_NODES, text, group)
                   for text, group in zip(
                       ["Cat", "dog", "cat", " Dog", "CAT", "cat"],
                       CHAIN_GROUPS)]
@@ -541,8 +548,25 @@ def test_a_key_met_through_an_alias_then_as_itself():
                                         "CAT": "cat"}
 
 
+def test_the_caches_keep_the_thesauruss_own_strings():
+    # A normalized text is a new string each time; the record and key
+    # caches are keyed by an index key, an alias or an entry text instead.
+    thesaurus = check_index([tree_reference(CHAIN_NODES, text, group)
+                             for text, group in zip(
+                                 ["Cat", "dog", "cat", " Dog", "tea", "TEA"],
+                                 CHAIN_GROUPS)])
+    for text in (" CAT ", "DOG", "Tea", "cat"):
+        thesaurus.lookup(text)
+        thesaurus._word_keys(text.upper())
+    held = {id(text) for text in [*thesaurus.index, *thesaurus._columns[0],
+                                  *thesaurus.index._aliases.values()]}
+    for cache in (thesaurus._records, thesaurus._shifted):
+        assert list(cache) == ["cat", "dog", "tea"]
+        assert {id(key) for key in cache} <= held
+
+
 def test_one_key_holding_every_reference():
-    references = [Reference(text, group, PartOfSpeech.NOUN, 1, "k")
+    references = [tree_reference(CHAIN_NODES, text, group)
                   for text, group in zip(
                       ["tea", "TEA", " Tea ", "tea"] * 40, CHAIN_GROUPS * 2)]
     thesaurus = check_index(references)

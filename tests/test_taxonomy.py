@@ -7,10 +7,10 @@ from collections import deque
 
 import pytest
 
-from rogetsim import (InvalidNodeError, InvalidReferenceError, Level,
-                      PartOfSpeech, Reference, TaxonomyNode, Thesaurus,
-                      enumerate_shortest_paths, load, parse_interchange,
-                      taxonomy, word_min_distance)
+from rogetsim import (MAX_DISTANCE, InvalidNodeError, InvalidReferenceError,
+                      Level, PartOfSpeech, Reference, TaxonomyNode, Thesaurus,
+                      WordNotFoundError, enumerate_shortest_paths, load,
+                      parse_interchange, taxonomy, word_min_distance)
 from tests.conftest import FIXTURE_PATH, TIER_PAIRS
 from tests.test_interchange import MINIMAL  # nodes 0-8, the group is node 8
 
@@ -107,11 +107,30 @@ def test_distance_rejects_foreign_reference(thesaurus):
     not_a_member = dataclasses.replace(
         thesaurus.lookup("nag")[0], entry_text="zzz",
         semicolon_group=thesaurus.lookup("feline")[0].semicolon_group)
-    for stray in (out_of_range, not_a_member):
+    # A copy of a member whose group is a float: a thesaurus holds none.
+    feline = thesaurus.lookup("feline")[0]
+    not_an_int = dataclasses.replace(
+        feline, semicolon_group=float(feline.semicolon_group))
+    lynx = thesaurus.lookup("lynx")
+    for stray in (out_of_range, not_a_member, not_an_int):
         with pytest.raises(InvalidReferenceError):
             thesaurus.reference_distance(thesaurus.references[0], stray)
         with pytest.raises(InvalidReferenceError):
             thesaurus.tree_path(stray, thesaurus.references[0])
+        for refs1, refs2 in (([stray], lynx), (lynx, [stray])):
+            with pytest.raises(InvalidReferenceError):
+                list(thesaurus.pairs_within(refs1, refs2, MAX_DISTANCE))
+
+
+def test_an_absent_word_in_a_bisected_comparison_is_not_found(fixture_text):
+    # Nine pairs, so each word's keys are read: an absent word's raises,
+    # and nothing is kept under it.
+    thesaurus = parse_interchange(fixture_text)
+    refs = thesaurus.lookup("feline")
+    for w1, w2 in (("zzz", "feline"), ("feline", "zzz")):
+        with pytest.raises(WordNotFoundError, match="^not found: zzz$"):
+            thesaurus.min_distance(w1, refs, w2, refs)
+    assert list(thesaurus._shifted) == ["feline"]
 
 
 def test_a_lookup_makes_its_words_records_once(fixture_text):
@@ -358,15 +377,33 @@ def test_group_at_depth_seven_is_not_a_member():
         Thesaurus(nodes, refs)
 
 
-@pytest.mark.parametrize("group", [6, -1, 9],
-                         ids=["pos-paragraph", "negative", "out-of-range"])
+@pytest.mark.parametrize("group", [6, -1, 9, 8.0],
+                         ids=["pos-paragraph", "negative", "out-of-range",
+                              "not-an-int"])
 def test_reference_outside_a_semicolon_group_is_rejected(group):
     parsed = parse_interchange(MINIMAL)
     stray = dataclasses.replace(parsed.references[0], entry_text="stray",
                                 semicolon_group=group)
     with pytest.raises(InvalidReferenceError, match="^reference 'stray' at "
-                       "node %d is not in a semicolon group" % group):
+                       "node %r is not in a semicolon group" % group):
         Thesaurus(parsed.nodes, [*parsed.references, stray])
+
+
+@pytest.mark.parametrize("change", [
+    {"pos": PartOfSpeech.VERB}, {"head_number": 1365}, {"keyword": "zzz"},
+], ids=["pos", "head-number", "keyword"])
+def test_a_reference_unlike_its_group_is_rejected(change):
+    # A record reads these from its group's ancestors, so a reference that
+    # says otherwise would print a header the path below it contradicts.
+    parsed = load(FIXTURE_PATH)
+    references = list(parsed.references)
+    i = [ref.entry_text for ref in references].index("feline")
+    stray = references[i] = dataclasses.replace(references[i], **change)
+    with pytest.raises(InvalidReferenceError) as info:
+        Thesaurus(parsed.nodes, references)
+    assert str(info.value) == (
+        "reference %r does not have its semicolon group's POS, head number "
+        "and keyword" % (stray,))
 
 
 def test_reference_at_depth_8_outside_a_semicolon_group_is_rejected():
