@@ -8,8 +8,10 @@ seed's text, one parse of it and one oracle (``perfbench/oracle.py``,
 which does not use rogetsim); the pins belong to seed 1.  Then the
 benchmark harness, ``perfbench/run.py --seconds 1``, runs each of its
 answer checks in a process of its own.  Every check runs, even after one
-has failed, and prints one line: ``ok`` or ``FAIL``, its name and its
-detail.  The exit status is 1 if any check failed.
+has failed, and prints one line: ``ok`` or ``FAIL``, its name, its
+detail and its wall time, which includes a seed's text, parse or oracle
+when the check is the first to read it.  The exit status is 1 if any
+check failed.
 
 ``roget validate`` at this scale is not here: it tests the installed
 ``roget`` script, so the CI workflow runs it on its own.
@@ -197,9 +199,9 @@ def frequent_word_distances(seeds):
 
 
 def pairs_within(seeds):
-    # Thesaurus.pairs_within, through achieving_pairs, on every pair of the
-    # 50 most frequent seed-1 words (a word with itself too): as many pairs
-    # as the oracle counts, each at the oracle's minimum.
+    # achieving_pairs, listed from the lookup lists word_min_distance keeps,
+    # on every pair of the 50 most frequent seed-1 words (a word with itself
+    # too): as many pairs as the oracle counts, each at the oracle's minimum.
     seed = seeds[1]
     thesaurus, oracle = seed.thesaurus, seed.oracle
     group_of = {chain[-1]: group for group, chain in enumerate(oracle.ancestors)}
@@ -245,13 +247,14 @@ def harness_run(workload, seed, trace):
 
 def report(name, check):
     """Run one check and print its line; return whether it passed."""
+    start = time.perf_counter()
     try:
         passed, detail = check()
     except Exception as error:
         traceback.print_exc()
         passed, detail = False, "%s: %s" % (type(error).__name__, error)
-    print("%-4s %s: %s" % ("ok" if passed else "FAIL", name, detail),
-          flush=True)
+    print("%-4s %s: %s (%.1f s)" % ("ok" if passed else "FAIL", name, detail,
+                                    time.perf_counter() - start), flush=True)
     return passed
 
 

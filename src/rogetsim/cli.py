@@ -191,22 +191,14 @@ def build_parser():
                                         "invariant violations")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("distance", help="minimum edge distance between "
-                                        "two words")
-    p.add_argument("word1")
-    p.add_argument("word2")
-    p.set_defaults(func=cmd_pair)
-
-    p = sub.add_parser("sim", help="semantic similarity (16 - distance)")
-    p.add_argument("word1")
-    p.add_argument("word2")
-    p.set_defaults(func=cmd_pair)
-
-    p = sub.add_parser("paths", help="show all shortest paths between "
-                                     "two words")
-    p.add_argument("word1")
-    p.add_argument("word2")
-    p.set_defaults(func=cmd_paths)
+    for name, func, text in (
+            ("distance", cmd_pair, "minimum edge distance between two words"),
+            ("sim", cmd_pair, "semantic similarity (16 - distance)"),
+            ("paths", cmd_paths, "show all shortest paths between two words")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("word1")
+        p.add_argument("word2")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("solve", help="answer a four-choice synonym "
                                      "question file")

@@ -97,13 +97,27 @@ def data_lines(source):
 
     The lines are those of ``_numbered_lines``: ``source`` is a string or a
     text stream, and one leading byte-order mark is dropped.  The line
-    keeps its whitespace but not its line ending.
+    keeps its whitespace but not its line ending.  A stream that cannot
+    be decoded raises ParseError (see ``_undecodable``).
     """
-    for line_no, raw in _numbered_lines(source):
-        line = raw.rstrip("\n").rstrip("\r")
-        text = line.lstrip()
-        if text and text[0] != "#":
-            yield line_no, line
+    try:
+        for line_no, raw in _numbered_lines(source):
+            line = raw.rstrip("\n").rstrip("\r")
+            text = line.lstrip()
+            if text and text[0] != "#":
+                yield line_no, line
+    except UnicodeDecodeError as exc:
+        raise _undecodable(exc) from None
+
+
+def _undecodable(exc):
+    """ParseError for a text stream's UnicodeDecodeError ``exc``.
+
+    The stream does not say where its bad byte is, so the error carries no
+    line; ``load`` locates it in a file's bytes.
+    """
+    return ParseError("byte 0x%02x is not %s"
+                      % (exc.object[exc.start], exc.encoding))
 
 
 def _fail(message, line_no, column=1):
@@ -250,13 +264,15 @@ def _columns(source):
             poses.append(tag)
             open_ids[level] = node_id
             depth = level
-    except (ParseError, UnicodeDecodeError):
+    except (ParseError, UnicodeDecodeError) as exc:
         # The groups not yet split come before the line that raised, or the
         # text that could not be decoded.
         line_no = _first_empty(payloads, payload_lines)
-        if line_no is None:
-            raise
-        raise ParseError(_EMPTY_ENTRY, line=line_no, column=3) from None
+        if line_no is not None:
+            raise ParseError(_EMPTY_ENTRY, line=line_no, column=3) from None
+        if isinstance(exc, UnicodeDecodeError):
+            raise _undecodable(exc) from None
+        raise
     if payloads:
         split_payloads()
 
@@ -416,7 +432,7 @@ def load(path):
     try:
         with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as text:
             return parse_interchange(text)
-    except UnicodeDecodeError:
+    except ParseError:
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:

@@ -43,9 +43,11 @@ class WordDistanceResult:
     ``achieving_pairs`` lists the (Reference, Reference) pairs at the
     minimum, ``pair_count`` of them, in document order; it is built when
     first read.  For it the result keeps, in a private tuple taken when
-    the result is made, the thesaurus, both words' reference lists and
-    the minimum distance, so changing ``min_distance`` later does not
-    change the pairs.  Each build makes its own iterator of the pairs
+    the result is made, the thesaurus, the two lists ``lookup`` returned
+    to ``word_min_distance`` and the minimum distance, so changing
+    ``min_distance`` later does not change the pairs.  The pairs are read
+    from those lists unchecked, as they hold only the thesaurus's own
+    records.  Each build makes its own iterator of the pairs
     from that tuple, so threads that read it first at the same time do
     not share one.
     """
@@ -59,7 +61,7 @@ class WordDistanceResult:
     @cached_property
     def achieving_pairs(self):
         thesaurus, refs1, refs2, distance = self._source
-        return list(thesaurus.pairs_within(refs1, refs2, distance))
+        return list(thesaurus._pairs_within(refs1, refs2, distance))
 
 
 def word_min_distance(thesaurus, w1, w2):
@@ -109,17 +111,11 @@ def path_headers(thesaurus, w1, w2):
     Returns a list of (header, [path, ...]) in document order.
     """
     result = word_min_distance(thesaurus, w1, w2)
-    groups = []
     by_pos = {}
     for r1, r2 in result.achieving_pairs:
-        key = (r1.pos, r2.pos)
-        if key not in by_pos:
-            by_pos[key] = []
-            groups.append(key)
-        by_pos[key].append((r1, r2))
+        by_pos.setdefault((r1.pos, r2.pos), []).append((r1, r2))
     out = []
-    for key in groups:
-        pairs = by_pos[key]
+    for key, pairs in by_pos.items():
         header = "%s %s to %s %s, length = %d, %d path(s) of this length" % (
             w1, key[0].display, w2, key[1].display,
             result.min_distance, len(pairs))

@@ -113,8 +113,7 @@ def format_number(value):
         return str(value.numerator)
     quantized = (Decimal(value.numerator) / Decimal(value.denominator)
                  ).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)
-    text = str(quantized).rstrip("0").rstrip(".")
-    return text
+    return str(quantized).rstrip("0").rstrip(".")
 
 
 def tokenize_choice(text):
@@ -183,21 +182,15 @@ def answer_question(thesaurus, question):
     at_best = [ev for ev in found if ev.effective_distance == best_distance]
     best_paths = max(ev.pair_count for ev in at_best)
     tied = [ev.choice_index for ev in at_best if ev.pair_count == best_paths]
-
-    if len(tied) > 1:
-        in_tie = question.gold_index in tied
-        credit = Fraction(1, len(tied)) if in_tie else Fraction(0)
-        return QuestionResult(question=question, chosen_index=tied[0],
-                              tie_after_tiebreak=True, tied_indices=tied,
-                              per_choice=per_choice, correct=False,
-                              credit=credit)
-
-    chosen = tied[0]
-    correct = chosen == question.gold_index
-    return QuestionResult(question=question, chosen_index=chosen,
-                          tie_after_tiebreak=False, tied_indices=[],
-                          per_choice=per_choice, correct=correct,
-                          credit=Fraction(1) if correct else Fraction(0))
+    # A tie is never correct; the gold choice among the tied earns its share.
+    tie = len(tied) > 1
+    return QuestionResult(question=question, chosen_index=tied[0],
+                          tie_after_tiebreak=tie,
+                          tied_indices=tied if tie else [],
+                          per_choice=per_choice,
+                          correct=not tie and tied[0] == question.gold_index,
+                          credit=Fraction(int(question.gold_index in tied),
+                                          len(tied)))
 
 
 def score_test(thesaurus, questions):

@@ -379,7 +379,7 @@ class Thesaurus:
     lookup by that bit length.  ``index`` is ``build_index(self)``, which
     chains each word's reference ids and walks them on the word's first
     read.  For s references of one word and b >= s of the other
-    ``min_distance`` costs O(s log b), and ``pairs_within`` O(s + b) plus
+    ``min_distance`` costs O(s log b), and ``_pairs_within`` O(s + b) plus
     one step per pair it yields, not s*b.
 
     Answers never change after construction: the columns and ``keys`` are
@@ -694,19 +694,20 @@ class Thesaurus:
                 for ref in self.index._read(word)])))
         return shifted
 
-    def pairs_within(self, refs1, refs2, distance):
+    def _pairs_within(self, refs1, refs2, distance):
         """Yield each pair of refs1 x refs2 at most ``distance`` apart.
 
-        Pairs come in document order (refs1 outer, refs2 inner), lazily;
-        ``distance`` is at least 0, and a reference not in this thesaurus
-        raises InvalidReferenceError, as in ``reference_distance``.
+        Both lists hold only this thesaurus's own records, as ``lookup``
+        returns them, so each record's key is read from its group with no
+        check.  Pairs come in document order (refs1 outer, refs2 inner),
+        lazily; ``distance`` is at least 0.
         """
-        shift, key = self._shift(distance), self._key
+        shift, keys = self._shift(distance), self.keys
         near = {}
         for ref in refs2:
-            near.setdefault(key(ref) >> shift, []).append(ref)
+            near.setdefault(keys[ref.semicolon_group] >> shift, []).append(ref)
         for ref in refs1:
-            for other in near.get(key(ref) >> shift, ()):
+            for other in near.get(keys[ref.semicolon_group] >> shift, ()):
                 yield ref, other
 
     def tree_path(self, r1, r2):

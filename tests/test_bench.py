@@ -189,6 +189,13 @@ def test_load_pairs_rejects_malformed(text):
         load_pairs(text)
 
 
+def test_load_pairs_rejects_a_stream_that_cannot_be_decoded():
+    data = b"scale\t0\t4\nfeline\tlynx\t3\nca\xe9\n"
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as text:
+        with pytest.raises(ParseError, match="^byte 0xe9 is not utf-8$"):
+            load_pairs(text)
+
+
 @pytest.mark.parametrize("text, message", [
     ("scale\t0\tinf\nfeline\tlynx\t3\n",
      "line 1, column 3: scale max inf is not a finite number"),

@@ -204,6 +204,20 @@ def test_load_reports_an_error_before_a_bad_byte_in_its_chunk(tmp_path, line,
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("line,message", [
+    ("", "byte 0xe9 is not utf-8"),
+    ("; a | \n" + "# café\n" * 2000,
+     "line 9, column 3: empty semicolon group entry")])
+def test_a_stream_that_cannot_be_decoded_raises_a_parse_error(line, message):
+    # The stream does not say where its bad byte is, so no line is given,
+    # unless an empty entry comes before it in a chunk already decoded.
+    data = (MINIMAL + line).encode() + b"ca\xe9\n"
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as text:
+        with pytest.raises(ParseError) as info:
+            parse_interchange(text)
+    assert str(info.value) == message
+
+
 def test_load_reads_a_pipe_once(tmp_path):
     with pytest.raises(ParseError) as info:
         read_from_pipe(tmp_path / "bad", MINIMAL.encode() + b"; caf\xe9\n",

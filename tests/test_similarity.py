@@ -60,7 +60,7 @@ def test_not_found_names_missing_words(thesaurus):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of Thesaurus.reference_distance and pairs_within calls."""
+    """Counts of Thesaurus.reference_distance and _pairs_within calls."""
     counts = Counter()
 
     def counted(name):
@@ -71,7 +71,7 @@ def calls(monkeypatch):
             return original(*args)
         return wrapper
 
-    for name in ("reference_distance", "pairs_within"):
+    for name in ("reference_distance", "_pairs_within"):
         monkeypatch.setattr(Thesaurus, name, counted(name))
     return counts
 
@@ -96,15 +96,15 @@ def test_similarity_never_builds_the_achieving_pairs(thesaurus, calls):
     for w1 in words:
         for w2 in words:
             similarity(thesaurus, w1, w2)
-    assert calls["pairs_within"] == 0
+    assert calls["_pairs_within"] == 0
 
 
 def test_achieving_pairs_are_built_once(thesaurus, calls):
     result = word_min_distance(thesaurus, "ode", "poem")
-    assert calls["pairs_within"] == 0
+    assert calls["_pairs_within"] == 0
     first = result.achieving_pairs
     assert result.achieving_pairs is first and len(first) == 2
-    assert calls["pairs_within"] == 1
+    assert calls["_pairs_within"] == 1
 
 
 def test_achieving_pairs_keep_the_distance_of_the_call(thesaurus):
@@ -225,7 +225,7 @@ def test_word_distance_cost_is_bounded(monkeypatch):
         raise AssertionError("achieving pairs built")
         yield
 
-    monkeypatch.setattr(Thesaurus, "pairs_within", no_pairs)
+    monkeypatch.setattr(Thesaurus, "_pairs_within", no_pairs)
     for w1, w2, distance in (("alpha", "beta", 0), ("alpha", "alpha", 0),
                              ("gamma", "delta", 16), ("gamma", "alpha", 0)):
         m, n = len(thesaurus.lookup(w1)), len(thesaurus.lookup(w2))
@@ -244,6 +244,28 @@ def test_word_distance_cost_is_bounded(monkeypatch):
                                3)
     assert answer_question(thesaurus, question).verdict == "CORRECT"
     assert distance_calls == []
+
+
+def test_achieving_pairs_of_frequent_words_check_no_reference(monkeypatch):
+    # The lists come from ``lookup``, so listing the pairs reads each
+    # record's key from its group: no per-reference ``_key`` check, whose
+    # identity scan would make the listing grow as m*n.
+    thesaurus = frequent_words_thesaurus()
+    key_calls, key = [], Thesaurus._key
+
+    def counted(self, ref):
+        key_calls.append(ref)
+        return key(self, ref)
+
+    monkeypatch.setattr(Thesaurus, "_key", counted)
+    for w1, w2 in (("alpha", "beta"), ("alpha", "alpha"), ("gamma", "alpha")):
+        result = word_min_distance(thesaurus, w1, w2)
+        key_calls.clear()
+        pairs = result.achieving_pairs
+        assert key_calls == []
+        assert len(pairs) == result.pair_count > 0
+        assert {thesaurus.reference_distance(r1, r2)
+                for r1, r2 in pairs} == {result.min_distance}
 
 
 def test_first_reads_of_achieving_pairs_from_two_threads():

@@ -216,6 +216,13 @@ def test_load_questions_rejects_malformed(line):
         load_questions(line + "\n")
 
 
+def test_load_questions_rejects_a_stream_that_cannot_be_decoded():
+    data = b"ode\tpoem\ta\tb\tc\t1\nca\xe9\n"
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as text:
+        with pytest.raises(ParseError, match="^byte 0xe9 is not utf-8$"):
+            load_questions(text)
+
+
 @pytest.mark.parametrize("separator", ["\u2028", "\x0c", "\x85"])
 def test_load_questions_string_splits_like_stream(separator):
     text = ("ode\theavy%sdebt\tpoem\tsweet smell\tsurprise\t1\r\n"

@@ -7,8 +7,8 @@ from collections import deque
 
 import pytest
 
-from rogetsim import (MAX_DISTANCE, InvalidNodeError, InvalidReferenceError,
-                      Level, PartOfSpeech, Reference, TaxonomyNode, Thesaurus,
+from rogetsim import (InvalidNodeError, InvalidReferenceError, Level,
+                      PartOfSpeech, Reference, TaxonomyNode, Thesaurus,
                       WordNotFoundError, enumerate_shortest_paths, load,
                       parse_interchange, taxonomy, word_min_distance)
 from tests.conftest import FIXTURE_PATH, TIER_PAIRS
@@ -111,15 +111,11 @@ def test_distance_rejects_foreign_reference(thesaurus):
     feline = thesaurus.lookup("feline")[0]
     not_an_int = dataclasses.replace(
         feline, semicolon_group=float(feline.semicolon_group))
-    lynx = thesaurus.lookup("lynx")
     for stray in (out_of_range, not_a_member, not_an_int):
         with pytest.raises(InvalidReferenceError):
             thesaurus.reference_distance(thesaurus.references[0], stray)
         with pytest.raises(InvalidReferenceError):
             thesaurus.tree_path(stray, thesaurus.references[0])
-        for refs1, refs2 in (([stray], lynx), (lynx, [stray])):
-            with pytest.raises(InvalidReferenceError):
-                list(thesaurus.pairs_within(refs1, refs2, MAX_DISTANCE))
 
 
 def test_an_absent_word_in_a_bisected_comparison_is_not_found(fixture_text):
