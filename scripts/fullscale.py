@@ -144,16 +144,18 @@ def index_order(seeds):
 def input_forms(seeds):
     # The seed-1 document given as a string, as a StringIO, as a CRLF file
     # opened with newline="" and, through load, as a CRLF file that starts
-    # with a byte-order mark: each form serializes to the same pinned
-    # sha256, so the parse reads each form's lines alike.
+    # with a byte-order mark and as a CR file: each form serializes to the
+    # same pinned sha256, so the parse reads each form's lines alike.
     text = seeds[1].text
     with tempfile.TemporaryDirectory() as directory:
         crlf = os.path.join(directory, "crlf.rt")
         bom = os.path.join(directory, "bom.rt")
-        with open(crlf, "w", encoding="utf-8", newline="\r\n") as out:
-            out.write(text)
-        with open(bom, "w", encoding="utf-8-sig", newline="\r\n") as out:
-            out.write(text)
+        cr = os.path.join(directory, "cr.rt")
+        for path, encoding, ending in ((crlf, "utf-8", "\r\n"),
+                                       (bom, "utf-8-sig", "\r\n"),
+                                       (cr, "utf-8", "\r")):
+            with open(path, "w", encoding=encoding, newline=ending) as out:
+                out.write(text)
 
         def crlf_stream():
             with open(crlf, encoding="utf-8", newline="") as stream:
@@ -162,7 +164,8 @@ def input_forms(seeds):
         forms = {"str": lambda: seeds[1].thesaurus,
                  "StringIO": lambda: parse_interchange(io.StringIO(text)),
                  "CRLF stream": crlf_stream,
-                 "BOM CRLF load": lambda: load(bom)}
+                 "BOM CRLF load": lambda: load(bom),
+                 "CR load": lambda: load(cr)}
         by_digest = {}
         for name, parse in forms.items():
             digest = hashlib.sha256(serialize(parse()).encode()).hexdigest()

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CorrelationUndefinedError, ParseError, WordNotFoundError
-from .interchange import data_lines
+from .interchange import ascii_number, data_lines
 from .similarity import similarity, similarity_tier
 
 POLICY_SKIP = "skip"
@@ -164,7 +164,8 @@ def load_pairs(source):
                     "first data line must be 'scale<TAB>min<TAB>max'",
                     line=line_no)
             try:
-                scale = PairScale(low=float(fields[1]), high=float(fields[2]))
+                scale = PairScale(low=ascii_number(float, fields[1]),
+                                  high=ascii_number(float, fields[2]))
             except ValueError:
                 raise ParseError("scale bounds must be numbers", line=line_no)
             for column, name, bound in ((2, "min", scale.low),
@@ -182,7 +183,7 @@ def load_pairs(source):
                 "expected 3 tab-separated fields, got %d" % len(fields),
                 line=line_no)
         try:
-            score = float(fields[2])
+            score = ascii_number(float, fields[2])
         except ValueError:
             raise ParseError("human score %r is not a number" % fields[2],
                              line=line_no, column=3)

@@ -17,7 +17,7 @@ from . import solver as solver_mod
 from .errors import (CorrelationUndefinedError, GutenbergImportError,
                      ParseError, RogetError)
 from .gutenberg import import_gutenberg_1911
-from .interchange import decode_utf8, load, validate_structure
+from .interchange import load, utf8_lines, validate_structure
 from .similarity import path_headers, similarity_tier, word_min_distance
 from .taxonomy import MAX_DISTANCE
 
@@ -50,14 +50,15 @@ def _cannot_read(path, exc):
 
 
 def _parse_file(path, parse):
-    """``parse`` the text of the file at ``path``; input errors exit 2."""
+    """``parse`` the ``utf8_lines`` of the file at ``path``; input errors
+    exit 2, the first in document order."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
     except OSError as exc:
         raise _cannot_read(path, exc)
     try:
-        return parse(decode_utf8(data))
+        return parse(utf8_lines(data))
     except (ParseError, GutenbergImportError) as exc:
         raise CommandError("%s: %s" % (path, exc), EXIT_INPUT)
 
@@ -84,7 +85,8 @@ def _load_thesaurus(args):
 
 
 def cmd_import(args, out, err):
-    document, report = _parse_file(args.source, import_gutenberg_1911)
+    document, report = _parse_file(
+        args.source, lambda lines: import_gutenberg_1911("".join(lines)))
     out.write(document)
     for line in report.lines():
         err.write(line + "\n")

@@ -202,10 +202,12 @@ def import_gutenberg_1911(text):
     """Convert 1911 Roget's plain text to interchange format.
 
     Returns (interchange_text, ConversionReport).  Raises
-    GutenbergImportError when the input has no recognizable heads.  One
-    leading byte-order mark is dropped.
+    GutenbergImportError when the input has no recognizable heads.  Lines
+    end at ``\n``, ``\r\n`` or ``\r``, and one leading byte-order mark is
+    dropped.
     """
-    text = _strip_pg_boilerplate(text.removeprefix("\ufeff"))
+    text = _strip_pg_boilerplate(text.removeprefix("\ufeff")
+                                 .replace("\r\n", "\n").replace("\r", "\n"))
     report = ConversionReport()
     builder = _DocumentBuilder(report)
 

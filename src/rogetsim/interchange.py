@@ -3,7 +3,7 @@
 The format is UTF-8 and line-oriented: a leading keyword, a single space,
 then the payload.  ``#`` lines are comments, blank lines are ignored, and
 lines end at ``\n``, ``\r\n`` or ``\r``, whether the document is given as
-a string or as a text stream.
+a string, as a text stream or as a file.
 
     C <ordinal> <label>        Class
     S <ordinal> <label>        Section
@@ -18,6 +18,9 @@ A record at level L attaches to the most recent record at level L-1;
 emitting level L without a live L-1 ancestor is a hard parse error, as
 are duplicate head numbers and empty semicolon groups.  One leading
 byte-order mark is dropped, from a string, a stream or a file alike.
+
+A file is decoded line by line as the parse reads it (``utf8_lines``), so
+its first error in document order, a bad byte too, is the one raised.
 
 ``parse_interchange`` reads the document line by line, appending each
 record to the per-node columns of ``Thesaurus``; the entries of the
@@ -76,14 +79,35 @@ _BLOCK = 1024
 _EMPTY_ENTRY = "empty semicolon group entry"
 
 
+def utf8_lines(data):
+    """Yield the lines of the bytes ``data`` as text, each decoded in turn.
+
+    The lines are those of a file opened with ``encoding="utf-8"`` and
+    ``newline=""``: they end at ``\n``, ``\r\n`` or ``\r`` and keep their
+    endings.  No UTF-8 sequence holds those bytes, so splitting before
+    decoding moves no error.  A line that is not UTF-8 raises ParseError
+    at the line and column of its first bad byte, counted with any
+    byte-order mark, when the reader reaches it.
+    """
+    lines = data.splitlines(keepends=True)
+    try:
+        yield from map(bytes.decode, lines)
+    except UnicodeDecodeError as exc:
+        bad, start = exc.object, exc.start
+        # Equal lines decode alike, so the first line equal to it is the one.
+        raise ParseError("byte 0x%02x is not UTF-8" % bad[start],
+                         line=lines.index(bad) + 1,
+                         column=len(bad[:start].decode()) + 1) from None
+
+
 def _numbered_lines(source):
     """(1-based line number, line) of every line of ``source``.
 
-    ``source`` is a string or a text stream.  A string is read as a stream
-    with universal newlines, so it splits into lines exactly as a file
-    opened in text mode does.  One byte-order mark (U+FEFF) at the start
-    of the source is dropped; anywhere else it is text.  A line keeps its
-    line ending.
+    ``source`` is a string or lines of text (a text stream, ``utf8_lines``).
+    A string is read as a stream with universal newlines, so it splits
+    into lines exactly as a file opened in text mode does.  One byte-order
+    mark (U+FEFF) at the start of the source is dropped; anywhere else it
+    is text.  A line keeps its line ending.
     """
     if isinstance(source, str):
         source = io.StringIO(source, newline=None)
@@ -95,8 +119,8 @@ def _numbered_lines(source):
 def data_lines(source):
     """Yield (1-based line number, line) for each non-blank, non-'#' line.
 
-    The lines are those of ``_numbered_lines``: ``source`` is a string or a
-    text stream, and one leading byte-order mark is dropped.  The line
+    The lines are those of ``_numbered_lines``: ``source`` is a string or
+    lines of text, and one leading byte-order mark is dropped.  The line
     keeps its whitespace but not its line ending.  A stream that cannot
     be decoded raises ParseError (see ``_undecodable``).
     """
@@ -114,10 +138,19 @@ def _undecodable(exc):
     """ParseError for a text stream's UnicodeDecodeError ``exc``.
 
     The stream does not say where its bad byte is, so the error carries no
-    line; ``load`` locates it in a file's bytes.
+    line; ``utf8_lines`` locates one in a file's bytes.
     """
     return ParseError("byte 0x%02x is not %s"
                       % (exc.object[exc.start], exc.encoding))
+
+
+def ascii_number(convert, text):
+    """``convert(text)``, or ValueError if ``text`` holds ``_`` or is not
+    ASCII (``1_0``, Arabic-Indic digits): the formats write no such
+    numbers."""
+    if "_" in text or not text.isascii():
+        raise ValueError("not an ASCII number: %r" % text)
+    return convert(text)
 
 
 def _fail(message, line_no, column=1):
@@ -130,7 +163,7 @@ def _ordinal_and_label(payload, level, line_no):
         _fail("%s record needs an ordinal and a label" % _RECORDS[level].name,
               line_no, 3)
     try:
-        number = int(parts[0])
+        number = ascii_number(int, parts[0])
     except ValueError:
         _fail("%s record has non-integer ordinal %r"
               % (_RECORDS[level].name, parts[0]), line_no, 3)
@@ -138,7 +171,7 @@ def _ordinal_and_label(payload, level, line_no):
 
 
 def parse_interchange(source):
-    """Parse interchange text (a string or a text stream) into a Thesaurus.
+    """Parse interchange text (a string or lines of text) into a Thesaurus.
 
     At the 1987 edition's scale the parse sets off no collection and
     leaves some 50 tracked containers holding about 770,000 items.  They
@@ -236,7 +269,7 @@ def _columns(source):
             label, ordinal, number, tag = "", counts[level], None, None
             if kind == "Q":
                 try:
-                    ordinal = int(payload)
+                    ordinal = ascii_number(int, payload)
                 except ValueError:
                     _fail("paragraph record has non-integer ordinal %r"
                           % payload, line_no, 3)
@@ -388,58 +421,14 @@ def structure_signature(thesaurus):
                  for i in sorted(range(len(t.keys)), key=t.keys.__getitem__))
 
 
-def _universal_newlines(text):
-    return text.replace("\r\n", "\n").replace("\r", "\n")
-
-
-def _bad_byte(data, start):
-    """(Text of the lines before byte ``start``'s line, ParseError at it).
-
-    The byte at ``start`` is the first of ``data`` that is not UTF-8; its
-    line and column are counted in the bytes as given.
-    """
-    before = _universal_newlines(data[:start].decode("utf-8"))
-    line_start = before.rfind("\n") + 1
-    return before[:line_start], ParseError(
-        "byte 0x%02x is not UTF-8" % data[start],
-        line=before.count("\n") + 1, column=len(before) - line_start + 1)
-
-
-def decode_utf8(data):
-    """Text of the bytes ``data``, with line endings read as in text mode.
-
-    Bytes that are not UTF-8 raise ParseError at the line and column of
-    the first of them, counted in the bytes as given.  A byte-order mark
-    is kept: ``data_lines`` drops it.
-    """
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise _bad_byte(data, exc.start)[1] from None
-    return _universal_newlines(text)
-
-
 def load(path):
     """Parse the interchange file at ``path``.
 
-    The file is read once, as bytes, and parsed as a stream of its text.
-    A file that is not UTF-8 raises ParseError at the line and column of
-    its first undecodable byte, like any malformed input, unless a line
-    before that byte's line has an error, which is raised instead.
+    The file is read once, as bytes, and each line is decoded as the parse
+    reaches it (``utf8_lines``).  The first error in document order is
+    raised, a malformed record or a byte that is not UTF-8, as ParseError
+    at its line and column.
     """
     with open(path, "rb") as handle:
         data = handle.read()
-    try:
-        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as text:
-            return parse_interchange(text)
-    except ParseError:
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            lines, error = _bad_byte(data, exc.start)
-        else:
-            raise
-    # The stream decodes whole chunks, so the lines before the bad byte in
-    # its chunk were never parsed; the first error in them comes first.
-    _columns(lines)
-    raise error
+    return parse_interchange(utf8_lines(data))

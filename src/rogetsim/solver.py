@@ -12,7 +12,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
 from .errors import ParseError, ReportError
-from .interchange import data_lines, normalize
+from .interchange import ascii_number, data_lines, normalize
 from .similarity import WordDistanceResult, word_min_distance
 from .taxonomy import PartOfSpeech
 
@@ -256,7 +256,7 @@ def load_questions(source):
                 "expected 6 or 7 tab-separated fields, got %d" % len(fields),
                 line=line_no)
         try:
-            gold = int(fields[5])
+            gold = ascii_number(int, fields[5])
         except ValueError:
             raise ParseError("gold index %r is not an integer" % fields[5],
                              line=line_no, column=6)

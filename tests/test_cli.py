@@ -187,6 +187,24 @@ def test_import_missing_file():
     assert "/nonexistent/roget.txt" in err
 
 
+@pytest.mark.parametrize("ending", ["\r\n", "\r"])
+def test_import_reads_every_line_ending(tmp_path, ending):
+    with open(data_path("gutenberg_excerpt.txt"), "rb") as handle:
+        excerpt = handle.read()
+    source = tmp_path / "roget.txt"
+    source.write_bytes(excerpt.replace(b"\n", ending.encode()))
+    assert run("import", str(source)) == run(
+        "import", data_path("gutenberg_excerpt.txt"))
+
+
+def test_import_non_utf8_file_exact(tmp_path):
+    source = tmp_path / "roget.txt"
+    source.write_bytes(b"CLASS I\r\n#1. Existence.--N. caf\xe9\n")
+    assert run("import", str(source)) == (
+        2, "", "error: %s: line 2, column 23: byte 0xe9 is not UTF-8\n"
+        % source)
+
+
 def test_import_empty_file(tmp_path):
     empty = tmp_path / "empty.txt"
     empty.write_text("")
@@ -340,6 +358,33 @@ def test_pipes_are_read_once(tmp_path, fixture_text):
     assert thesaurus == (2, "", "error: failed to load %s: line %d, column 8: "
                          "byte 0xe9 is not UTF-8\n"
                          % (tmp_path / "t", fixture_text.count("\n") + 1))
+
+
+@pytest.mark.parametrize("argv,data,error", [
+    (["--thesaurus", None, "sim", "a", "b"],
+     b"C 1 c\nX foo\nC 2 caf\xe9\n",
+     "failed to load %s: line 2, column 1: unknown record keyword 'X'"),
+    (["--thesaurus", FIXTURE_PATH, "solve", None],
+     b"bad line\nab\xffc\n",
+     "%s: line 1, column 1: expected 6 or 7 tab-separated fields, got 1"),
+    (["--thesaurus", FIXTURE_PATH, "bench", None],
+     b"scale\t0\t4\nfeline\tlynx\nab\xffc\n",
+     "%s: line 2, column 1: expected 3 tab-separated fields, got 2"),
+], ids=["thesaurus", "questions", "pairs"])
+@pytest.mark.parametrize("pipe", [False, True], ids=["file", "pipe"])
+def test_an_error_before_a_bad_byte_is_reported(tmp_path, argv, data, error,
+                                                pipe):
+    path = tmp_path / "input"
+
+    def read(name):
+        return run(*[name if arg is None else arg for arg in argv])
+
+    if pipe:
+        outcome = read_from_pipe(path, data, read)
+    else:
+        path.write_bytes(data)
+        outcome = read(str(path))
+    assert outcome == (2, "", "error: %s\n" % (error % path))
 
 
 @pytest.mark.parametrize("name,reason", [

@@ -62,6 +62,14 @@ def test_one_leading_byte_order_mark_is_dropped(excerpt):
         import_gutenberg_1911(body))
 
 
+def test_line_endings_convert_alike(excerpt):
+    assert "\r" not in excerpt
+    converted = [import_gutenberg_1911(excerpt.replace("\n", ending))
+                 for ending in ("\n", "\r\n", "\r")]
+    assert converted[1] == converted[0] and converted[2] == converted[0]
+    assert converted[0][1].heads_converted == 5
+
+
 def _report(classes=1, sections=1, sub_sections=1, heads=1, heads_skipped=0,
             segments_skipped=0, entries_skipped=0, notes=()):
     return ["Classes: %d" % classes, "Sections: %d" % sections,

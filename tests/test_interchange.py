@@ -168,7 +168,7 @@ def test_line_endings_split_like_a_file(tmp_path):
 
 @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
 def test_load_reports_bytes_that_are_not_utf8(tmp_path, ending):
-    # Past the first 8 KiB, which a text stream decodes as one chunk.
+    # Lines of multi-byte text before the bad byte count one each.
     padding = "# café\n" * 2000
     path = tmp_path / "bad.rt"
     path.write_bytes((padding + MINIMAL).replace("\n", ending).encode()
@@ -181,7 +181,7 @@ def test_load_reports_bytes_that_are_not_utf8(tmp_path, ending):
 
 
 def test_load_reports_an_empty_entry_before_a_bad_byte(tmp_path):
-    # The bad byte lies past the first 8 KiB, which decode before it.
+    # The empty entry lies 2,000 lines before the bad byte.
     path = tmp_path / "bad.rt"
     path.write_bytes((MINIMAL + "; a | \n" + "# café\n" * 2000).encode()
                      + b"; caf\xe9\n")
@@ -193,10 +193,8 @@ def test_load_reports_an_empty_entry_before_a_bad_byte(tmp_path):
 @pytest.mark.parametrize("line,message", [
     ("X foo\n", "line 9, column 1: unknown record keyword 'X'"),
     ("; a | \n", "line 9, column 3: empty semicolon group entry")])
-def test_load_reports_an_error_before_a_bad_byte_in_its_chunk(tmp_path, line,
-                                                              message):
-    # The file is one chunk of the text stream, which fails to decode
-    # before any of its lines is parsed.
+def test_load_reports_an_error_on_the_line_before_a_bad_byte(tmp_path, line,
+                                                             message):
     path = tmp_path / "bad.rt"
     path.write_bytes((MINIMAL + line).encode() + b"; caf\xe9\n")
     with pytest.raises(ParseError) as info:
@@ -442,6 +440,34 @@ def test_shuffle_fuzz(fixture_text):
     assert broken > 0
 
 
+_NUMBERED = MINIMAL.replace("C 1 ", "C {} ").replace("H 1 ", "H {} ")
+
+
+@pytest.mark.parametrize("parse,text,message", [
+    (parse_interchange, _NUMBERED.format("1_0", "1"),
+     "line 1, column 3: class record has non-integer ordinal '1_0'"),
+    (parse_interchange, _NUMBERED.format("1", "\u0661\u0662"),
+     "line 5, column 3: head record has non-integer ordinal '\u0661\u0662'"),
+    (parse_interchange, MINIMAL.replace("Q 1", "Q \uff11"),
+     "line 7, column 3: paragraph record has non-integer ordinal '\uff11'"),
+    (load_questions, "ode\tpoem\ta\tb\tc\t\u0661\n",
+     "line 1, column 6: gold index '\u0661' is not an integer"),
+    (load_questions, "ode\tpoem\ta\tb\tc\t0_1\n",
+     "line 1, column 6: gold index '0_1' is not an integer"),
+    (load_pairs, "scale\t0\t1_0\n",
+     "line 1, column 1: scale bounds must be numbers"),
+    (load_pairs, "scale\t0\t4\nfeline\tlynx\t\u0662\n",
+     "line 2, column 3: human score '\u0662' is not a number"),
+    (load_pairs, "scale\t0\t4\nfeline\tlynx\t1_0e-1\n",
+     "line 2, column 3: human score '1_0e-1' is not a number"),
+])
+def test_numbers_the_formats_do_not_write_are_rejected(parse, text, message):
+    # int() and float() read these; the formats write ASCII digits only.
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
 # Each parser with its fixture, and the error it gives when the fixture
 # starts with two byte-order marks: the second is text, so the first line
 # is no longer a comment.
@@ -541,9 +567,35 @@ def test_equal_entry_texts_share_one_string(thesaurus):
 
 
 def test_decoding_keeps_byte_order_marks():
-    assert interchange.decode_utf8(b"\xef\xbb\xbf\xef\xbb\xbfa\r\n") == (
-        "\ufeff\ufeffa\n")
-    assert interchange.decode_utf8(b"a\xef\xbb\xbf") == "a\ufeff"
+    # utf8_lines keeps every mark; _numbered_lines drops the leading one.
+    lines = list(interchange.utf8_lines(
+        b"\xef\xbb\xbf\xef\xbb\xbfa\r\nb\xef\xbb\xbf"))
+    assert lines == ["\ufeff\ufeffa\r\n", "b\ufeff"]
+    assert list(interchange._numbered_lines(lines)) == [
+        (1, "\ufeffa\r\n"), (2, "b\ufeff")]
+
+
+@pytest.mark.parametrize("data", [
+    b"", b"a", b"\n", b"a\nb", b"a\r\nb\r\n", b"a\rb\r", b"\r\r\n\n\r",
+    b"a\n\rb\r\n\rc", "caf\u00e9\r\n\u2028x\x85y\x0cz\n".encode()])
+def test_utf8_lines_split_like_a_file(tmp_path, data):
+    path = tmp_path / "lines"
+    path.write_bytes(data)
+    with open(path, encoding="utf-8", newline="") as handle:
+        assert list(interchange.utf8_lines(data)) == list(handle)
+
+
+@pytest.mark.parametrize("data,message", [
+    (b"\xff", "line 1, column 1: byte 0xff"),
+    # The column counts characters, not bytes.
+    (b"ok\r\ncaf\xc3\xa9 \xe9\n\xe9", "line 2, column 6: byte 0xe9"),
+    (b"a\rb\r\n\xe2\x82\n", "line 3, column 1: byte 0xe2"),  # cut short
+    (b"x\n\xffy\n\xffy\n", "line 2, column 1: byte 0xff"),  # twice
+])
+def test_utf8_lines_locate_the_first_bad_byte(data, message):
+    with pytest.raises(ParseError) as info:
+        list(interchange.utf8_lines(data))
+    assert str(info.value) == message + " is not UTF-8"
 
 
 def test_load_drops_a_byte_order_mark_from_a_pipe(tmp_path):
