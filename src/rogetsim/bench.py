@@ -7,6 +7,7 @@ pair from the correlation (with a loud count), "zero" scores it 0.
 """
 
 import math
+import statistics
 from dataclasses import dataclass
 
 from .errors import CorrelationUndefinedError, ParseError, WordNotFoundError
@@ -60,24 +61,10 @@ class PairReport:
 
 def pearson(xs, ys):
     """Pearson product-moment correlation coefficient."""
-    if len(xs) != len(ys):
-        raise CorrelationUndefinedError(
-            "length mismatch: %d vs %d" % (len(xs), len(ys)))
-    n = len(xs)
-    if n < 2:
-        raise CorrelationUndefinedError(
-            "need at least 2 points, got %d" % n)
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    sxy = sxx = syy = 0.0
-    for x, y in zip(xs, ys):
-        dx, dy = x - mean_x, y - mean_y
-        sxy += dx * dy
-        sxx += dx * dx
-        syy += dy * dy
-    if sxx == 0.0 or syy == 0.0:
-        raise CorrelationUndefinedError("zero variance in input vector")
-    r = sxy / math.sqrt(sxx * syy)
+    try:
+        r = statistics.correlation(xs, ys)
+    except statistics.StatisticsError as exc:
+        raise CorrelationUndefinedError(str(exc)) from None
     return max(-1.0, min(1.0, r))
 
 

@@ -85,8 +85,7 @@ def _load_thesaurus(args):
 
 
 def cmd_import(args, out, err):
-    document, report = _parse_file(
-        args.source, lambda lines: import_gutenberg_1911("".join(lines)))
+    document, report = _parse_file(args.source, import_gutenberg_1911)
     out.write(document)
     for line in report.lines():
         err.write(line + "\n")

@@ -7,6 +7,11 @@ Phr. segments that have no counterpart in the taxonomy and are skipped).
 Semicolons separate closely related word groups and commas separate
 entries, with ``&c.`` cross references pointing at other heads.
 
+The text, a string or lines of text, is read line by line as the other
+formats are, but its ``#`` lines are heads, not comments.  It starts
+after the first Project Gutenberg ``*** START OF ... ***`` marker, if a
+line holds one, and ends at an ``*** END OF ... ***`` marker.
+
 The importer is deliberately tolerant: anything it cannot place is
 skipped and counted in the conversion report (a head numbered 0, say);
 a class, section or sub-section numbered no higher than the one before
@@ -19,7 +24,8 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import GutenbergImportError, ParseError
-from .interchange import parse_interchange, validate_structure
+from .interchange import (_numbered_lines, parse_interchange,
+                          validate_structure)
 from .taxonomy import Level
 
 _ROMAN = {"I": 1, "V": 5, "X": 10, "L": 50, "C": 100}
@@ -28,8 +34,9 @@ _CLASS_RE = re.compile(r"^\s*CLASS\s+([IVXLC]+)\.?\s*$")
 _SECTION_RE = re.compile(r"^\s*SECTION\s+([IVXLC]+)\.?\s*(.*)$")
 _SUBSECTION_RE = re.compile(r"^\s*(\d+)\.\s+([A-Z][A-Z0-9 ,.:;'()-]*)\s*$")
 _HEAD_RE = re.compile(r"^\s*%?#(\d+[a-z]?)\.\s*(.*)$")
-# A line after a CLASS heading is its title unless it is a heading itself.
 _HEADINGS = (_CLASS_RE, _SECTION_RE, _SUBSECTION_RE, _HEAD_RE)
+_START_RE = re.compile(r"\*\*\*\s*START OF.*?\*\*\*")
+_END_RE = re.compile(r"\*\*\*\s*END OF.*?\*\*\*")
 _POS_SPLIT_RE = re.compile(r"(?:^|(?<=\s))(N|V|Adj|Adv|Int|Phr)\.(?:\s|--|$)")
 # "&c. 494" points at another head: the whole entry is dropped.  "&c. adj."
 # just abbreviates "as above" within the head: the marker is stripped.
@@ -81,16 +88,6 @@ class ConversionReport:
         return out
 
 
-def _strip_pg_boilerplate(text):
-    start = re.search(r"\*\*\*\s*START OF.*?\*\*\*", text)
-    if start:
-        text = text[start.end():]
-    end = re.search(r"\*\*\*\s*END OF.*?\*\*\*", text)
-    if end:
-        text = text[:end.start()]
-    return text
-
-
 def _clean_entry(entry, report):
     entry = _BRACKETED_RE.sub(" ", entry)
     if _CROSS_REF_RE.search(entry):
@@ -123,14 +120,60 @@ def _segment_groups(segment_text, report):
 
 
 class _DocumentBuilder:
-    """Accumulates interchange records, synthesizing missing ancestors."""
+    """Reads the text a line at a time into interchange records,
+    synthesizing missing ancestors."""
 
-    def __init__(self, report):
+    def __init__(self):
         self.lines = []
-        self.report = report
+        self.report = ConversionReport()
         self.ordinals = [0] * (Level.HEAD_GROUP + 1)  # last one per level
         self.depth = Level.ROOT  # levels 1..depth are open
         self.seen_heads = set()
+        self.title = None  # (ordinal, label) of a class awaiting its title
+        self.head = []     # number text and text lines of the open head
+
+    def read(self, line):
+        """Read the text's next line, given without its line ending.
+
+        A class is opened at its next non-blank line, its title if all in
+        upper case and not a heading; a head is converted at the next
+        heading.
+        """
+        text = line.strip()
+        if not text:
+            return
+        headings = [pattern.match(line) for pattern in _HEADINGS]
+        if not any(headings):
+            if self.head:
+                self.head.append(text)
+            elif self.title:
+                if text.isupper():
+                    ordinal, label = self.title
+                    self.title = ordinal, "%s: %s" % (
+                        label, " ".join(text.split()))
+                self.close()
+            return
+        self.close()
+        class_, section, sub_section, head = headings
+        if class_:
+            self.title = (_roman_to_int(class_[1]), "CLASS %s" % class_[1])
+        elif section:
+            label = " ".join(section[2].split()).strip(" .")
+            self.add(Level.SECTION, _roman_to_int(section[1]),
+                     label or "SECTION %s" % section[1])
+        elif sub_section:
+            self.add(Level.SUB_SECTION, int(sub_section[1]),
+                     " ".join(sub_section[2].split()).strip(" ."))
+        else:
+            self.head = list(head.groups())
+
+    def close(self):
+        """Open the class awaiting its title, or convert the open head."""
+        if self.title:
+            self.add(Level.CLASS, *self.title)
+        elif self.head:
+            self.add_head(*self.head)
+        self.title, self.head = None, []
 
     def add(self, level, ordinal, label):
         """Open a class, section, sub-section or head group.
@@ -156,8 +199,9 @@ class _DocumentBuilder:
         if note:
             self.report.notes.append(note)
 
-    def add_head(self, number_text, text):
-        """Convert the head ``#<number_text>. <text>``, or skip it.
+    def add_head(self, number_text, *lines):
+        """Convert the head ``#<number_text>.`` with its text ``lines``, or
+        skip it.
 
         The skip has a note when the number is not positive or is taken,
         and none when the head keeps no entry.  A head skipped for its
@@ -173,7 +217,7 @@ class _DocumentBuilder:
                                   % number_text)
         if number in self.seen_heads:
             return self.skip_head("duplicate head number %d skipped" % number)
-        label, _, rest = text.partition("--")
+        label, _, rest = " ".join(lines).partition("--")
         label = " ".join(label.split()).strip(" .") or "Head %d" % number
         body = []
         parts = _POS_SPLIT_RE.split(rest)
@@ -198,77 +242,29 @@ class _DocumentBuilder:
         self.seen_heads.add(number)
 
 
-def import_gutenberg_1911(text):
-    """Convert 1911 Roget's plain text to interchange format.
+def import_gutenberg_1911(source):
+    """Convert 1911 Roget's plain text, a string or lines of text, to
+    interchange format.
 
     Returns (interchange_text, ConversionReport).  Raises
-    GutenbergImportError when the input has no recognizable heads.  Lines
-    end at ``\n``, ``\r\n`` or ``\r``, and one leading byte-order mark is
-    dropped.
+    GutenbergImportError when the input has no recognizable heads.
     """
-    text = _strip_pg_boilerplate(text.removeprefix("\ufeff")
-                                 .replace("\r\n", "\n").replace("\r", "\n"))
-    report = ConversionReport()
-    builder = _DocumentBuilder(report)
-
-    lines = text.split("\n")
-    i = 0
-    head_number = None
-    head_body = []
-
-    def flush_head():
-        nonlocal head_number, head_body
-        if head_number is not None:
-            builder.add_head(head_number, " ".join(head_body))
-        head_number = None
-        head_body = []
-
-    while i < len(lines):
-        line = lines[i]
-        match = _CLASS_RE.match(line)
-        if match:
-            flush_head()
-            ordinal = _roman_to_int(match.group(1))
-            label = "CLASS %s" % match.group(1)
-            j = i + 1
-            while j < len(lines) and not lines[j].strip():
-                j += 1
-            if (j < len(lines) and lines[j].strip().isupper()
-                    and not any(pattern.match(lines[j])
-                                for pattern in _HEADINGS)):
-                label = "%s: %s" % (label, " ".join(lines[j].split()))
-                i = j
-            builder.add(Level.CLASS, ordinal, label)
-            i += 1
+    builder, started, ended = _DocumentBuilder(), False, False
+    for _, line in _numbered_lines(source):
+        line = line.rstrip("\n").rstrip("\r")
+        start = not started and _START_RE.search(line)
+        if start:  # what came before is not the text
+            builder, started, ended = _DocumentBuilder(), True, False
+            line = line[start.end():]
+        elif ended:
             continue
-        match = _SECTION_RE.match(line)
-        if match:
-            flush_head()
-            ordinal = _roman_to_int(match.group(1))
-            label = " ".join(match.group(2).split()).strip(" .")
-            builder.add(Level.SECTION, ordinal,
-                        label or ("SECTION %s" % match.group(1)))
-            i += 1
-            continue
-        match = _SUBSECTION_RE.match(line)
-        if match:
-            flush_head()
-            builder.add(Level.SUB_SECTION, int(match.group(1)),
-                        " ".join(match.group(2).split()).strip(" ."))
-            i += 1
-            continue
-        match = _HEAD_RE.match(line)
-        if match:
-            flush_head()
-            head_number = match.group(1)
-            head_body = [match.group(2)]
-            i += 1
-            continue
-        if head_number is not None and line.strip():
-            head_body.append(line.strip())
-        i += 1
-    flush_head()
+        end = _END_RE.search(line)
+        if end:
+            line, ended = line[:end.start()], True
+        builder.read(line)
+    builder.close()
 
+    report = builder.report
     document = "\n".join(builder.lines) + "\n"
     try:
         structure = validate_structure(parse_interchange(document))

@@ -31,7 +31,6 @@ are built.  ``serialize``, ``validate_structure`` and
 ``structure_signature`` read those columns.
 """
 
-import gc
 import io
 from array import array
 from collections import Counter, deque
@@ -39,7 +38,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
 from typing import NamedTuple
 
-from .errors import ParseError
+from .errors import InvalidReferenceError, ParseError
 from .taxonomy import Level, PartOfSpeech, Thesaurus
 from .taxonomy import build_index, normalize  # noqa: F401  (public names)
 
@@ -107,13 +106,17 @@ def _numbered_lines(source):
     A string is read as a stream with universal newlines, so it splits
     into lines exactly as a file opened in text mode does.  One byte-order
     mark (U+FEFF) at the start of the source is dropped; anywhere else it
-    is text.  A line keeps its line ending.
+    is text.  A line keeps its line ending.  A stream that cannot be
+    decoded raises ParseError (see ``_undecodable``).
     """
     if isinstance(source, str):
         source = io.StringIO(source, newline=None)
     lines = iter(source)
-    first = next(lines, "").removeprefix("\ufeff")
-    return enumerate(chain((first,), lines), start=1)
+    try:
+        first = next(lines, "").removeprefix("\ufeff")
+        yield from enumerate(chain((first,), lines), start=1)
+    except UnicodeDecodeError as exc:
+        raise _undecodable(exc) from None
 
 
 def data_lines(source):
@@ -121,17 +124,13 @@ def data_lines(source):
 
     The lines are those of ``_numbered_lines``: ``source`` is a string or
     lines of text, and one leading byte-order mark is dropped.  The line
-    keeps its whitespace but not its line ending.  A stream that cannot
-    be decoded raises ParseError (see ``_undecodable``).
+    keeps its whitespace but not its line ending.
     """
-    try:
-        for line_no, raw in _numbered_lines(source):
-            line = raw.rstrip("\n").rstrip("\r")
-            text = line.lstrip()
-            if text and text[0] != "#":
-                yield line_no, line
-    except UnicodeDecodeError as exc:
-        raise _undecodable(exc) from None
+    for line_no, raw in _numbered_lines(source):
+        line = raw.rstrip("\n").rstrip("\r")
+        text = line.lstrip()
+        if text and text[0] != "#":
+            yield line_no, line
 
 
 def _undecodable(exc):
@@ -171,18 +170,8 @@ def _ordinal_and_label(payload, level, line_no):
 
 
 def parse_interchange(source):
-    """Parse interchange text (a string or lines of text) into a Thesaurus.
-
-    At the 1987 edition's scale the parse sets off no collection and
-    leaves some 50 tracked containers holding about 770,000 items.  They
-    go to the oldest generation untraversed (``gc.freeze``, ``gc.unfreeze``):
-    left young, the first queries' collections traverse them and soon make
-    a full one, slowing a fresh load's first 200 synonym questions 7-28%.
-    """
-    thesaurus = Thesaurus._from_columns(*_columns(source))
-    gc.freeze()
-    gc.unfreeze()
-    return thesaurus
+    """Parse interchange text (a string or lines of text) into a Thesaurus."""
+    return Thesaurus._from_columns(*_columns(source))
 
 
 def _first_empty(payloads, line_numbers):
@@ -297,14 +286,12 @@ def _columns(source):
             poses.append(tag)
             open_ids[level] = node_id
             depth = level
-    except (ParseError, UnicodeDecodeError) as exc:
+    except ParseError:
         # The groups not yet split come before the line that raised, or the
         # text that could not be decoded.
         line_no = _first_empty(payloads, payload_lines)
         if line_no is not None:
             raise ParseError(_EMPTY_ENTRY, line=line_no, column=3) from None
-        if isinstance(exc, UnicodeDecodeError):
-            raise _undecodable(exc) from None
         raise
     if payloads:
         split_payloads()
@@ -322,7 +309,12 @@ def _columns(source):
 
 
 def serialize(thesaurus):
-    """Render a Thesaurus back to interchange text, nodes in key order."""
+    """Render a Thesaurus back to interchange text, nodes in key order.
+
+    Raises InvalidReferenceError for an entry text that the document
+    would not read back: one that is empty, has whitespace at either end,
+    or holds ``|`` or a line break.
+    """
     t = thesaurus
     lines = []
     for node_id in sorted(range(1, len(t.keys)), key=t.keys.__getitem__):
@@ -334,7 +326,14 @@ def serialize(thesaurus):
         elif level == Level.PARAGRAPH:
             payload = "%d" % t.ordinals[node_id]
         elif level == Level.SEMICOLON_GROUP:
-            payload = " | ".join(t._entry_texts(node_id))
+            texts = t._entry_texts(node_id)
+            for text in texts:
+                if (not text or text != text.strip()
+                        or any(char in text for char in "|\n\r")):
+                    raise InvalidReferenceError(
+                        "entry %r of semicolon group %d would not read back"
+                        % (text, node_id))
+            payload = " | ".join(texts)
         else:
             payload = "%d %s" % (t.ordinals[node_id], label)
         lines.append("%s %s" % (_RECORDS[level].keyword, payload))

@@ -1,13 +1,15 @@
 """Best-effort 1911 Roget's import."""
 
 import hashlib
+import io
 import os
 
 import pytest
 
-from rogetsim import (GutenbergImportError, build_index,
+from rogetsim import (GutenbergImportError, ParseError, build_index,
                       import_gutenberg_1911, parse_interchange, serialize,
                       structure_signature, validate_structure)
+from rogetsim.interchange import utf8_lines
 from tests.conftest import data_path
 
 FULL_1911_ENV = "ROGET_1911_TEXT"
@@ -68,6 +70,24 @@ def test_line_endings_convert_alike(excerpt):
                  for ending in ("\n", "\r\n", "\r")]
     assert converted[1] == converted[0] and converted[2] == converted[0]
     assert converted[0][1].heads_converted == 5
+
+
+def test_a_stream_or_lines_convert_as_the_string(excerpt, tmp_path):
+    path = tmp_path / "excerpt.txt"
+    path.write_bytes(("\ufeff" + excerpt.replace("\n", "\r\n")).encode())
+    with open(path, encoding="utf-8") as stream:
+        from_stream = import_gutenberg_1911(stream)
+    converted = import_gutenberg_1911(excerpt)
+    assert from_stream == converted
+    assert import_gutenberg_1911(io.StringIO(excerpt)) == converted
+    assert import_gutenberg_1911(utf8_lines(path.read_bytes())) == converted
+
+
+def test_a_stream_that_cannot_be_decoded_raises_a_parse_error():
+    data = b"#1. Existence.-- N. caf\xe9,\n"
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as text:
+        with pytest.raises(ParseError, match="^byte 0xe9 is not utf-8$"):
+            import_gutenberg_1911(text)
 
 
 def _report(classes=1, sections=1, sub_sections=1, heads=1, heads_skipped=0,

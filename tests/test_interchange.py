@@ -5,15 +5,16 @@ import gc
 import io
 import os
 import random
+import re
 import unicodedata
 
 import pytest
 
-from rogetsim import (InvalidNodeError, Level, ParseError, Reference,
-                      TaxonomyNode, Thesaurus, build_index, interchange, load,
-                      load_pairs, load_questions, normalize, parse_interchange,
-                      serialize, structure_signature, taxonomy,
-                      validate_structure)
+from rogetsim import (InvalidNodeError, InvalidReferenceError, Level,
+                      ParseError, Reference, TaxonomyNode, Thesaurus,
+                      build_index, interchange, load, load_pairs,
+                      load_questions, normalize, parse_interchange, serialize,
+                      structure_signature, taxonomy, validate_structure)
 from tests.conftest import data_path, read_from_pipe
 
 MINIMAL = """\
@@ -340,6 +341,25 @@ def test_serialize_writes_each_node_under_its_parent(text, fixture_text):
     reparsed = parse_interchange(serialize(built))
     assert structure_signature(reparsed) == structure_signature(built)
     assert build_index(reparsed) == build_index(parsed)
+
+
+@pytest.mark.parametrize("text,reads_back", [
+    (" a | b ", False), ("", False), ("a\nb", False), (" a", False),
+    ("a  b", True), ("a\tb", True)])
+def test_serialize_writes_only_entries_that_read_back(text, reads_back):
+    parsed = parse_interchange(MINIMAL.replace("; word", "; word | other"))
+    built = Thesaurus(parsed.nodes, [
+        dataclasses.replace(ref, entry_text=text)
+        if ref.entry_text == "other" else ref for ref in parsed.references])
+    if not reads_back:
+        with pytest.raises(InvalidReferenceError,
+                           match="^entry %s of semicolon group 8 would not "
+                                 "read back$" % re.escape(repr(text))):
+            serialize(built)
+        return
+    reparsed = parse_interchange(serialize(built))
+    assert structure_signature(reparsed) == structure_signature(built)
+    assert reparsed.references[1].entry_text == text
 
 
 def test_validate_reports_a_repeated_head_number():

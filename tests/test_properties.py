@@ -1,6 +1,7 @@
 """Property tests on small generated thesauri."""
 
 import bisect
+import io
 import random
 import unicodedata
 from functools import partial
@@ -647,6 +648,9 @@ def test_an_import_loads_and_reports_its_own_counts(lines):
     except GutenbergImportError as exc:
         assert str(exc).endswith(": no heads found")
         return
+    # A stream of the same lines ending at "\r" converts alike.
+    stream = io.StringIO("\r".join(lines), newline="")
+    assert import_gutenberg_1911(stream) == (document, report)
     thesaurus = parse_interchange(document)
     structure = validate_structure(thesaurus)
     assert structure.ok and structure.heads > 0
