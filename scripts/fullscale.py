@@ -17,6 +17,7 @@ check failed.
 ``roget`` script, so the CI workflow runs it on its own.
 """
 
+import dataclasses
 import gc
 import hashlib
 import io
@@ -31,8 +32,9 @@ from functools import cached_property
 
 import synth
 from oracle import Oracle
-from rogetsim import (Reference, load, normalize, parse_interchange,
-                      serialize, structure_signature, word_min_distance)
+from rogetsim import (Level, PartOfSpeech, Reference, Thesaurus, load,
+                      normalize, parse_interchange, serialize,
+                      structure_signature, word_min_distance)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2)
@@ -42,6 +44,16 @@ INDEX_SHA256 = ("04b77a170f056cb875653e1490626720"
 # serialize's text of seed 1, read in each input form.
 FORMS_SHA256 = ("72fbce17107974d6e649aafd41f44080"
                 "d0b7ba126e00aabe96bad6d04b147b2b")
+# The node fields each level's record writes; a thesaurus reads every other
+# one from the tree.
+WRITTEN = {Level.ROOT: (), Level.HEAD: ("head_number", "label"),
+           Level.POS_PARAGRAPH: ("pos",), Level.PARAGRAPH: ("ordinal",),
+           Level.SEMICOLON_GROUP: ()}
+WRITTEN.update(dict.fromkeys([Level.CLASS, Level.SECTION, Level.SUB_SECTION,
+                              Level.HEAD_GROUP], ("ordinal", "label")))
+# A value for each node field unlike any a seed's tree gives it.
+UNLIKE = {"label": "", "ordinal": -1, "head_number": 1,
+          "pos": PartOfSpeech.ADVERB}
 # The harness runs: (workload, seed, trace).
 RUNS = (("synonym-test", 1, 0), ("synonym-test", 2, 0),
         ("cli-cold", 1, 0), ("pairs-uniform", 1, 0), ("pairs-uniform", 2, 0),
@@ -101,6 +113,22 @@ def serialize_round_trip(seeds):
     same = (serialize(again) == text
             and structure_signature(again) == structure_signature(thesaurus))
     return same, "serialized lines: %d" % text.count("\n")
+
+
+def rebuilt(seeds):
+    # Seed 1's own nodes, every field their records do not write replaced,
+    # and references, given to Thesaurus: the fields are read from the tree,
+    # so it serializes to the pinned text and has the parse's structure.
+    thesaurus = seeds[1].thesaurus
+    nodes = [dataclasses.replace(node, **{
+        name: value for name, value in UNLIKE.items()
+        if name not in WRITTEN[node.level]}) for node in thesaurus.nodes]
+    built = Thesaurus(nodes, thesaurus.references)
+    digest = hashlib.sha256(serialize(built).encode()).hexdigest()
+    same = structure_signature(built) == structure_signature(thesaurus)
+    return digest == FORMS_SHA256 and same, (
+        "serialize sha256: %s, structure %s"
+        % (digest, "equal" if same else "differs"))
 
 
 def index_pin(seeds):
@@ -226,8 +254,8 @@ def pairs_within(seeds):
                             len(thesaurus.index[words[0]]), listed, mismatches))
 
 
-IN_PROCESS = (key_width, serialize_round_trip, index_pin, index_order,
-              input_forms, frequent_word_distances, pairs_within)
+IN_PROCESS = (key_width, serialize_round_trip, rebuilt, index_pin,
+              index_order, input_forms, frequent_word_distances, pairs_within)
 
 
 def harness_run(workload, seed, trace):

@@ -22,23 +22,24 @@ byte-order mark is dropped, from a string, a stream or a file alike.
 A file is decoded line by line as the parse reads it (``utf8_lines``), so
 its first error in document order, a bad byte too, is the one raised.
 
-``parse_interchange`` reads the document line by line, appending each
-record to the per-node columns of ``Thesaurus``; the entries of the
-semicolon groups are split, stripped and appended to one per-reference
-column a block of groups at a time, and each group's and paragraph's label
-is set from them after the last line.  No node or ``Reference`` objects
-are built.  ``serialize``, ``validate_structure`` and
-``structure_signature`` read those columns.
+``parse_interchange`` reads the document line by line, keeping each
+record's parent and level in the per-node columns of ``Thesaurus`` and
+what the record writes in its maps; ``Thesaurus`` reads every other node
+field from the tree.  The entries of the semicolon groups are split,
+stripped and appended to one per-reference column a block of groups at a
+time.  No node or ``Reference`` objects are built.  ``serialize``,
+``validate_structure`` and ``structure_signature`` read those columns.
 """
 
 import io
+import re
 from array import array
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
-from .errors import InvalidReferenceError, ParseError
+from .errors import InvalidNodeError, InvalidReferenceError, ParseError
 from .taxonomy import Level, PartOfSpeech, Thesaurus
 from .taxonomy import build_index, normalize  # noqa: F401  (public names)
 
@@ -67,9 +68,7 @@ _RECORDS = {
 _KEYWORD_LEVELS = {record.keyword: int(level)
                    for level, record in _RECORDS.items()}
 _POS_TAGS = {pos.value: pos for pos in PartOfSpeech}
-# Levels whose records carry an ordinal, which siblings must not share.
-_ORDINAL_LEVELS = frozenset([Level.CLASS, Level.SECTION, Level.SUB_SECTION,
-                             Level.HEAD_GROUP, Level.PARAGRAPH])
+_INT = re.compile("-?(0|[1-9][0-9]*)")  # an int as "%d" writes it
 # Semicolon groups whose payloads ``_columns`` splits and strips together.
 # Splitting all 48,000 of the benchmark's seed-1 thesaurus at once raised a
 # load's peak RSS from 53.3 to 58.3 MB (Python 3.11); in blocks of this size
@@ -144,11 +143,13 @@ def _undecodable(exc):
 
 
 def ascii_number(convert, text):
-    """``convert(text)``, or ValueError if ``text`` holds ``_`` or is not
-    ASCII (``1_0``, Arabic-Indic digits): the formats write no such
-    numbers."""
-    if "_" in text or not text.isascii():
-        raise ValueError("not an ASCII number: %r" % text)
+    """``convert(text)``, or ValueError for a number the formats do not
+    write: one that holds ``_`` or is not ASCII (``1_0``, Arabic-Indic
+    digits), or an int not as ``"%d"`` writes it (``+1``, ``01``, `` 1``).
+    """
+    if ("_" in text or not text.isascii()
+            or convert is int and not _INT.fullmatch(text)):
+        raise ValueError("not a number as the formats write it: %r" % text)
     return convert(text)
 
 
@@ -184,28 +185,26 @@ def _first_empty(payloads, line_numbers):
 
 
 def _columns(source):
-    """(Node columns, (entry texts, groups)) of the interchange text.
+    """(Node fields, (entry texts, groups, counts)) of the interchange text.
 
-    The loop over the lines keeps the tree: it appends each record to the
-    per-node columns, a semicolon group with no label yet, and keeps each
-    group's payload and line number.  Every ``_BLOCK`` groups, and after
-    the last line, the payloads kept are joined, split into entries and
-    stripped, each in one pass over the block, and the entry texts are
-    appended to one per-reference column, equal texts sharing one string.
-    After the loop each group's label, its first entry, is read from that
-    column, and each paragraph's label, its keyword, is its first group's
-    label.  Errors are raised in document order: one the loop raises
-    gives way to an empty entry in a group not yet split, which comes
-    before it.
+    The loop over the lines keeps the tree: it appends each record's parent
+    and level to the per-node columns, puts what it writes, by node id, in
+    the map of each field, and keeps each group's payload and line number.
+    Every ``_BLOCK`` groups, and after the last line, the payloads kept are
+    joined, split into entries and stripped, each in one pass over the
+    block, and the entry texts are appended to one per-reference column,
+    equal texts sharing one string; ``counts`` holds the number of each
+    node's references.  Errors are raised in document order: one the loop
+    raises gives way to an empty entry in a group not yet split, which
+    comes before it.
     """
-    parents, levels, labels, ordinals = [-1], [0], ["T"], [0]
-    head_numbers, poses = [None], [None]
+    parents, levels = [-1], [0]
+    labels, ordinals, head_numbers, poses = {}, {}, {}, {}
     groups = []  # node id of each semicolon group
     texts, sizes = [], []  # per reference; per group its entry count
     payloads, payload_lines = [], []  # of the groups not yet split
     share = {}.setdefault  # entry text -> its one string object
     open_ids = [0] * 8   # most recent node id per level
-    counts = [0] * 9     # children so far of the open node one level up
     depth = 0            # level of the last record: levels 0..depth are open
     seen_heads = set()
 
@@ -227,14 +226,9 @@ def _columns(source):
             if kind == ";" and depth > 6 and len(parts) == 2:
                 payloads.append(parts[1])
                 payload_lines.append(line_no)
-                node_id, parent = len(parents), open_ids[7]
-                groups.append(node_id)
-                parents.append(parent)
+                groups.append(len(parents))
+                parents.append(open_ids[7])
                 levels.append(8)
-                labels.append(None)
-                ordinals.append(node_id - parent)  # a paragraph's groups
-                head_numbers.append(None)          # follow it
-                poses.append(None)
                 depth = 8
                 if len(payloads) == _BLOCK:
                     split_payloads()
@@ -252,38 +246,33 @@ def _columns(source):
             if kind == ";":  # a group with no payload
                 _fail(_EMPTY_ENTRY, line_no, 3)
             payload = parts[1].strip() if len(parts) > 1 else ""
-            node_id, parent = len(parents), open_ids[level - 1]
-            counts[level] += 1
-            counts[level + 1] = 0
-            label, ordinal, number, tag = "", counts[level], None, None
+            node_id = len(parents)
             if kind == "Q":
                 try:
-                    ordinal = ascii_number(int, payload)
+                    ordinals[node_id] = ascii_number(int, payload)
                 except ValueError:
                     _fail("paragraph record has non-integer ordinal %r"
                           % payload, line_no, 3)
             elif kind == "P":
-                tag = _POS_TAGS.get(payload)
-                if tag is None:
+                if payload not in _POS_TAGS:
                     _fail("POS must be one of N, ADJ, VB, ADV, got %r"
                           % payload, line_no, 3)
-                label = payload
+                poses[node_id] = _POS_TAGS[payload]
             elif kind == "H":
-                number, label = _ordinal_and_label(payload, level, line_no)
+                number, labels[node_id] = _ordinal_and_label(payload, level,
+                                                             line_no)
                 if number <= 0:
                     _fail("head number must be positive, got %d" % number,
                           line_no, 3)
                 if number in seen_heads:
                     _fail("duplicate head number %d" % number, line_no, 3)
                 seen_heads.add(number)
+                head_numbers[node_id] = number
             else:
-                ordinal, label = _ordinal_and_label(payload, level, line_no)
-            parents.append(parent)
+                ordinals[node_id], labels[node_id] = _ordinal_and_label(
+                    payload, level, line_no)
+            parents.append(open_ids[level - 1])
             levels.append(level)
-            labels.append(label)
-            ordinals.append(ordinal)
-            head_numbers.append(number)
-            poses.append(tag)
             open_ids[level] = node_id
             depth = level
     except ParseError:
@@ -295,45 +284,50 @@ def _columns(source):
         raise
     if payloads:
         split_payloads()
-
-    # Reversed, so that a paragraph's first group is the one the dict keeps.
-    firsts = list(map(texts.__getitem__,
-                      list(accumulate(sizes, initial=0))[:-1]))
-    keyword_of = dict(zip(map(parents.__getitem__, reversed(groups)),
-                          reversed(firsts)))
-    deque(map(labels.__setitem__, chain(groups, keyword_of),
-              chain(firsts, keyword_of.values())), maxlen=0)
+    counts = [0] * len(parents)  # references per node
+    for group, size in zip(groups, sizes):
+        counts[group] = size
     groups = array("i", list(chain.from_iterable(map(repeat, groups, sizes))))
-    return (tuple(map(tuple, (parents, levels, labels, ordinals, head_numbers,
-                              poses))), (texts, groups))
+    return ((tuple(parents), tuple(levels), labels, ordinals, head_numbers,
+             poses), (texts, groups, counts))
+
+
+def _reads_back(text, breaks):
+    """Whether a record reads back ``text`` as it is written: a str with no
+    whitespace at either end and none of the characters ``breaks``."""
+    return (isinstance(text, str) and text == text.strip()
+            and not any(char in text for char in breaks))
 
 
 def serialize(thesaurus):
     """Render a Thesaurus back to interchange text, nodes in key order.
 
-    Raises InvalidReferenceError for an entry text that the document
-    would not read back: one that is empty, has whitespace at either end,
-    or holds ``|`` or a line break.
+    Raises InvalidNodeError for a label, and InvalidReferenceError for an
+    entry text, that the document would not read back: one that is not a
+    str, has whitespace at either end or holds a line break, and an entry
+    text that is empty or holds ``|``.
     """
     t = thesaurus
     lines = []
     for node_id in sorted(range(1, len(t.keys)), key=t.keys.__getitem__):
-        level, label = t.levels[node_id], t.labels[node_id]
-        if level == Level.HEAD:
-            payload = "%d %s" % (t.head_numbers[node_id], label)
-        elif level == Level.POS_PARAGRAPH:
+        level, label = t.levels[node_id], t.labels.get(node_id)
+        if level == Level.POS_PARAGRAPH:
             payload = t.poses[node_id].value
         elif level == Level.PARAGRAPH:
             payload = "%d" % t.ordinals[node_id]
         elif level == Level.SEMICOLON_GROUP:
             texts = t._entry_texts(node_id)
             for text in texts:
-                if (not text or text != text.strip()
-                        or any(char in text for char in "|\n\r")):
+                if not (text and _reads_back(text, "|\n\r")):
                     raise InvalidReferenceError(
                         "entry %r of semicolon group %d would not read back"
                         % (text, node_id))
             payload = " | ".join(texts)
+        elif not _reads_back(label, "\n\r"):
+            raise InvalidNodeError("label %r of %s %d would not read back"
+                                   % (label, _RECORDS[level].name, node_id))
+        elif level == Level.HEAD:
+            payload = "%d %s" % (t.head_numbers[node_id], label)
         else:
             payload = "%d %s" % (t.ordinals[node_id], label)
         lines.append("%s %s" % (_RECORDS[level].keyword, payload))
@@ -382,8 +376,8 @@ def validate_structure(thesaurus):
         setattr(report, record.counter, per_level[level])
     heads, ordinals = {}, set()  # heads: head number -> its first head
     for node_id, (level, parent) in enumerate(zip(t.levels, t.parents)):
-        if level in _ORDINAL_LEVELS:
-            ordinal = t.ordinals[node_id]
+        ordinal = t.ordinals.get(node_id)
+        if ordinal is not None:
             if (parent, ordinal) in ordinals:
                 report.violations.append(
                     "node %d (%s) repeats ordinal %d under %s"
@@ -414,9 +408,9 @@ def structure_signature(thesaurus):
     the levels in that order fix the tree's shape.
     """
     t = thesaurus
-    return tuple((t.levels[i], t.ordinals[i], t.labels[i], t.head_numbers[i],
-                  t.poses[i].value if t.poses[i] else None,
-                  tuple(t._entry_texts(i)))
+    return tuple((t.levels[i], t._ordinal(i), t._label(i),
+                  t.head_numbers.get(i), t.poses[i].value if i in t.poses
+                  else None, tuple(t._entry_texts(i)))
                  for i in sorted(range(len(t.keys)), key=t.keys.__getitem__))
 
 

@@ -15,25 +15,27 @@ common ancestor of two groups is read off the top set bit of their keys'
 XOR (see ``Thesaurus``), and the closest pairs between two lists of
 references are found from their sorted keys, without comparing every pair.
 
-The tree is stored as per-node columns and each reference as its entry
-text and group; ``TaxonomyNode`` and ``Reference`` records are made from
-them only when read, and changing a node record changes nothing in the
-thesaurus.  A word's references are made on its first ``lookup`` or
-``index`` read and then kept, so later reads return the same objects;
-``references`` and ``members`` make new, equal records on each read.
-``Thesaurus`` rejects a node whose level is not its depth and a reference
-outside a semicolon group or unlike its group (see ``Reference``).
+The tree is stored as per-node columns and maps and each reference as its
+entry text and group; ``TaxonomyNode`` and ``Reference`` records are made
+from them only when read, and changing a node record changes nothing in
+the thesaurus.  A node keeps only the fields its record writes; the
+others are read from the tree.  A word's references are made on its first
+``lookup`` or ``index`` read and then kept, so later reads return the same
+objects; ``references`` and ``members`` make new, equal records on each
+read.  ``Thesaurus`` rejects a node whose level is not its depth and a
+reference outside a semicolon group or unlike its group (see
+``Reference``).
 """
 
 import unicodedata
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum, IntEnum
 from functools import cached_property
-from itertools import islice
+from itertools import accumulate, islice
 from operator import attrgetter
 
 from .errors import InvalidNodeError, InvalidReferenceError, WordNotFoundError
@@ -70,6 +72,12 @@ class Level(IntEnum):
 
 
 _LEVELS = frozenset(Level)
+# The levels whose records write a label, and those whose records write an
+# ordinal (see ``TaxonomyNode``).
+_LABEL_LEVELS = frozenset([Level.CLASS, Level.SECTION, Level.SUB_SECTION,
+                           Level.HEAD_GROUP, Level.HEAD])
+_ORDINAL_LEVELS = frozenset([Level.CLASS, Level.SECTION, Level.SUB_SECTION,
+                             Level.HEAD_GROUP, Level.PARAGRAPH])
 
 
 class PartOfSpeech(Enum):
@@ -89,9 +97,9 @@ class Reference:
     """One occurrence of a word or phrase at a specific semicolon group.
 
     ``pos``, ``head_number`` and ``keyword`` are read from the group's POS
-    paragraph, head and paragraph, whose label, its first entry, is the
-    keyword of the printed form ``cat 365 N.``; a ``Thesaurus`` rejects a
-    reference whose fields are not its group's.
+    paragraph, head and paragraph, whose label, its first group's first
+    entry, is the keyword of the printed form ``cat 365 N.``; a
+    ``Thesaurus`` rejects a reference whose fields are not its group's.
     """
 
     entry_text: str
@@ -115,7 +123,16 @@ def _display(level, label, head_number, pos):
 
 @dataclass(slots=True)
 class TaxonomyNode:
-    """One tree node, as given to ``Thesaurus`` or made by ``nodes``."""
+    """One tree node, as given to ``Thesaurus`` or made by ``nodes``.
+
+    A thesaurus keeps only the fields a node's record writes: the ordinal
+    and label of a class, section, sub-section or head group, a head's
+    number and label, a POS paragraph's POS and a paragraph's ordinal.  The
+    root's label is "T" and its ordinal 0; another ordinal is the node's
+    1-based rank among its siblings; a semicolon group's label is its first
+    entry ("" if none), a paragraph's its first group's and a POS
+    paragraph's its POS tag; ``head_number`` and ``pos`` are otherwise None.
+    """
 
     id: int
     level: Level
@@ -139,18 +156,18 @@ _new = object.__new__
 
 def _group_fields(tree, group):
     """(POS, head number, keyword) of a semicolon group's references: of
-    its POS paragraph, head and paragraph in ``tree``, the node columns."""
-    parents, _, labels, _, heads, poses = tree
+    its POS paragraph, head and paragraph in ``tree``, the node fields."""
+    parents, heads, poses, keywords = tree
     paragraph = parents[group]
     above = parents[paragraph]  # the POS paragraph
-    return poses[above], heads[parents[above]], labels[paragraph]
+    return poses[above], heads[parents[above]], keywords[paragraph]
 
 
 def _made(columns, ids):
     """New records of the reference ids, read from a Thesaurus's columns.
 
     ``columns`` are a Thesaurus's ``_columns``: entry texts, groups and
-    node columns.  Each record is made by ``object.__new__`` and filled
+    node fields.  Each record is made by ``object.__new__`` and filled
     through the slot descriptors, at about half the cost of ``Reference``,
     whose frozen ``__init__`` calls ``object.__setattr__`` per field.
     """
@@ -344,25 +361,28 @@ class Thesaurus:
     """A read-only taxonomy tree plus the references it defines.
 
     ``nodes`` lists each node at its id, parents before children, and
-    ``references`` are kept in the order given.  The constructor raises
-    ``InvalidNodeError`` for a node whose id is not an int at its
-    position, a level that is not a ``Level``, a parent that is not an
-    earlier node (node 0 is the one root, with parent -1), a level that is
-    not the node's depth (one more than its parent's, the root at 0), a
-    head whose ``head_number`` is not a positive int or a POS paragraph
-    whose ``pos`` is not a ``PartOfSpeech``, and ``InvalidReferenceError``
-    for a reference outside a semicolon group or unlike its group.  A
-    node's children are the nodes naming it, in id order.
+    ``references`` are kept in the order given; a node's fields that its
+    record does not write are not read (see ``TaxonomyNode``).  The
+    constructor raises ``InvalidNodeError`` for a node whose id is not an
+    int at its position, a level that is not a ``Level``, a parent that is
+    not an earlier node (node 0 is the one root, with parent -1), a level
+    that is not the node's depth (one more than its parent's, the root at
+    0), a written ordinal that is not an int, a head whose ``head_number``
+    is not a positive int or a POS paragraph whose ``pos`` is not a
+    ``PartOfSpeech``, and ``InvalidReferenceError`` for a reference
+    outside a semicolon group or unlike its group.  A node's children are
+    the nodes naming it, in id order.
 
-    The tree is kept as per-node columns, tuples indexed by node id:
-    ``parents`` (-1 for the root), ``levels`` (ints), ``labels``,
-    ``ordinals``, ``head_numbers`` and ``poses``.  ``nodes`` is a read-only
-    sequence that makes a ``TaxonomyNode`` from them when read.  Each
-    reference is kept as its entry text and group, in the order given.
-    ``references`` makes a new record from the columns on each read, and
-    ``members``, per node id, a tuple of the records of a semicolon
-    group's references in that order (empty for every other node), so
-    every reference is a member.
+    The tree is kept as two per-node columns, tuples indexed by node id,
+    ``parents`` (-1 for the root) and ``levels`` (ints), and four maps,
+    ``labels``, ``ordinals``, ``head_numbers`` and ``poses``, each from the
+    id of every node whose record writes that field to its value.
+    ``nodes`` is a read-only sequence that makes a ``TaxonomyNode`` from
+    them, and from the tree, when read.  Each reference is kept as its
+    entry text and group, in the order given.  ``references`` makes a new
+    record from the columns on each read, and ``members``, per node id, a
+    tuple of the records of a semicolon group's references in that order
+    (empty for every other node), so every reference is a member.
 
     Per node id, ``keys`` holds one int packing the node's root-first
     path: for each level d from 1 to 8, a bit field holding the 1-based
@@ -382,14 +402,15 @@ class Thesaurus:
     ``min_distance`` costs O(s log b), and ``_pairs_within`` O(s + b) plus
     one step per pair it yields, not s*b.
 
-    Answers never change after construction: the columns and ``keys`` are
-    tuples or arrays no method writes, ``nodes``, ``references``,
-    ``members`` and ``index`` are read-only, and every query method is
-    safe to call concurrently.  The only state a query writes is two
-    private per-word caches, each filled by ``setdefault`` with one tuple
-    per index key at most, so each is bounded by the index: the records
-    of a word's references, made on its first ``lookup``, ``index`` or
-    ``_word_keys`` read, and the sorted shifted keys of ``_word_keys``.
+    Answers never change after construction: the columns, maps and
+    ``keys`` are tuples, arrays or dicts no method writes, ``nodes``,
+    ``references``, ``members`` and ``index`` are read-only, and every
+    query method is safe to call concurrently.  The only state a query
+    writes is two private per-word caches, each filled by ``setdefault``
+    with one tuple per index key at most, so each is bounded by the index:
+    the records of a word's references, made on its first ``lookup``,
+    ``index`` or ``_word_keys`` read, and the sorted shifted keys of
+    ``_word_keys``.
     """
 
     def __init__(self, nodes, references):
@@ -411,21 +432,24 @@ class Thesaurus:
             if level != depth:
                 raise InvalidNodeError("node %d's level %d is not its depth %d"
                                        % (node_id, level, depth))
-            number, pos = node.head_number, node.pos
-            if level == Level.HEAD and not (type(number) is int
-                                            and number > 0):
+            if level in _ORDINAL_LEVELS and type(node.ordinal) is not int:
+                raise InvalidNodeError("node %d's ordinal %r is not an int"
+                                       % (node_id, node.ordinal))
+            if level == Level.HEAD and not (type(node.head_number) is int
+                                            and node.head_number > 0):
                 raise InvalidNodeError("head %d's number %r is not a positive "
-                                       "int" % (node_id, number))
+                                       "int" % (node_id, node.head_number))
             if level == Level.POS_PARAGRAPH and not isinstance(
-                    pos, PartOfSpeech):
+                    node.pos, PartOfSpeech):
                 raise InvalidNodeError("POS paragraph %d's pos %r is not a "
-                                       "PartOfSpeech" % (node_id, pos))
+                                       "PartOfSpeech" % (node_id, node.pos))
         tree = (tuple(n.parent for n in nodes),
                 tuple(int(n.level) for n in nodes),
-                tuple(n.label for n in nodes),
-                tuple(n.ordinal for n in nodes),
-                tuple(n.head_number for n in nodes),
-                tuple(n.pos for n in nodes))
+                {n.id: n.label for n in nodes if n.level in _LABEL_LEVELS},
+                {n.id: n.ordinal for n in nodes if n.level in _ORDINAL_LEVELS},
+                {n.id: n.head_number for n in nodes if n.level == Level.HEAD},
+                {n.id: n.pos for n in nodes
+                 if n.level == Level.POS_PARAGRAPH})
         for ref in references:
             group = ref.semicolon_group
             if not (type(group) is int and 0 <= group < len(nodes)
@@ -433,42 +457,51 @@ class Thesaurus:
                 raise InvalidReferenceError(
                     "reference %r at node %r is not in a semicolon group at "
                     "depth %d" % (ref.entry_text, group, _GROUP_LEVEL))
+        groups = array("i", map(attrgetter("semicolon_group"), references))
+        counts = [0] * len(nodes)
+        for group in groups:
+            counts[group] += 1
+        # Each group's references, in the order given, are one run of the
+        # reference ids sorted stably by group.
+        self._setup(tree, list(map(attrgetter("entry_text"), references)),
+                    groups, array("i", sorted(range(len(groups)),
+                                              key=groups.__getitem__)), counts)
+        # Checked once the paragraph labels are read from the references.
+        tree = self._columns[2]
+        for ref in references:
             if (ref.pos, ref.head_number, ref.keyword) != _group_fields(
-                    tree, group):
+                    tree, ref.semicolon_group):
                 raise InvalidReferenceError(
                     "reference %r does not have its semicolon group's POS, "
                     "head number and keyword" % (ref,))
-        groups = array("i", map(attrgetter("semicolon_group"), references))
-        # Each group's references, in the order given, are one run of the
-        # reference ids sorted stably by group.
-        member_ids = array("i", sorted(range(len(groups)),
-                                       key=groups.__getitem__))
-        self._setup(tree, list(map(attrgetter("entry_text"), references)),
-                    groups, member_ids,
-                    array("i", map(groups.__getitem__, member_ids)))
 
     @classmethod
     def _from_columns(cls, tree, references):
         """A thesaurus of ``_columns``' output, well-formed by its rules.
 
-        ``references`` are the entry texts and groups, whose groups run in
-        id order, so each group's references are one run of the ids.
+        ``references`` are the entry texts, their groups, which run in id
+        order, so each group's references are one run of the ids, and the
+        number of references of each node.
         """
-        texts, groups = references
+        texts, groups, counts = references
         thesaurus = cls.__new__(cls)
-        thesaurus._setup(tree, texts, groups, range(len(texts)), groups)
+        thesaurus._setup(tree, texts, groups, range(len(texts)), counts)
         return thesaurus
 
-    def _setup(self, tree, texts, groups, member_ids, member_groups):
-        """Keep the node and reference columns and build the keys and index.
+    def _setup(self, tree, texts, groups, member_ids, counts):
+        """Keep the node and reference columns and build the keys, the
+        paragraph labels and the index.
 
         ``member_ids`` lists the reference ids grouped by semicolon group,
-        and ``member_groups`` the group of each, in the same order.
+        in id order, and ``counts`` the number of references of each node.
         """
         (self.parents, self.levels, self.labels, self.ordinals,
          self.head_numbers, self.poses) = tree
-        self._columns = (texts, groups, tree)
-        self._member_ids, self._member_groups = member_ids, member_groups
+        # Per node id, where its run of member_ids starts; one start more
+        # ends the last run.
+        self._member_ids = member_ids
+        self._member_starts = starts = array(
+            "i", list(accumulate(counts, initial=0)))
         self.root_id = 0
         self.keys, self._shifts = _pack_keys(self.parents, self.levels)
         # Indexed by the bit length of k1 ^ k2: the deepest level two keys
@@ -479,6 +512,15 @@ class Thesaurus:
             for length in range(self._shifts[0] + 1))
         self._distance = tuple(MAX_DISTANCE - 2 * level
                                for level in self._levels)
+        # Each reference reads its paragraph's label, its first group's: that
+        # of the group whose key's lowest field, its rank, is 1.
+        ranks = (1 << self._shifts[_GROUP_LEVEL - 1]) - 1
+        self._keywords = {  # paragraph id -> its label
+            self.parents[node_id]: texts[member_ids[starts[node_id]]]
+            if starts[node_id] < starts[node_id + 1] else ""
+            for node_id, key in enumerate(self.keys) if key & ranks == 1}
+        self._columns = (texts, groups, (self.parents, self.head_numbers,
+                                         self.poses, self._keywords))
         self.index = build_index(self)
         self._records = self.index._records  # index key -> its references
         self._shifted = {}  # index key -> _word_keys(key), filled on first use
@@ -500,9 +542,8 @@ class Thesaurus:
 
     def _member_ids_of(self, node_id):
         """The ids of a node's references: a run of ``_member_ids``."""
-        groups = self._member_groups
-        start = bisect_left(groups, node_id)
-        return self._member_ids[start:bisect_right(groups, node_id, start)]
+        starts = self._member_starts
+        return self._member_ids[starts[node_id]:starts[node_id + 1]]
 
     def _members(self, node_id):
         return tuple(_made(self._columns, self._member_ids_of(node_id)))
@@ -521,16 +562,42 @@ class Thesaurus:
                 children[parent].append(node_id)
         return tuple(map(tuple, children))
 
+    def _label(self, node_id):
+        """The label a node's record writes, or else read from the tree."""
+        level = self.levels[node_id]
+        if level == _GROUP_LEVEL:
+            ids = self._member_ids_of(node_id)
+            return self._columns[0][ids[0]] if ids else ""
+        if level in _LABEL_LEVELS:
+            return self.labels[node_id]
+        if level == Level.PARAGRAPH:
+            return self._keywords.get(node_id, "")
+        if level == Level.POS_PARAGRAPH:
+            return self.poses[node_id].value
+        return "T"
+
+    def _ordinal(self, node_id):
+        """The ordinal a node's record writes, or else its key's rank."""
+        level = self.levels[node_id]
+        if level in _ORDINAL_LEVELS:
+            return self.ordinals[node_id]
+        if not node_id:
+            return 0
+        return ((self.keys[node_id] - self.keys[self.parents[node_id]])
+                >> self._shifts[level])
+
     def _node(self, node_id):
         return TaxonomyNode(node_id, Level(self.levels[node_id]),
-                            self.labels[node_id], self.ordinals[node_id],
-                            self.parents[node_id], self.head_numbers[node_id],
-                            self.poses[node_id],
+                            self._label(node_id), self._ordinal(node_id),
+                            self.parents[node_id],
+                            self.head_numbers.get(node_id),
+                            self.poses.get(node_id),
                             list(self.child_ids[node_id]))
 
     def _display_label(self, node_id):
-        return _display(self.levels[node_id], self.labels[node_id],
-                        self.head_numbers[node_id], self.poses[node_id])
+        return _display(self.levels[node_id], self._label(node_id),
+                        self.head_numbers.get(node_id),
+                        self.poses.get(node_id))
 
     def _checked(self, node_id):
         if type(node_id) is not int or not 0 <= node_id < len(self.parents):
@@ -584,9 +651,10 @@ class Thesaurus:
                 return self.keys[group]
         # Then by value, as Reference equality would compare it, with no
         # record made: the group has the text, and its fields are the
-        # reference's.  A thesaurus holds no group that is not an int.
+        # reference's.  A thesaurus's groups are ints among its node ids.
         texts, _, tree = self._columns
         if (type(ref) is Reference and type(group) is int
+                and 0 <= group < len(self.parents)
                 and text in map(texts.__getitem__, self._member_ids_of(group))
                 and _group_fields(tree, group) == (
                     ref.pos, ref.head_number, ref.keyword)):

@@ -11,8 +11,8 @@ import unicodedata
 import pytest
 
 from rogetsim import (InvalidNodeError, InvalidReferenceError, Level,
-                      ParseError, Reference, TaxonomyNode, Thesaurus,
-                      build_index, interchange, load, load_pairs,
+                      ParseError, PartOfSpeech, Reference, TaxonomyNode,
+                      Thesaurus, build_index, interchange, load, load_pairs,
                       load_questions, normalize, parse_interchange, serialize,
                       structure_signature, taxonomy, validate_structure)
 from tests.conftest import data_path, read_from_pipe
@@ -362,6 +362,82 @@ def test_serialize_writes_only_entries_that_read_back(text, reads_back):
     assert reparsed.references[1].entry_text == text
 
 
+@pytest.mark.parametrize("node_id,label,reads_back", [
+    (5, " Head one", False), (5, "Head one ", False), (5, "Head\none", False),
+    (5, "Head\rone", False), (5, None, False), (5, 1, False),
+    (1, " x ", False), (5, "a | b", True), (5, "", True),
+    (1, "Class  one", True)],
+    ids=["leading-space", "trailing-space", "line-feed", "carriage-return",
+         "none", "int", "class-edge-spaces", "bar", "empty", "inner-spaces"])
+def test_serialize_writes_only_labels_that_read_back(node_id, label,
+                                                     reads_back):
+    parsed = parse_interchange(MINIMAL)
+    nodes = parsed.nodes[:]
+    nodes[node_id] = dataclasses.replace(nodes[node_id], label=label)
+    built = Thesaurus(nodes, parsed.references)
+    if not reads_back:
+        with pytest.raises(InvalidNodeError,
+                           match="^label %s of %s %d would not read back$"
+                                 % (re.escape(repr(label)),
+                                    nodes[node_id].level.name.lower(),
+                                    node_id)):
+            serialize(built)
+        return
+    reparsed = parse_interchange(serialize(built))
+    assert structure_signature(reparsed) == structure_signature(built)
+    assert reparsed.nodes[node_id].label == label
+
+
+# Each node field that no record writes, and a value for it unlike the
+# fixture's: the label and ordinal of the root, a head's ordinal, a POS
+# paragraph's label and ordinal, a paragraph's label, a semicolon group's
+# label and ordinal, and a head number or POS on any other level.
+UNWRITTEN = [
+    (Level.ROOT, "label", "zzz"), (Level.ROOT, "ordinal", 7),
+    (Level.HEAD, "ordinal", 7), (Level.POS_PARAGRAPH, "label", "zzz"),
+    (Level.POS_PARAGRAPH, "ordinal", 7), (Level.PARAGRAPH, "label", "zzz"),
+    (Level.SEMICOLON_GROUP, "label", "zzz"),
+    (Level.SEMICOLON_GROUP, "ordinal", 7),
+] + [(level, "head_number", 7) for level in Level if level != Level.HEAD] + [
+    (level, "pos", PartOfSpeech.VERB) for level in Level
+    if level != Level.POS_PARAGRAPH]
+
+
+@pytest.mark.parametrize("level,name,value", UNWRITTEN, ids=[
+    "%s-%s" % (level.name.lower(), name) for level, name, _ in UNWRITTEN])
+def test_a_field_no_record_writes_is_read_from_the_tree(thesaurus, level,
+                                                        name, value):
+    # A node given with another value in such a field builds the thesaurus
+    # the document parses to, whose text reads back as it.
+    nodes = [dataclasses.replace(node, **{name: value})
+             if node.level == level else node for node in thesaurus.nodes]
+    built = Thesaurus(nodes, thesaurus.references)
+    assert built.nodes == thesaurus.nodes
+    assert built.references == thesaurus.references
+    assert structure_signature(built) == structure_signature(thesaurus)
+    text = serialize(built)
+    assert text == serialize(thesaurus)
+    assert structure_signature(parse_interchange(text)) == (
+        structure_signature(built))
+
+
+def test_the_constructor_reads_no_field_a_record_does_not_write(thesaurus):
+    unwritten = {(level, name) for level, name, _ in UNWRITTEN}
+
+    class Guarded:
+        """A node whose unwritten fields cannot be read."""
+
+        def __init__(self, node):
+            self.node = node
+
+        def __getattr__(self, name):
+            assert (self.node.level, name) not in unwritten, name
+            return getattr(self.node, name)
+
+    built = Thesaurus(map(Guarded, thesaurus.nodes), thesaurus.references)
+    assert built.nodes == thesaurus.nodes
+
+
 def test_validate_reports_a_repeated_head_number():
     # The parser refuses a repeated head number, so the tree is built
     # directly, from the parsed one with head 2 renumbered 1.
@@ -486,6 +562,36 @@ def test_numbers_the_formats_do_not_write_are_rejected(parse, text, message):
     with pytest.raises(ParseError) as info:
         parse(text)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("field,number", [
+    (field, number) for field in "CSUGHQ" for number in ("+1", "01", "00",
+                                                         "-01")
+] + [("gold", number) for number in ("+1", "01", "00", "-01", " 1", "1 ")])
+def test_integers_are_read_only_as_the_formats_write_them(field, number):
+    # Each is what int() reads, but "%d" writes no such form.
+    if field == "gold":
+        with pytest.raises(ParseError) as info:
+            load_questions("ode\tpoem\ta\tb\tc\t%s\n" % number)
+        assert str(info.value) == (
+            "line 1, column 6: gold index %r is not an integer" % number)
+        return
+    lines = MINIMAL.splitlines(True)
+    line_no = "CSUGHPQ".index(field) + 1
+    lines[line_no - 1] = lines[line_no - 1].replace(" 1", " " + number, 1)
+    with pytest.raises(ParseError) as info:
+        parse_interchange("".join(lines))
+    assert str(info.value) == (
+        "line %d, column 3: %s record has non-integer ordinal %r"
+        % (line_no, _NAMES[line_no - 1], number))
+
+
+@pytest.mark.parametrize("number", ["0", "-1", "10", "-10"])
+def test_integers_as_the_formats_write_them_are_read(number):
+    text = MINIMAL.replace("C 1 ", "C %s " % number).replace(
+        "Q 1", "Q %s" % number)
+    nodes = parse_interchange(text).nodes
+    assert (nodes[1].ordinal, nodes[7].ordinal) == (int(number),) * 2
 
 
 # Each parser with its fixture, and the error it gives when the fixture

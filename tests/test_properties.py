@@ -1,6 +1,7 @@
 """Property tests on small generated thesauri."""
 
 import bisect
+import dataclasses
 import io
 import random
 import unicodedata
@@ -12,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rogetsim import (MAX_DISTANCE, GutenbergImportError, InvalidNodeError,
-                      Level, ParseError, PartOfSpeech, Reference, TaxonomyNode,
-                      Thesaurus, evaluate_choice, import_gutenberg_1911,
-                      interchange, load_pairs, load_questions,
-                      parse_interchange, normalize, serialize,
+                      Level, ParseError, PartOfSpeech, Reference, RogetError,
+                      TaxonomyNode, Thesaurus, evaluate_choice,
+                      import_gutenberg_1911, interchange, load_pairs,
+                      load_questions, parse_interchange, normalize, serialize,
                       structure_signature, taxonomy, validate_structure,
                       word_min_distance)
 from tests.conftest import data_path
@@ -89,6 +90,36 @@ def test_serialize_round_trip_in_small_blocks(thesaurus, block):
     text = serialize(thesaurus)
     with mock.patch.object(interchange, "_BLOCK", block):
         assert serialize(parse_interchange(text)) == text
+
+
+# Labels, ordinals and entry texts of every kind a thesaurus can be built
+# with, and plain ones.
+WIDE_LABELS = st.one_of(st.text(), st.none(), st.integers(), TEXT.map(
+    str.strip))
+WIDE_ENTRIES = st.one_of(st.text(), ENTRY)
+
+
+@settings(deadline=None)
+@given(thesauri(), st.data())
+def test_serialize_raises_or_reads_back(thesaurus, data):
+    # A thesaurus built with any labels, ordinals and entry texts either
+    # serializes to a text that reads back as it, or raises.
+    nodes = thesaurus.nodes[:]
+    for i in data.draw(st.lists(st.integers(0, len(nodes) - 1), max_size=8)):
+        nodes[i] = dataclasses.replace(nodes[i], label=data.draw(WIDE_LABELS),
+                                       ordinal=data.draw(st.integers()))
+    placed = [(ref.entry_text, ref.semicolon_group)
+              for ref in thesaurus.references]
+    for i in data.draw(st.lists(st.integers(0, len(placed) - 1), max_size=4)):
+        placed[i] = (data.draw(WIDE_ENTRIES), placed[i][1])
+    built = Thesaurus(nodes, tree_references(nodes, placed))
+    try:
+        text = serialize(built)
+    except RogetError:
+        return
+    reparsed = parse_interchange(text)
+    assert structure_signature(reparsed) == structure_signature(built)
+    assert reparsed.references == built.references
 
 
 @settings(deadline=None)
@@ -210,13 +241,28 @@ def layered_nodes(family):
     return nodes, level_ids
 
 
-def tree_reference(nodes, text, group):
-    """A Reference of ``text`` at ``group`` with the POS, head number and
-    keyword of its POS paragraph, head and paragraph in ``nodes``."""
-    paragraph = nodes[nodes[group].parent]
-    pos_paragraph = nodes[paragraph.parent]
-    return Reference(text, group, pos_paragraph.pos,
-                     nodes[pos_paragraph.parent].head_number, paragraph.label)
+def tree_references(nodes, placed):
+    """A Reference of each (text, group) of ``placed``, in that order, with
+    the POS, head number and keyword of its POS paragraph, head and
+    paragraph in ``nodes``.
+
+    A paragraph's keyword is its first group's first entry: that of its
+    child with the lowest id, in the order given, or "" if it has none.
+    """
+    first_child, first_entry = {}, {}
+    for node in nodes:
+        first_child.setdefault(node.parent, node.id)
+    for text, group in placed:
+        first_entry.setdefault(group, text)
+    refs = []
+    for text, group in placed:
+        paragraph = nodes[group].parent
+        pos_paragraph = nodes[nodes[paragraph].parent]
+        refs.append(Reference(
+            text, group, pos_paragraph.pos,
+            nodes[pos_paragraph.parent].head_number,
+            first_entry.get(first_child[paragraph], "")))
+    return refs
 
 
 def boundary_tree(turn):
@@ -231,13 +277,13 @@ def boundary_tree(turn):
     nodes, level_ids = layered_nodes(
         lambda depth, last: FAMILY_SIZES[
             (turn + depth) % len(FAMILY_SIZES)] if last else 1)
-    references = []
+    placed = []
     for i, group in enumerate(level_ids):
         words = ["abc"[i % 3]]
         words += ["rare"] * (i in (0, len(level_ids) - 1))
         words += ["odd"] * (i in (1, 2, 3))
-        references += [tree_reference(nodes, word, group) for word in words]
-    return Thesaurus(nodes, references)
+        placed += [(word, group) for word in words]
+    return Thesaurus(nodes, tree_references(nodes, placed))
 
 
 BOUNDARY_TREES = [boundary_tree(turn) for turn in range(len(FAMILY_SIZES))]
@@ -295,13 +341,12 @@ def scattered_thesaurus(seed):
     rng = random.Random(seed)
     nodes, level_ids = layered_nodes(
         lambda depth, last: 3 if depth == 0 else rng.randint(1, 3))
-    references = []
+    placed = []
     for word, (size, doubled) in SCATTERED.items():
         groups = rng.sample(level_ids, size - doubled)
-        references += [tree_reference(nodes, word, group)
-                       for group in groups + groups[:doubled]]
-    rng.shuffle(references)
-    return Thesaurus(nodes, references)
+        placed += [(word, group) for group in groups + groups[:doubled]]
+    rng.shuffle(placed)
+    return Thesaurus(nodes, tree_references(nodes, placed))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -340,9 +385,9 @@ def placed_thesaurus(places):
     """
     nodes, groups = layered_nodes(
         lambda depth, last: 4 if depth >= Level.POS_PARAGRAPH else 2)
-    return Thesaurus(nodes, [
-        tree_reference(nodes, word, groups[place])
-        for word, word_places in places.items() for place in word_places])
+    return Thesaurus(nodes, tree_references(nodes, [
+        (word, groups[place])
+        for word, word_places in places.items() for place in word_places]))
 
 
 def counted_min_distance(thesaurus, w1, w2, few_pairs=taxonomy._FEW_PAIRS):
@@ -455,10 +500,9 @@ def test_a_built_thesaurus_keeps_the_references_given(seed):
     # key order.
     rng = random.Random(seed)
     nodes, groups = layered_nodes(lambda depth, last: rng.randint(1, 2))
-    references = [tree_reference(nodes,
-                                 rng.choice(["a", "A", "b", "B b", "c"]),
-                                 rng.choice(groups))
-                  for _ in range(80)]
+    references = tree_references(nodes, [
+        (rng.choice(["a", "A", "b", "B b", "c"]), rng.choice(groups))
+        for _ in range(80)])
     thesaurus = Thesaurus(nodes, references)
     assert list(thesaurus.references) == references
     assert list(thesaurus.members) == [
@@ -513,9 +557,8 @@ def check_index(references):
 
 
 @settings(deadline=None)
-@given(st.lists(st.builds(partial(tree_reference, CHAIN_NODES),
-                          spellings(), st.sampled_from(CHAIN_GROUPS)),
-                max_size=40))
+@given(st.lists(st.tuples(spellings(), st.sampled_from(CHAIN_GROUPS)),
+                max_size=40).map(partial(tree_references, CHAIN_NODES)))
 def test_the_index_chains_each_keys_references_in_document_order(
         references):
     check_index(references)
@@ -530,10 +573,8 @@ def test_an_index_of_no_references():
 
 
 def test_a_key_met_through_an_alias_then_as_itself():
-    references = [tree_reference(CHAIN_NODES, text, group)
-                  for text, group in zip(
-                      ["Cat", "dog", "cat", " Dog", "CAT", "cat"],
-                      CHAIN_GROUPS)]
+    references = tree_references(CHAIN_NODES, list(zip(
+        ["Cat", "dog", "cat", " Dog", "CAT", "cat"], CHAIN_GROUPS)))
     seen = []
     with mock.patch.object(taxonomy, "normalize",
                            side_effect=lambda text: seen.append(text)
@@ -552,10 +593,8 @@ def test_a_key_met_through_an_alias_then_as_itself():
 def test_the_caches_keep_the_thesauruss_own_strings():
     # A normalized text is a new string each time; the record and key
     # caches are keyed by an index key, an alias or an entry text instead.
-    thesaurus = check_index([tree_reference(CHAIN_NODES, text, group)
-                             for text, group in zip(
-                                 ["Cat", "dog", "cat", " Dog", "tea", "TEA"],
-                                 CHAIN_GROUPS)])
+    thesaurus = check_index(tree_references(CHAIN_NODES, list(zip(
+        ["Cat", "dog", "cat", " Dog", "tea", "TEA"], CHAIN_GROUPS))))
     for text in (" CAT ", "DOG", "Tea", "cat"):
         thesaurus.lookup(text)
         thesaurus._word_keys(text.upper())
@@ -567,9 +606,8 @@ def test_the_caches_keep_the_thesauruss_own_strings():
 
 
 def test_one_key_holding_every_reference():
-    references = [tree_reference(CHAIN_NODES, text, group)
-                  for text, group in zip(
-                      ["tea", "TEA", " Tea ", "tea"] * 40, CHAIN_GROUPS * 2)]
+    references = tree_references(CHAIN_NODES, list(zip(
+        ["tea", "TEA", " Tea ", "tea"] * 40, CHAIN_GROUPS * 2)))
     thesaurus = check_index(references)
     assert list(thesaurus.index) == ["tea"]
     assert thesaurus.index["tea"] == tuple(references)

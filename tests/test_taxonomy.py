@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import random
+import weakref
 from collections import deque
 
 import pytest
@@ -15,14 +16,23 @@ from tests.conftest import FIXTURE_PATH, TIER_PAIRS
 from tests.test_interchange import MINIMAL  # nodes 0-8, the group is node 8
 
 
+# Per thesaurus, its adjacency lists, made on its first bfs_distance call.
+_ADJACENCY = weakref.WeakKeyDictionary()
+
+
 def bfs_distance(thesaurus, a, b):
-    """Independent oracle: BFS edge count over the explicit edge list."""
-    adjacency = {}
-    for node in thesaurus.nodes:
-        adjacency.setdefault(node.id, [])
-        if node.parent >= 0:
-            adjacency[node.id].append(node.parent)
-            adjacency.setdefault(node.parent, []).append(node.id)
+    """Independent oracle: BFS edge count over the explicit edge list.
+
+    The edge list is read from ``thesaurus.nodes`` once per thesaurus.
+    """
+    adjacency = _ADJACENCY.get(thesaurus)
+    if adjacency is None:
+        adjacency = _ADJACENCY[thesaurus] = {}
+        for node in thesaurus.nodes:
+            adjacency.setdefault(node.id, [])
+            if node.parent >= 0:
+                adjacency[node.id].append(node.parent)
+                adjacency.setdefault(node.parent, []).append(node.id)
     seen = {a: 0}
     queue = deque([a])
     while queue:
@@ -111,7 +121,12 @@ def test_distance_rejects_foreign_reference(thesaurus):
     feline = thesaurus.lookup("feline")[0]
     not_an_int = dataclasses.replace(
         feline, semicolon_group=float(feline.semicolon_group))
-    for stray in (out_of_range, not_a_member, not_an_int):
+    # A copy of the last reference at a negative group id, which a sequence
+    # indexed by node id would read from its end.
+    last = thesaurus.references[-1]
+    negative = dataclasses.replace(last, semicolon_group=(
+        last.semicolon_group - len(thesaurus.nodes) - 1))
+    for stray in (out_of_range, not_a_member, not_an_int, negative):
         with pytest.raises(InvalidReferenceError):
             thesaurus.reference_distance(thesaurus.references[0], stray)
         with pytest.raises(InvalidReferenceError):
@@ -330,13 +345,18 @@ def test_tree_deeper_than_nine_levels_is_rejected():
     (3, {"level": 12}, "node 3's level 12 is not a Level"),
     (3, {"level": Level.HEAD}, "node 3's level 5 is not its depth 3"),
     (0, {"level": Level.CLASS}, "node 0's level 1 is not its depth 0"),
+    (1, {"ordinal": 1.5}, "node 1's ordinal 1.5 is not an int"),
+    (1, {"ordinal": None}, "node 1's ordinal None is not an int"),
+    (7, {"ordinal": "1"}, "node 7's ordinal '1' is not an int"),
     (5, {"head_number": None}, "head 5's number None is not a positive int"),
     (5, {"head_number": 0}, "head 5's number 0 is not a positive int"),
     (6, {"pos": None}, "POS paragraph 6's pos None is not a PartOfSpeech"),
     (6, {"pos": "N"}, "POS paragraph 6's pos 'N' is not a PartOfSpeech"),
 ], ids=["forward-parent", "self-parent", "root-with-a-parent", "second-root",
         "negative-parent", "id-not-position", "level-not-a-level",
-        "level-not-its-depth", "root-below-level-0", "head-without-a-number",
+        "level-not-its-depth", "root-below-level-0", "class-ordinal-a-float",
+        "class-without-an-ordinal", "paragraph-ordinal-a-str",
+        "head-without-a-number",
         "head-numbered-0", "pos-paragraph-without-a-pos",
         "pos-paragraph-with-a-tag"])
 def test_a_malformed_tree_is_rejected(position, changes, message):
@@ -383,6 +403,22 @@ def test_reference_outside_a_semicolon_group_is_rejected(group):
     with pytest.raises(InvalidReferenceError, match="^reference 'stray' at "
                        "node %r is not in a semicolon group" % group):
         Thesaurus(parsed.nodes, [*parsed.references, stray])
+
+
+def test_a_paragraph_label_other_than_its_first_entry_is_not_read():
+    # A paragraph's label is its first group's first entry, every
+    # reference's keyword there: a paragraph given as "zzz", with
+    # references to match, cannot be built.
+    parsed = load(FIXTURE_PATH)
+    paragraph = parsed.parents[parsed.lookup("feline")[0].semicolon_group]
+    nodes = parsed.nodes[:]
+    nodes[paragraph] = dataclasses.replace(nodes[paragraph], label="zzz")
+    references = [dataclasses.replace(ref, keyword="zzz")
+                  if parsed.parents[ref.semicolon_group] == paragraph else ref
+                  for ref in parsed.references]
+    with pytest.raises(InvalidReferenceError, match="keyword='zzz'"):
+        Thesaurus(nodes, references)
+    assert Thesaurus(nodes, parsed.references).nodes[paragraph].label == "cat"
 
 
 @pytest.mark.parametrize("change", [
