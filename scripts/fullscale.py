@@ -5,9 +5,10 @@
 Generates seeds 1 and 2 of the benchmark's synthetic thesaurus
 (``perfbench/synth.py``) once each.  The in-process checks share each
 seed's text, one parse of it and one oracle (``perfbench/oracle.py``,
-which does not use rogetsim); the pins belong to seed 1.  Then the
-benchmark harness, ``perfbench/run.py --seconds 1``, runs each of its
-answer checks in a process of its own.  Every check runs, even after one
+which does not use rogetsim); ``lookup-forms`` parses seed 1 again, as
+it needs a thesaurus with no records made.  The pins belong to seed 1.
+Then the benchmark harness, ``perfbench/run.py --seconds 1``, runs each
+of its answer checks in a process of its own.  Every check runs, even after one
 has failed, and prints one line: ``ok`` or ``FAIL``, its name, its
 detail and its wall time, which includes a seed's text, parse or oracle
 when the check is the first to read it.  The exit status is 1 if any
@@ -147,6 +148,30 @@ def index_pin(seeds):
             % (made, digest.hexdigest()))
 
 
+def lookup_forms(seeds):
+    # On a fresh parse of seed 1 (index_pin has made every record of the
+    # shared one), every index key is read first under a variant that
+    # normalizes to it, upper case, padded and with each inner space doubled,
+    # for half of the keys, and under the key itself for the other half.
+    # Every later read, under either form, must return the objects the first
+    # read kept.
+    thesaurus = parse_interchange(seeds[1].text)
+    keys = list(thesaurus.index)
+    mismatches = 0
+    for i, key in enumerate(keys):
+        variant = " %s\t" % key.upper().replace(" ", "  ")
+        first, later = (variant, key) if i % 2 else (key, variant)
+        kept = thesaurus.lookup(first)
+        mismatches += not kept or normalize(variant) != key
+        for text in (later, first, later):
+            again = thesaurus.lookup(text)
+            mismatches += len(again) != len(kept) or any(
+                a is not b for a, b in zip(again, kept))
+    return mismatches == 0, (
+        "%d keys, %d first read under a variant, %d mismatches"
+        % (len(keys), len(keys) // 2, mismatches))
+
+
 def index_order(seeds):
     # The index's keys in first-seen order and each key's references in
     # document order, against a plain grouping of every reference by its
@@ -255,7 +280,8 @@ def pairs_within(seeds):
 
 
 IN_PROCESS = (key_width, serialize_round_trip, rebuilt, index_pin,
-              index_order, input_forms, frequent_word_distances, pairs_within)
+              lookup_forms, index_order, input_forms, frequent_word_distances,
+              pairs_within)
 
 
 def harness_run(workload, seed, trace):

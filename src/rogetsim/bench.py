@@ -138,7 +138,8 @@ def load_pairs(source):
 
     First line: ``scale<TAB><min><TAB><max>``, finite bounds with max
     above min; then one ``word1<TAB>word2<TAB>human_score`` row per line,
-    each score within the bounds, '#' comments.
+    each score within the bounds, '#' comments.  Each bound and score is
+    read only as ``-?[0-9]+(\\.[0-9]+)?`` (see ``ascii_number``).
     Returns (PairScale, [ScoredPair, ...]).
     """
     scale = None
@@ -150,17 +151,21 @@ def load_pairs(source):
                 raise ParseError(
                     "first data line must be 'scale<TAB>min<TAB>max'",
                     line=line_no)
-            try:
-                scale = PairScale(low=ascii_number(float, fields[1]),
-                                  high=ascii_number(float, fields[2]))
-            except ValueError:
-                raise ParseError("scale bounds must be numbers", line=line_no)
-            for column, name, bound in ((2, "min", scale.low),
-                                        (3, "max", scale.high)):
-                if not math.isfinite(bound):
+            bounds = []
+            for column, name in ((2, "min"), (3, "max")):
+                text = fields[column - 1]
+                try:
+                    bounds.append(ascii_number(float, text))
+                except ValueError:
+                    raise ParseError("scale %s %r is not a number"
+                                     % (name, text), line=line_no,
+                                     column=column)
+                # Digits enough to overflow a float read as infinity.
+                if not math.isfinite(bounds[-1]):
                     raise ParseError("scale %s %s is not a finite number"
-                                     % (name, fields[column - 1]),
-                                     line=line_no, column=column)
+                                     % (name, text), line=line_no,
+                                     column=column)
+            scale = PairScale(*bounds)
             if scale.high <= scale.low:
                 raise ParseError("scale max must exceed scale min",
                                  line=line_no)

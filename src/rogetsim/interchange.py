@@ -68,7 +68,10 @@ _RECORDS = {
 _KEYWORD_LEVELS = {record.keyword: int(level)
                    for level, record in _RECORDS.items()}
 _POS_TAGS = {pos.value: pos for pos in PartOfSpeech}
-_INT = re.compile("-?(0|[1-9][0-9]*)")  # an int as "%d" writes it
+# Each number type as the formats write it: an int as "%d" does, a float
+# as decimal digits with an optional fraction.
+_FORMS = {int: re.compile("-?(0|[1-9][0-9]*)"),
+          float: re.compile(r"-?[0-9]+(\.[0-9]+)?")}
 # Semicolon groups whose payloads ``_columns`` splits and strips together.
 # Splitting all 48,000 of the benchmark's seed-1 thesaurus at once raised a
 # load's peak RSS from 53.3 to 58.3 MB (Python 3.11); in blocks of this size
@@ -143,12 +146,13 @@ def _undecodable(exc):
 
 
 def ascii_number(convert, text):
-    """``convert(text)``, or ValueError for a number the formats do not
-    write: one that holds ``_`` or is not ASCII (``1_0``, Arabic-Indic
-    digits), or an int not as ``"%d"`` writes it (``+1``, ``01``, `` 1``).
+    """``convert(text)``, ``convert`` int or float, or ValueError for a
+    number not in the form the formats write: an int as ``"%d"`` writes it,
+    ``-?(0|[1-9][0-9]*)``, and a float as ``-?[0-9]+(\\.[0-9]+)?``, in ASCII
+    digits.  So ``+1``, `` 1``, ``1_0``, Arabic-Indic digits, ``1e0``,
+    ``.5``, ``1.``, ``inf`` and ``nan`` are refused, and so is an int ``01``.
     """
-    if ("_" in text or not text.isascii()
-            or convert is int and not _INT.fullmatch(text)):
+    if not _FORMS[convert].fullmatch(text):
         raise ValueError("not a number as the formats write it: %r" % text)
     return convert(text)
 

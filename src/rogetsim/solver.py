@@ -17,6 +17,10 @@ from .similarity import WordDistanceResult, word_min_distance
 from .taxonomy import PartOfSpeech
 
 STOP_WORDS = frozenset({"and", "to", "be"})
+# A question's credit by whether the gold choice is among the tied ones and
+# how many are tied, so no question makes a Fraction of its own.
+_CREDITS = {(gold_tied, tied): Fraction(gold_tied, tied)
+            for gold_tied in (0, 1) for tied in range(1, 5)}
 
 
 @dataclass
@@ -126,14 +130,18 @@ def _resolve_phrase(thesaurus, text):
 
     An indexed phrase yields itself, normalized, as its one token;
     otherwise each non-stop-word token is yielded with its references,
-    which are empty when the token is not indexed.
+    which are empty when the token is not indexed.  A text that is an
+    index key is its own normalization and is read without ``normalize``;
+    any other is normalized once, here, and looked up and split as its key.
     """
-    refs = thesaurus.lookup(text)
+    key = text if text in thesaurus.index else normalize(text)
+    refs = thesaurus.lookup(key)
     if refs:
-        yield normalize(text), refs
+        yield key, refs
         return
-    for token in tokenize_choice(text):
-        yield token, thesaurus.lookup(token)
+    for token in key.split():
+        if token not in STOP_WORDS:
+            yield token, thesaurus.lookup(token)
 
 
 def evaluate_choice(thesaurus, problem, choice, choice_index=0):
@@ -176,7 +184,7 @@ def answer_question(thesaurus, question):
         return QuestionResult(question=question, chosen_index=None,
                               tie_after_tiebreak=False, tied_indices=[],
                               per_choice=per_choice, correct=False,
-                              credit=Fraction(0))
+                              credit=_CREDITS[0, 1])
 
     best_distance = min(ev.effective_distance for ev in found)
     at_best = [ev for ev in found if ev.effective_distance == best_distance]
@@ -189,8 +197,8 @@ def answer_question(thesaurus, question):
                           tied_indices=tied if tie else [],
                           per_choice=per_choice,
                           correct=not tie and tied[0] == question.gold_index,
-                          credit=Fraction(int(question.gold_index in tied),
-                                          len(tied)))
+                          credit=_CREDITS[question.gold_index in tied,
+                                          len(tied)])
 
 
 def score_test(thesaurus, questions):

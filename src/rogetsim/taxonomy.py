@@ -369,9 +369,9 @@ class Thesaurus:
     that is not the node's depth (one more than its parent's, the root at
     0), a written ordinal that is not an int, a head whose ``head_number``
     is not a positive int or a POS paragraph whose ``pos`` is not a
-    ``PartOfSpeech``, and ``InvalidReferenceError`` for a reference
-    outside a semicolon group or unlike its group.  A node's children are
-    the nodes naming it, in id order.
+    ``PartOfSpeech``, and ``InvalidReferenceError`` for a reference whose
+    entry text is not a str, outside a semicolon group or unlike its
+    group.  A node's children are the nodes naming it, in id order.
 
     The tree is kept as two per-node columns, tuples indexed by node id,
     ``parents`` (-1 for the root) and ``levels`` (ints), and four maps,
@@ -452,6 +452,10 @@ class Thesaurus:
                  if n.level == Level.POS_PARAGRAPH})
         for ref in references:
             group = ref.semicolon_group
+            if not isinstance(ref.entry_text, str):
+                raise InvalidReferenceError(
+                    "reference %r has an entry text that is not a str"
+                    % (ref,))
             if not (type(group) is int and 0 <= group < len(nodes)
                     and nodes[group].level == _GROUP_LEVEL):
                 raise InvalidReferenceError(
@@ -809,5 +813,13 @@ class Thesaurus:
         return "".join(parts)
 
     def lookup(self, text):
-        """New list of references whose normalized text is normalize(text)."""
-        return list(self.index._read(normalize(text)))
+        """New list of references whose normalized text is normalize(text).
+
+        A text under which records are kept is an index key, and so its own
+        normalization: its records are read without ``normalize``, which
+        runs only for a text with none kept.
+        """
+        refs = self._records.get(text)
+        if refs is None:
+            refs = self.index._read(normalize(text))
+        return list(refs)

@@ -198,15 +198,40 @@ def test_load_pairs_rejects_a_stream_that_cannot_be_decoded():
 
 @pytest.mark.parametrize("text, message", [
     ("scale\t0\tinf\nfeline\tlynx\t3\n",
-     "line 1, column 3: scale max inf is not a finite number"),
+     "line 1, column 3: scale max 'inf' is not a number"),
     ("scale\t-inf\t4\nfeline\tlynx\t3\n",
-     "line 1, column 2: scale min -inf is not a finite number"),
+     "line 1, column 2: scale min '-inf' is not a number"),
     ("scale\tnan\t4\nfeline\tlynx\t3\n",
-     "line 1, column 2: scale min nan is not a finite number"),
+     "line 1, column 2: scale min 'nan' is not a number"),
+    ("scale\t0\t%s\nfeline\tlynx\t3\n" % ("9" * 400),
+     "line 1, column 3: scale max %s is not a finite number" % ("9" * 400)),
 ])
 def test_load_pairs_rejects_a_scale_bound_that_is_not_finite(text, message):
-    # Each loaded before: an infinite max mapped every human score to 0.0,
-    # an infinite min gave NaN gaps, and a NaN min failed at line 2.
+    # Each loaded once: an infinite max mapped every human score to 0.0,
+    # an infinite min gave NaN gaps, and a NaN min failed at line 2.  The
+    # format writes no inf or nan, and digits past a float's range read as
+    # infinity.
     with pytest.raises(ParseError) as caught:
         load_pairs(text)
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("number", ["1e0", " 2 ", "+1", ".5", "1.", "1_0",
+                                    "2 ", "\u0661"])
+def test_load_pairs_reads_numbers_only_as_the_format_writes_them(number):
+    # float() reads each of these; the format writes -?[0-9]+(\.[0-9]+)?.
+    with pytest.raises(ParseError) as caught:
+        load_pairs("scale\t0\t4\nfeline\tlynx\t%s\n" % number)
+    assert str(caught.value) == (
+        "line 2, column 3: human score %r is not a number" % number)
+    with pytest.raises(ParseError) as caught:
+        load_pairs("scale\t%s\t4\n" % number)
+    assert str(caught.value) == (
+        "line 1, column 2: scale min %r is not a number" % number)
+
+
+@pytest.mark.parametrize("number, value", [
+    ("0", 0.0), ("3", 3.0), ("3.5", 3.5), ("-0.25", -0.25), ("04", 4.0)])
+def test_load_pairs_reads_numbers_as_the_format_writes_them(number, value):
+    scale, pairs = load_pairs("scale\t-1\t9\nfeline\tlynx\t%s\n" % number)
+    assert pairs[0].human_score == value

@@ -551,7 +551,7 @@ _NUMBERED = MINIMAL.replace("C 1 ", "C {} ").replace("H 1 ", "H {} ")
     (load_questions, "ode\tpoem\ta\tb\tc\t0_1\n",
      "line 1, column 6: gold index '0_1' is not an integer"),
     (load_pairs, "scale\t0\t1_0\n",
-     "line 1, column 1: scale bounds must be numbers"),
+     "line 1, column 3: scale max '1_0' is not a number"),
     (load_pairs, "scale\t0\t4\nfeline\tlynx\t\u0662\n",
      "line 2, column 3: human score '\u0662' is not a number"),
     (load_pairs, "scale\t0\t4\nfeline\tlynx\t1_0e-1\n",

@@ -620,6 +620,52 @@ def test_normalize_is_idempotent(text):
     assert normalize(normalize(text)) == normalize(text)
 
 
+# Any character, with cased letters, whitespace and combining marks drawn
+# often, in runs.
+WIDE_TEXT = st.text(st.one_of(
+    st.characters(), st.sampled_from("aAeEßİΣσςǅ"),
+    st.sampled_from(" \t\n\x0b\x1c\x85\xa0\u2000\u2028\u3000"),
+    st.characters(categories=["Mn"])), max_size=10)
+
+
+@st.composite
+def respellings(draw, text):
+    """``text`` with its case changed, its whitespace runs widened, padding
+    around it and its accents composed or decomposed."""
+    text = draw(st.sampled_from([str, str.lower, str.upper, str.swapcase,
+                                 str.title]))(text)
+    text = text.replace(" ", draw(st.sampled_from([" ", "  ", "\t \u3000"])))
+    text = unicodedata.normalize(draw(st.sampled_from(["NFC", "NFD"])), text)
+    pad = st.sampled_from(["", " ", "\n\xa0"])
+    return draw(pad) + text + draw(pad)
+
+
+@settings(deadline=None)
+@given(st.lists(WIDE_TEXT, min_size=1, max_size=6), st.data())
+def test_a_text_reads_as_its_normalization(texts, data):
+    # lookup reads a text with records kept as its own key, without
+    # normalize: that holds because normalize is idempotent, so a key is
+    # its own normalization.
+    query = data.draw(st.one_of(
+        WIDE_TEXT, st.sampled_from(texts).flatmap(respellings)))
+    key = normalize(query)
+    assert normalize(key) == key
+    references = tree_references(CHAIN_NODES, list(zip(texts, CHAIN_GROUPS)))
+    # Before any records are kept, each on a thesaurus of its own.
+    before = [Thesaurus(CHAIN_NODES, references).lookup(text)
+              for text in (query, key)]
+    assert before[0] == before[1]
+    thesaurus = Thesaurus(CHAIN_NODES, references)
+    kept = thesaurus.lookup(data.draw(st.sampled_from([query, key])))
+    assert kept == before[0]
+    assert kept == list(thesaurus.index.get(key, ()))
+    # Once kept, under either form: the kept objects.
+    for text in (query, key, query):
+        again = thesaurus.lookup(text)
+        assert len(again) == len(kept)
+        assert all(a is b for a, b in zip(again, kept))
+
+
 def _lines(name):
     with open(data_path(name), encoding="utf-8") as handle:
         return handle.read().splitlines()

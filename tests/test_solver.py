@@ -9,7 +9,9 @@ import pytest
 
 from rogetsim import (ParseError, ReportError, SynonymQuestion,
                       answer_question, evaluate_choice, filter_noun_only,
-                      load_questions, score_test, tokenize_choice)
+                      load, load_questions, score_test, solver, taxonomy,
+                      tokenize_choice)
+from tests.conftest import FIXTURE_PATH
 
 ODE = SynonymQuestion("ode", ["heavy debt", "poem", "sweet smell", "surprise"],
                       gold_index=1, source_tag="rdwp-938")
@@ -71,6 +73,29 @@ def test_ode_question(thesaurus):
     assert result.correct
     assert result.credit == 1
     assert result.verdict == "CORRECT"
+
+
+def test_a_warm_question_normalizes_only_a_text_that_is_not_a_key(
+        monkeypatch):
+    thesaurus = load(FIXTURE_PATH)
+    question = SynonymQuestion("ode", ["heavy", " Poem", "sweet smell",
+                                       "surprise"], 1)
+    cold = answer_question(thesaurus, question)
+    seen = []
+    for module in (taxonomy, solver):
+        monkeypatch.setattr(module, "normalize",
+                            lambda text, fold=module.normalize:
+                            seen.append(text) or fold(text))
+    warm = answer_question(thesaurus, question)
+    # The problem word and the choices that are index keys are read as
+    # themselves; " Poem" is normalized once, by the solver.
+    assert seen == [" Poem"]
+    assert warm == cold
+    assert [(ev.effective_distance, ev.pair_count, ev.contributing_token)
+            for ev in warm.per_choice] == [
+        (12, 2, "heavy"), (2, 2, "poem"), (16, 2, "sweet smell"),
+        (12, 4, "surprise")]
+    assert (warm.chosen_index, warm.verdict, warm.credit) == (1, "CORRECT", 1)
 
 
 def test_unanswerable_question(thesaurus):

@@ -171,13 +171,13 @@ def test_a_first_comparison_walks_each_words_ids_once(fixture_text,
     monkeypatch.setattr(taxonomy, "normalize",
                         lambda text: normalized.append(text) or fold(text))
     monkeypatch.setattr(taxonomy, "_FEW_PAIRS", 0)  # every pair bisects
-    for _ in range(2):
+    for expected in (["feline", "lynx"], []):
         normalized.clear()
         word_min_distance(thesaurus, "feline", "lynx")
         assert sorted(walked) == ["feline", "lynx"]
-        # Only ``lookup`` normalizes: each word's keys are found by the
-        # index key it was read under.
-        assert normalized == ["feline", "lynx"]
+        # Only ``lookup`` normalizes, and only a text with no records kept:
+        # each word's keys are found by the index key it was read under.
+        assert normalized == expected
 
 
 def test_equal_copies_are_measured_without_new_records(fixture_text,
@@ -403,6 +403,19 @@ def test_reference_outside_a_semicolon_group_is_rejected(group):
     with pytest.raises(InvalidReferenceError, match="^reference 'stray' at "
                        "node %r is not in a semicolon group" % group):
         Thesaurus(parsed.nodes, [*parsed.references, stray])
+
+
+@pytest.mark.parametrize("text", [None, b"cat", 1])
+def test_an_entry_text_that_is_not_a_str_is_rejected(text):
+    # The index would otherwise fail inside normalize, as an AttributeError.
+    parsed = load(FIXTURE_PATH)
+    references = list(parsed.references)
+    stray = references[0] = dataclasses.replace(references[0],
+                                                entry_text=text)
+    with pytest.raises(InvalidReferenceError) as info:
+        Thesaurus(parsed.nodes, references)
+    assert str(info.value) == (
+        "reference %r has an entry text that is not a str" % (stray,))
 
 
 def test_a_paragraph_label_other_than_its_first_entry_is_not_read():
