@@ -116,36 +116,52 @@ def serialize_round_trip(seeds):
     return same, "serialized lines: %d" % text.count("\n")
 
 
-def rebuilt(seeds):
-    # Seed 1's own nodes, every field their records do not write replaced,
-    # and references, given to Thesaurus: the fields are read from the tree,
-    # so it serializes to the pinned text and has the parse's structure.
-    thesaurus = seeds[1].thesaurus
-    nodes = [dataclasses.replace(node, **{
-        name: value for name, value in UNLIKE.items()
-        if name not in WRITTEN[node.level]}) for node in thesaurus.nodes]
-    built = Thesaurus(nodes, thesaurus.references)
-    digest = hashlib.sha256(serialize(built).encode()).hexdigest()
-    same = structure_signature(built) == structure_signature(thesaurus)
-    return digest == FORMS_SHA256 and same, (
-        "serialize sha256: %s, structure %s"
-        % (digest, "equal" if same else "differs"))
-
-
-def index_pin(seeds):
-    # Every seed-1 index key and the fields of each of its references, in
-    # sorted key order; and the parse itself makes no Reference.
-    thesaurus = seeds[1].thesaurus
-    made = seeds[1].references_made
+def index_digest(thesaurus):
+    """The sha256 of every index key and the fields of each of its
+    references, in sorted key order."""
     digest = hashlib.sha256()
     for key in sorted(thesaurus.index):
         digest.update(repr((key, [
             (r.entry_text, r.semicolon_group, r.pos.value, r.head_number,
              r.keyword)
             for r in thesaurus.index[key]])).encode())
-    return (made == 0 and digest.hexdigest() == INDEX_SHA256,
+    return digest.hexdigest()
+
+
+def rebuilt(seeds):
+    # Seed 1's own nodes, every field their records do not write replaced,
+    # given to Thesaurus with its references as parsed and again with their
+    # groups in reverse order: the fields are read from the tree and the
+    # references kept in group order, so each build serializes to the
+    # pinned text, has the parse's structure and reads the pinned index.
+    thesaurus = seeds[1].thesaurus
+    nodes = [dataclasses.replace(node, **{
+        name: value for name, value in UNLIKE.items()
+        if name not in WRITTEN[node.level]}) for node in thesaurus.nodes]
+    references = list(thesaurus.references)
+    failed, details = 0, []
+    for order, given in (("as parsed", references), ("groups reversed", sorted(
+            references, key=lambda ref: -ref.semicolon_group))):
+        built = Thesaurus(nodes, given)
+        text = hashlib.sha256(serialize(built).encode()).hexdigest()
+        index = index_digest(built)
+        same = structure_signature(built) == structure_signature(thesaurus)
+        failed += not (text == FORMS_SHA256 and index == INDEX_SHA256
+                       and same)
+        details.append("%s: serialize sha256 %s, index sha256 %s, structure"
+                       " %s" % (order, text, index,
+                                "equal" if same else "differs"))
+    return failed == 0, "; ".join(details)
+
+
+def index_pin(seeds):
+    # Every seed-1 index key and the fields of each of its references, in
+    # sorted key order; and the parse itself makes no Reference.
+    made = seeds[1].references_made
+    digest = index_digest(seeds[1].thesaurus)
+    return (made == 0 and digest == INDEX_SHA256,
             "references made by the parse: %d, index sha256: %s"
-            % (made, digest.hexdigest()))
+            % (made, digest))
 
 
 def lookup_forms(seeds):

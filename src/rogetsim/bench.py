@@ -139,7 +139,8 @@ def load_pairs(source):
     First line: ``scale<TAB><min><TAB><max>``, finite bounds with max
     above min; then one ``word1<TAB>word2<TAB>human_score`` row per line,
     each score within the bounds, '#' comments.  Each bound and score is
-    read only as ``-?[0-9]+(\\.[0-9]+)?`` (see ``ascii_number``).
+    read only as ``-?[0-9]+(\\.[0-9]+)?`` (see ``ascii_number``), and an
+    empty or whitespace-only word is a ParseError at its field.
     Returns (PairScale, [ScoredPair, ...]).
     """
     scale = None
@@ -174,6 +175,10 @@ def load_pairs(source):
             raise ParseError(
                 "expected 3 tab-separated fields, got %d" % len(fields),
                 line=line_no)
+        for column in (1, 2):
+            if not fields[column - 1].strip():
+                raise ParseError("word%d is empty" % column, line=line_no,
+                                 column=column)
         try:
             score = ascii_number(float, fields[2])
         except ValueError:

@@ -180,7 +180,9 @@ def build_parser():
     parser.add_argument("--thesaurus", metavar="PATH",
                         help="interchange file (default: $%s)" % ENV_THESAURUS)
     parser.add_argument("--format", choices=["text", "tsv"], default="text",
-                        help="output format (default: text)")
+                        help="output format of sim, distance, validate and "
+                             "solve (default: text); paths always prints "
+                             "text, bench TSV and import the document")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("import", help="convert a 1911 Roget's text to "

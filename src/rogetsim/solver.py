@@ -250,11 +250,16 @@ def filter_noun_only(thesaurus, questions):
             and all(_has_noun_reference(thesaurus, c) for c in q.choices)]
 
 
+# The question file's word fields, by column.
+_WORD_FIELDS = ("problem", "choice 1", "choice 2", "choice 3", "choice 4")
+
+
 def load_questions(source):
     """Parse the TSV question format.
 
     One question per line: problem, four choices, gold index 0-3 and an
-    optional source tag, tab-separated; '#' lines are comments.
+    optional source tag, tab-separated; '#' lines are comments.  An empty
+    or whitespace-only problem or choice is a ParseError at its field.
     """
     questions = []
     for line_no, line in data_lines(source):
@@ -263,6 +268,10 @@ def load_questions(source):
             raise ParseError(
                 "expected 6 or 7 tab-separated fields, got %d" % len(fields),
                 line=line_no)
+        for column, name in enumerate(_WORD_FIELDS, 1):
+            if not fields[column - 1].strip():
+                raise ParseError("%s is empty" % name, line=line_no,
+                                 column=column)
         try:
             gold = ascii_number(int, fields[5])
         except ValueError:

@@ -361,8 +361,11 @@ class Thesaurus:
     """A read-only taxonomy tree plus the references it defines.
 
     ``nodes`` lists each node at its id, parents before children, and
-    ``references`` are kept in the order given; a node's fields that its
-    record does not write are not read (see ``TaxonomyNode``).  The
+    ``references`` are kept sorted stably by semicolon group id, each
+    group's in the order given: document order, as a parse keeps it, for
+    groups numbered in document order.  An order of the references across
+    groups is not kept, as no document can write it.  A node's fields that
+    its record does not write are not read (see ``TaxonomyNode``).  The
     constructor raises ``InvalidNodeError`` for a node whose id is not an
     int at its position, a level that is not a ``Level``, a parent that is
     not an earlier node (node 0 is the one root, with parent -1), a level
@@ -371,7 +374,9 @@ class Thesaurus:
     is not a positive int or a POS paragraph whose ``pos`` is not a
     ``PartOfSpeech``, and ``InvalidReferenceError`` for a reference whose
     entry text is not a str, outside a semicolon group or unlike its
-    group.  A node's children are the nodes naming it, in id order.
+    group.  The references' entry texts and groups are checked first, then
+    their other fields, each check naming the first bad reference in the
+    order given.  A node's children are the nodes naming it, in id order.
 
     The tree is kept as two per-node columns, tuples indexed by node id,
     ``parents`` (-1 for the root) and ``levels`` (ints), and four maps,
@@ -379,10 +384,11 @@ class Thesaurus:
     id of every node whose record writes that field to its value.
     ``nodes`` is a read-only sequence that makes a ``TaxonomyNode`` from
     them, and from the tree, when read.  Each reference is kept as its
-    entry text and group, in the order given.  ``references`` makes a new
-    record from the columns on each read, and ``members``, per node id, a
-    tuple of the records of a semicolon group's references in that order
-    (empty for every other node), so every reference is a member.
+    entry text and group, in that order, so a node's references are one run
+    of the reference ids.  ``references`` makes a new record from the
+    columns on each read, and ``members``, per node id, a tuple of the
+    records of a semicolon group's references (empty for every other
+    node), so every reference is a member.
 
     Per node id, ``keys`` holds one int packing the node's root-first
     path: for each level d from 1 to 8, a bit field holding the 1-based
@@ -406,11 +412,14 @@ class Thesaurus:
     ``keys`` are tuples, arrays or dicts no method writes, ``nodes``,
     ``references``, ``members`` and ``index`` are read-only, and every
     query method is safe to call concurrently.  The only state a query
-    writes is two private per-word caches, each filled by ``setdefault``
-    with one tuple per index key at most, so each is bounded by the index:
-    the records of a word's references, made on its first ``lookup``,
-    ``index`` or ``_word_keys`` read, and the sorted shifted keys of
-    ``_word_keys``.
+    writes is ``child_ids`` and two private per-word caches.
+    ``child_ids`` is built once, on the first ``node``, ``nodes`` item,
+    ``root``, ``ancestors``, ``lowest_common_ancestor`` or
+    ``nodes_at_level`` read; threads that build it at once store equal
+    tuples.  Each cache is filled by ``setdefault`` with one tuple per
+    index key at most, so each is bounded by the index: the records of a
+    word's references, made on its first ``lookup``, ``index`` or
+    ``_word_keys`` read, and the sorted shifted keys of ``_word_keys``.
     """
 
     def __init__(self, nodes, references):
@@ -461,15 +470,15 @@ class Thesaurus:
                 raise InvalidReferenceError(
                     "reference %r at node %r is not in a semicolon group at "
                     "depth %d" % (ref.entry_text, group, _GROUP_LEVEL))
-        groups = array("i", map(attrgetter("semicolon_group"), references))
+        # Kept sorted stably by group, as a parse lists them, so each
+        # group's references, in the order given, are one run of the ids.
+        kept = sorted(references, key=attrgetter("semicolon_group"))
+        groups = array("i", map(attrgetter("semicolon_group"), kept))
         counts = [0] * len(nodes)
         for group in groups:
             counts[group] += 1
-        # Each group's references, in the order given, are one run of the
-        # reference ids sorted stably by group.
-        self._setup(tree, list(map(attrgetter("entry_text"), references)),
-                    groups, array("i", sorted(range(len(groups)),
-                                              key=groups.__getitem__)), counts)
+        self._setup(tree, list(map(attrgetter("entry_text"), kept)), groups,
+                    counts)
         # Checked once the paragraph labels are read from the references.
         tree = self._columns[2]
         for ref in references:
@@ -489,21 +498,20 @@ class Thesaurus:
         """
         texts, groups, counts = references
         thesaurus = cls.__new__(cls)
-        thesaurus._setup(tree, texts, groups, range(len(texts)), counts)
+        thesaurus._setup(tree, texts, groups, counts)
         return thesaurus
 
-    def _setup(self, tree, texts, groups, member_ids, counts):
+    def _setup(self, tree, texts, groups, counts):
         """Keep the node and reference columns and build the keys, the
         paragraph labels and the index.
 
-        ``member_ids`` lists the reference ids grouped by semicolon group,
-        in id order, and ``counts`` the number of references of each node.
+        The references' groups run in id order, and ``counts`` holds the
+        number of references of each node.
         """
         (self.parents, self.levels, self.labels, self.ordinals,
          self.head_numbers, self.poses) = tree
-        # Per node id, where its run of member_ids starts; one start more
+        # Per node id, where its run of reference ids starts; one start more
         # ends the last run.
-        self._member_ids = member_ids
         self._member_starts = starts = array(
             "i", list(accumulate(counts, initial=0)))
         self.root_id = 0
@@ -520,7 +528,7 @@ class Thesaurus:
         # of the group whose key's lowest field, its rank, is 1.
         ranks = (1 << self._shifts[_GROUP_LEVEL - 1]) - 1
         self._keywords = {  # paragraph id -> its label
-            self.parents[node_id]: texts[member_ids[starts[node_id]]]
+            self.parents[node_id]: texts[starts[node_id]]
             if starts[node_id] < starts[node_id + 1] else ""
             for node_id, key in enumerate(self.keys) if key & ranks == 1}
         self._columns = (texts, groups, (self.parents, self.head_numbers,
@@ -545,17 +553,17 @@ class Thesaurus:
         return _made(self._columns, (i,))[0]
 
     def _member_ids_of(self, node_id):
-        """The ids of a node's references: a run of ``_member_ids``."""
+        """The ids of a node's references, one run of the reference ids."""
         starts = self._member_starts
-        return self._member_ids[starts[node_id]:starts[node_id + 1]]
+        return range(starts[node_id], starts[node_id + 1])
 
     def _members(self, node_id):
         return tuple(_made(self._columns, self._member_ids_of(node_id)))
 
     def _entry_texts(self, node_id):
-        """The entry texts of a node's references, in the order given."""
-        return list(map(self._columns[0].__getitem__,
-                        self._member_ids_of(node_id)))
+        """The entry texts of a node's references, in their order."""
+        starts = self._member_starts
+        return self._columns[0][starts[node_id]:starts[node_id + 1]]
 
     @cached_property
     def child_ids(self):
@@ -570,8 +578,7 @@ class Thesaurus:
         """The label a node's record writes, or else read from the tree."""
         level = self.levels[node_id]
         if level == _GROUP_LEVEL:
-            ids = self._member_ids_of(node_id)
-            return self._columns[0][ids[0]] if ids else ""
+            return (self._entry_texts(node_id) or [""])[0]
         if level in _LABEL_LEVELS:
             return self.labels[node_id]
         if level == Level.PARAGRAPH:
@@ -656,11 +663,10 @@ class Thesaurus:
         # Then by value, as Reference equality would compare it, with no
         # record made: the group has the text, and its fields are the
         # reference's.  A thesaurus's groups are ints among its node ids.
-        texts, _, tree = self._columns
         if (type(ref) is Reference and type(group) is int
                 and 0 <= group < len(self.parents)
-                and text in map(texts.__getitem__, self._member_ids_of(group))
-                and _group_fields(tree, group) == (
+                and text in self._entry_texts(group)
+                and _group_fields(self._columns[2], group) == (
                     ref.pos, ref.head_number, ref.keyword)):
             return self.keys[group]
         raise InvalidReferenceError(
@@ -679,7 +685,8 @@ class Thesaurus:
         """(Minimum distance, number of pairs attaining it) over refs1 x refs2.
 
         refs1 and refs2 are what ``lookup`` returned for the words w1 and
-        w2, and neither is empty.  When they make at most ``_FEW_PAIRS``
+        w2; WordNotFoundError names each word whose list is empty, as
+        ``word_min_distance`` does.  When they make at most ``_FEW_PAIRS``
         (6) pairs each pair is measured by ``reference_distance``; a
         single pair is one such call, with a count of 1.  Otherwise each
         word's sorted keys come from ``_word_keys``, read from its groups
@@ -699,6 +706,9 @@ class Thesaurus:
         if pairs <= _FEW_PAIRS:
             if pairs == 1:
                 return self.reference_distance(refs1[0], refs2[0]), 1
+            if not pairs:
+                raise WordNotFoundError(
+                    [w for w, refs in ((w1, refs1), (w2, refs2)) if not refs])
             measure, best, count = self.reference_distance, MAX_DISTANCE + 1, 0
             for r1 in refs1:
                 for r2 in refs2:

@@ -9,7 +9,8 @@ import pytest
 from rogetsim import (CorrelationUndefinedError, PairScale, ParseError,
                       ScoredPair, evaluate_pairs, load_pairs, outlier_report,
                       pearson)
-from tests.conftest import TIER_PAIRS, data_path
+from rogetsim.cli import main
+from tests.conftest import FIXTURE_PATH, TIER_PAIRS, data_path
 
 
 def pearson_oracle(xs, ys):
@@ -187,6 +188,25 @@ def test_load_pairs_string_splits_like_stream(separator):
 def test_load_pairs_rejects_malformed(text):
     with pytest.raises(ParseError):
         load_pairs(text)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("\tlynx\t3", "line 3, column 1: word1 is empty"),
+    ("feline\t \t3", "line 3, column 2: word2 is empty"),
+    ("\u3000\t\tmany", "line 3, column 1: word1 is empty"),
+])
+def test_load_pairs_rejects_an_empty_word(row, message, tmp_path):
+    # An empty word was kept, then skipped as not found.
+    text = "scale\t0\t4\nfeline\tlynx\t3\n%s\n" % row
+    with pytest.raises(ParseError) as caught:
+        load_pairs(text)
+    assert str(caught.value) == message
+    path = tmp_path / "pairs.tsv"
+    path.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    assert main(["--thesaurus", FIXTURE_PATH, "bench", str(path)],
+                out=io.StringIO(), err=err) == 2
+    assert message in err.getvalue()
 
 
 def test_load_pairs_rejects_a_stream_that_cannot_be_decoded():

@@ -13,8 +13,9 @@ import pytest
 from rogetsim import (InvalidNodeError, InvalidReferenceError, Level,
                       ParseError, PartOfSpeech, Reference, TaxonomyNode,
                       Thesaurus, build_index, interchange, load, load_pairs,
-                      load_questions, normalize, parse_interchange, serialize,
-                      structure_signature, taxonomy, validate_structure)
+                      load_questions, normalize, parse_interchange,
+                      path_headers, serialize, structure_signature, taxonomy,
+                      validate_structure, word_min_distance)
 from tests.conftest import data_path, read_from_pipe
 
 MINIMAL = """\
@@ -436,6 +437,28 @@ def test_the_constructor_reads_no_field_a_record_does_not_write(thesaurus):
 
     built = Thesaurus(map(Guarded, thesaurus.nodes), thesaurus.references)
     assert built.nodes == thesaurus.nodes
+
+
+def test_a_thesaurus_built_in_any_group_order_reads_as_its_document(
+        thesaurus):
+    # The references given with their groups in reverse order, each group's
+    # in document order: the thesaurus keeps them in group order, as the
+    # parse of its own text does, so both list every word pair's shortest
+    # paths alike.
+    given = sorted(thesaurus.references, key=lambda ref: -ref.semicolon_group)
+    built = Thesaurus(thesaurus.nodes, given)
+    reparsed = parse_interchange(serialize(built))
+    assert built.references == reparsed.references == thesaurus.references
+    assert list(built.index) == list(reparsed.index)
+    words = list(built.index)
+    differing = [
+        (w1, w2) for i, w1 in enumerate(words) for w2 in words[i:]
+        if word_min_distance(built, w1, w2).achieving_pairs
+        != word_min_distance(reparsed, w1, w2).achieving_pairs
+        or path_headers(built, w1, w2) != path_headers(reparsed, w1, w2)]
+    # Every pair of words, a word with itself too.
+    assert len(words) * (len(words) + 1) // 2 == 5995
+    assert differing == []
 
 
 def test_validate_reports_a_repeated_head_number():

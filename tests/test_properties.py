@@ -6,6 +6,7 @@ import io
 import random
 import unicodedata
 from functools import partial
+from operator import attrgetter
 from unittest import mock
 
 import pytest
@@ -334,13 +335,21 @@ def scattered_thesaurus(seed):
     """A directly built thesaurus whose references are in no key order.
 
     The tree has three classes and one to three children per node below
-    them; each word of SCATTERED is in that many random semicolon groups,
-    and the references are shuffled, so the index lists a word's references
-    in an order its group keys do not sort in.
+    them, and its semicolon groups are numbered in a random order; each
+    word of SCATTERED is in that many random groups, and the references are
+    shuffled.  A thesaurus keeps its references in group id order, so the
+    index lists a word's references in an order its group keys do not sort
+    in.
     """
     rng = random.Random(seed)
     nodes, level_ids = layered_nodes(
         lambda depth, last: 3 if depth == 0 else rng.randint(1, 3))
+    # The groups are the last nodes; each takes the id of a random one.
+    first = level_ids[0]
+    renumbered = dict(zip(level_ids, rng.sample(level_ids, len(level_ids))))
+    nodes[first:] = sorted(
+        (dataclasses.replace(node, id=renumbered[node.id])
+         for node in nodes[first:]), key=attrgetter("id"))
     placed = []
     for word, (size, doubled) in SCATTERED.items():
         groups = rng.sample(level_ids, size - doubled)
@@ -504,13 +513,15 @@ def test_a_built_thesaurus_keeps_the_references_given(seed):
         (rng.choice(["a", "A", "b", "B b", "c"]), rng.choice(groups))
         for _ in range(80)])
     thesaurus = Thesaurus(nodes, references)
-    assert list(thesaurus.references) == references
+    # Sorted stably by group: each group's references in the order given.
+    kept = sorted(references, key=attrgetter("semicolon_group"))
+    assert list(thesaurus.references) == kept
     assert list(thesaurus.members) == [
         tuple(r for r in references if r.semicolon_group == node_id)
         for node_id in range(len(nodes))]
-    assert dict(thesaurus.index) == {
-        key: tuple(r for r in references if normalize(r.entry_text) == key)
-        for key in {normalize(r.entry_text) for r in references}}
+    assert list(thesaurus.index.items()) == [
+        (key, tuple(r for r in kept if normalize(r.entry_text) == key))
+        for key in dict.fromkeys(normalize(r.entry_text) for r in kept)]
     for key in thesaurus.index:
         assert thesaurus.lookup(key) == list(thesaurus.index[key])
 
@@ -541,9 +552,11 @@ def grouped_by_key(references):
 
 def check_index(references):
     """Build a thesaurus of the references and check its index against
-    ``grouped_by_key``; return the thesaurus."""
+    ``grouped_by_key`` of them sorted stably by group, the order the
+    thesaurus keeps; return the thesaurus."""
     thesaurus = Thesaurus(CHAIN_NODES, references)
-    grouped = grouped_by_key(references)
+    grouped = grouped_by_key(sorted(references,
+                                    key=attrgetter("semicolon_group")))
     assert list(thesaurus.index) == list(grouped)  # first-seen key order
     assert len(thesaurus.index) == len(grouped)
     for key, refs in grouped.items():

@@ -11,6 +11,7 @@ from rogetsim import (ParseError, ReportError, SynonymQuestion,
                       answer_question, evaluate_choice, filter_noun_only,
                       load, load_questions, score_test, solver, taxonomy,
                       tokenize_choice)
+from rogetsim.cli import main
 from tests.conftest import FIXTURE_PATH
 
 ODE = SynonymQuestion("ode", ["heavy debt", "poem", "sweet smell", "surprise"],
@@ -239,6 +240,28 @@ def test_a_question_needs_four_choices():
 def test_load_questions_rejects_malformed(line):
     with pytest.raises(ParseError):
         load_questions(line + "\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("ode\t\tpoem\tsweet smell\tsurprise\t1",
+     "line 2, column 2: choice 1 is empty"),
+    (" \tpoem\ta\tb\tc\t0", "line 2, column 1: problem is empty"),
+    ("ode\tpoem\ta\t \t\tc\t0", "line 2, column 4: choice 3 is empty"),
+    ("ode\tpoem\ta\tb\t\u3000\tfive", "line 2, column 5: choice 4 is empty"),
+])
+def test_load_questions_rejects_an_empty_word(line, message, tmp_path):
+    # An empty choice was never found, yet counted among no words not found;
+    # an empty problem read as not found.
+    text = "ode\tpoem\ta\tb\tc\t0\n%s\n" % line
+    with pytest.raises(ParseError) as caught:
+        load_questions(text)
+    assert str(caught.value) == message
+    path = tmp_path / "questions.tsv"
+    path.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    assert main(["--thesaurus", FIXTURE_PATH, "solve", str(path)],
+                out=io.StringIO(), err=err) == 2
+    assert message in err.getvalue()
 
 
 def test_load_questions_rejects_a_stream_that_cannot_be_decoded():

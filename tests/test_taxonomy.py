@@ -144,6 +144,21 @@ def test_an_absent_word_in_a_bisected_comparison_is_not_found(fixture_text):
     assert list(thesaurus._shifted) == ["feline"]
 
 
+@pytest.mark.parametrize("few_pairs", [0, taxonomy._FEW_PAIRS])
+def test_an_empty_reference_list_is_not_found(thesaurus, few_pairs,
+                                              monkeypatch):
+    # No pair is no distance: each word whose list is empty is named, as
+    # word_min_distance names it, under either kernel's cut-off.
+    monkeypatch.setattr(taxonomy, "_FEW_PAIRS", few_pairs)
+    lynx = thesaurus.lookup("lynx")
+    for args, missing in ((("zzz", [], "lynx", lynx), ["zzz"]),
+                          (("lynx", lynx, "zzz", []), ["zzz"]),
+                          (("lynx", [], "feline", []), ["lynx", "feline"])):
+        with pytest.raises(WordNotFoundError) as info:
+            thesaurus.min_distance(*args)
+        assert info.value.words == missing
+
+
 def test_a_lookup_makes_its_words_records_once(fixture_text):
     thesaurus = parse_interchange(fixture_text)
     before = {id(o) for o in gc.get_objects() if type(o) is Reference}
