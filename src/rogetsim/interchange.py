@@ -309,7 +309,8 @@ def serialize(thesaurus):
     Raises InvalidNodeError for a label, and InvalidReferenceError for an
     entry text, that the document would not read back: one that is not a
     str, has whitespace at either end or holds a line break, and an entry
-    text that is empty or holds ``|``.
+    text that is empty or holds ``|``; InvalidNodeError too for a
+    semicolon group with no entries, a bare ``; `` line no document holds.
     """
     t = thesaurus
     lines = []
@@ -321,6 +322,9 @@ def serialize(thesaurus):
             payload = "%d" % t.ordinals[node_id]
         elif level == Level.SEMICOLON_GROUP:
             texts = t._entry_texts(node_id)
+            if not texts:
+                raise InvalidNodeError("semicolon group %d has no entries and "
+                                       "would not read back" % node_id)
             for text in texts:
                 if not (text and _reads_back(text, "|\n\r")):
                     raise InvalidReferenceError(

@@ -10,16 +10,17 @@ disambiguation.  The number of minimizing reference pairs doubles as the
 shortest-path count used by the synonym solver for tie-breaking: in a
 tree each reference pair has exactly one path.
 
-For words with s and b >= s references the minimum and the pair count
-cost O(s log b), not s*b distance computations (see
-``Thesaurus.min_distance``, which measures up to 6 pairs one by one).
-Past 6 pairs each word's sorted group keys come from a per-word cache
-in the thesaurus, filled on the word's first such comparison, so a
-frequent word compared again does not re-read its references.  Each key
-of the word with fewer references is bisected into the other's, and only
-the keys whose closest key is at the minimum are bisected again to count
-the pairs; the minimizing pairs themselves are built only when
-``achieving_pairs`` is read.
+``word_min_distance``, the only entry to the word distance, looks each
+word up once and hands the two lists ``lookup`` returned to the
+thesaurus's private kernel, which reads only those records.  For words
+with s and b >= s references the minimum and the pair count cost
+O(s log b), not s*b distance computations (up to 6 pairs are measured
+one by one).  Past 6 pairs each word's sorted group keys come from a
+per-word cache in the thesaurus, filled from its records on its first
+such comparison.  Each key of the word with fewer references is
+bisected into the other's, and only the keys whose closest key is at the
+minimum are bisected again to count the pairs; the minimizing pairs
+themselves are built only when ``achieving_pairs`` is read.
 """
 
 from dataclasses import dataclass, field
@@ -69,14 +70,14 @@ def word_min_distance(thesaurus, w1, w2):
 
     Achieving pairs are listed in document order of the references, which
     makes reports reproducible.  Raises WordNotFoundError naming every
-    missing word.
+    missing word; this is the one place an absent word is refused.
     """
     refs1 = thesaurus.lookup(w1)
     refs2 = thesaurus.lookup(w2)
     if not (refs1 and refs2):
         raise WordNotFoundError(
             [w for w, refs in ((w1, refs1), (w2, refs2)) if not refs])
-    distance, count = thesaurus.min_distance(w1, refs1, w2, refs2)
+    distance, count = thesaurus._min_distance(refs1, refs2)
     return WordDistanceResult(w1, w2, distance, count,
                               (thesaurus, refs1, refs2, distance))
 

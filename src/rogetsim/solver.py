@@ -283,7 +283,7 @@ def load_questions(source):
                 choices=[f.strip() for f in fields[1:5]],
                 gold_index=gold,
                 source_tag=fields[6].strip() if len(fields) == 7 else "")
-        except ValueError as exc:
-            raise ParseError(str(exc), line=line_no)
+        except ValueError as exc:  # the gold index is out of range
+            raise ParseError(str(exc), line=line_no, column=6)
         questions.append(question)
     return questions

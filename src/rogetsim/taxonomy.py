@@ -38,13 +38,13 @@ from functools import cached_property
 from itertools import accumulate, islice
 from operator import attrgetter
 
-from .errors import InvalidNodeError, InvalidReferenceError, WordNotFoundError
+from .errors import InvalidNodeError, InvalidReferenceError
 
 MAX_DISTANCE = 16
 _GROUP_LEVEL = 8  # the depth of every semicolon group; no node is deeper
 
-# Thesaurus.min_distance measures each pair with reference_distance, instead
-# of bisecting cached keys, while there are at most this many pairs.  With
+# Thesaurus._min_distance, word_min_distance's kernel, measures each pair
+# with reference_distance while there are at most this many pairs.  With
 # the keys cached, bisecting is the cheaper way from about 4 pairs.  Per
 # call, pair by pair against bisected, on a 2-vCPU VM with Python 3.11
 # (seed-1 benchmark thesaurus; per shape the median over 20 word pairs, each
@@ -399,14 +399,16 @@ class Thesaurus:
     wide as its largest family needs: on the benchmark's synthetic
     thesaurus at the 1987 edition's scale a key takes 28 bits, so a key
     shifted left one bit, as ``_word_keys`` keeps it, still fits one 30-bit
-    CPython int digit, and ``min_distance`` bisects, XORs and shifts
+    CPython int digit, and ``_min_distance`` bisects, XORs and shifts
     one-digit ints.  Two nodes first differ at the level whose field holds
     the top set bit of ``k1 ^ k2``, so a reference distance is one table
     lookup by that bit length.  ``index`` is ``build_index(self)``, which
     chains each word's reference ids and walks them on the word's first
-    read.  For s references of one word and b >= s of the other
-    ``min_distance`` costs O(s log b), and ``_pairs_within`` O(s + b) plus
-    one step per pair it yields, not s*b.
+    read.  ``word_min_distance``, the only entry to the word distance,
+    passes ``_min_distance`` the two lists ``lookup`` returned.  For s
+    references of one word and b >= s of the other it costs O(s log b),
+    and ``_pairs_within`` O(s + b) plus one step per pair it yields, not
+    s*b.
 
     Answers never change after construction: the columns, maps and
     ``keys`` are tuples, arrays or dicts no method writes, ``nodes``,
@@ -418,8 +420,8 @@ class Thesaurus:
     ``nodes_at_level`` read; threads that build it at once store equal
     tuples.  Each cache is filled by ``setdefault`` with one tuple per
     index key at most, so each is bounded by the index: the records of a
-    word's references, made on its first ``lookup``, ``index`` or
-    ``_word_keys`` read, and the sorted shifted keys of ``_word_keys``.
+    word's references, made on its first ``lookup`` or ``index`` read,
+    and the sorted shifted keys of ``_word_keys``.
     """
 
     def __init__(self, nodes, references):
@@ -535,7 +537,7 @@ class Thesaurus:
                                          self.poses, self._keywords))
         self.index = build_index(self)
         self._records = self.index._records  # index key -> its references
-        self._shifted = {}  # index key -> _word_keys(key), filled on first use
+        self._shifted = {}  # index key -> _word_keys(lookup(key)), lazily
 
     @property
     def nodes(self):
@@ -681,34 +683,28 @@ class Thesaurus:
         """Edges on the shortest tree path between two references' groups."""
         return self._distance[(self._key(r1) ^ self._key(r2)).bit_length()]
 
-    def min_distance(self, w1, refs1, w2, refs2):
+    def _min_distance(self, refs1, refs2):
         """(Minimum distance, number of pairs attaining it) over refs1 x refs2.
 
-        refs1 and refs2 are what ``lookup`` returned for the words w1 and
-        w2; WordNotFoundError names each word whose list is empty, as
-        ``word_min_distance`` does.  When they make at most ``_FEW_PAIRS``
-        (6) pairs each pair is measured by ``reference_distance``; a
-        single pair is one such call, with a count of 1.  Otherwise each
-        word's sorted keys come from ``_word_keys``, read from its groups
-        once and then kept: each key of the shorter list is bisected into
-        the longer one, from where the key before it landed, and its
-        closest key is its predecessor or its successor there.  The pairs
-        at the least of those distances are counted by two more bisects
-        for each key whose closest key is at that distance, over the keys
-        that agree with it down to the shared level; no other key has
-        any.  For s references of one word and b >= s of the other that
-        is O(s log b), so the cost hardly grows with the larger word.
-        Bisecting is the cheaper way from about 4 pairs; the cut-off is 6
-        because the traced benchmark counts the per-pair calls of a 3 x 2
-        comparison (see ``_FEW_PAIRS``).
+        refs1 and refs2 are the two non-empty lists ``lookup`` returned to
+        ``word_min_distance``, the one caller, and both paths read only
+        them.  When they make at most ``_FEW_PAIRS`` (6) pairs each pair is
+        measured by ``reference_distance``; a single pair is one such call,
+        with a count of 1.  Otherwise each word's sorted keys come from
+        ``_word_keys``, read from its records once and then kept: each key
+        of the shorter list is bisected into the longer one, from where the
+        key before it landed, and its closest key is its predecessor or its
+        successor there.  The pairs at the least of those distances are
+        counted by two more bisects for each key whose closest key is at
+        that distance, over the keys that agree with it down to the shared
+        level; no other key has any.  For s references of one word and
+        b >= s of the other that is O(s log b), so the cost hardly grows
+        with the larger word.  ``_FEW_PAIRS`` says why the cut-off is 6.
         """
         pairs = len(refs1) * len(refs2)
         if pairs <= _FEW_PAIRS:
             if pairs == 1:
                 return self.reference_distance(refs1[0], refs2[0]), 1
-            if not pairs:
-                raise WordNotFoundError(
-                    [w for w, refs in ((w1, refs1), (w2, refs2)) if not refs])
             measure, best, count = self.reference_distance, MAX_DISTANCE + 1, 0
             for r1 in refs1:
                 for r2 in refs2:
@@ -718,7 +714,7 @@ class Thesaurus:
                     elif distance == best:
                         count += 1
             return best, count
-        small, big = self._word_keys(w1), self._word_keys(w2)
+        small, big = self._word_keys(refs1), self._word_keys(refs2)
         if len(small) > len(big):
             small, big = big, small
         # The key of big closest to k by XOR is its predecessor or its
@@ -745,25 +741,20 @@ class Thesaurus:
                           - bisect_left(big, start))
         return distance, count
 
-    def _word_keys(self, text):
-        """The sorted keys of ``lookup(text)``'s groups, shifted left one bit.
+    def _word_keys(self, refs):
+        """The sorted keys of a word's groups, shifted left one bit.
 
-        The tuple is made on the word's first call and kept by index key,
-        from the word's kept records, so a word that ``lookup`` has read
-        has its id chain walked once.  A text under which keys or records
-        are kept is its own normalization, so it is read without a second
-        ``normalize``.  An absent text raises WordNotFoundError.  Threads
-        that make one word's tuple at once each build it; ``setdefault``
-        keeps one.
+        ``refs`` is a non-empty list ``lookup`` returned, so it holds only
+        this thesaurus's own records of one index key: the key its first
+        entry text is an alias of, or that text itself.  The tuple is made
+        from the records on the word's first call and kept by that key.
+        Threads that make one word's tuple at once each build it;
+        ``setdefault`` keeps one.
         """
-        shifted = self._shifted.get(text)
+        text = refs[0].entry_text
+        word = self.index._aliases.get(text, text)
+        shifted = self._shifted.get(word)
         if shifted is None:
-            word = text if text in self._records else normalize(text)
-            shifted = self._shifted.get(word)
-        if shifted is None:
-            word = self.index._own(word)
-            if word is None:
-                raise WordNotFoundError([text])
             # Fresh ints, made together, lie close in memory, where the
             # objects of ``keys`` lie scattered: with keys stored pre-shifted
             # and these tuples sharing them, a kernel that sorted both words'
@@ -772,8 +763,7 @@ class Thesaurus:
             # a word's references in key order, so the sort is one pass.
             keys = self.keys
             shifted = self._shifted.setdefault(word, tuple(sorted([
-                keys[ref.semicolon_group] << 1
-                for ref in self.index._read(word)])))
+                keys[ref.semicolon_group] << 1 for ref in refs])))
         return shifted
 
     def _pairs_within(self, refs1, refs2, distance):

@@ -363,6 +363,25 @@ def test_serialize_writes_only_entries_that_read_back(text, reads_back):
     assert reparsed.references[1].entry_text == text
 
 
+def test_serialize_refuses_a_group_with_no_entries(fixture_text):
+    # It would be a bare "; " line, which no document holds.  Here are the
+    # fixture's second group emptied and MINIMAL's only one (node 8);
+    # validate_structure reports each such group too.
+    parsed = parse_interchange(fixture_text)
+    second = parsed.references[0].semicolon_group + 1
+    for built, group in (
+            (Thesaurus(parsed.nodes, [ref for ref in parsed.references
+                                      if ref.semicolon_group != second]),
+             second),
+            (Thesaurus(parse_interchange(MINIMAL).nodes, []), 8)):
+        with pytest.raises(InvalidNodeError,
+                           match="^semicolon group %d has no entries and "
+                                 "would not read back$" % group):
+            serialize(built)
+        assert ("semicolon group %d has no entries" % group
+                in validate_structure(built).violations)
+
+
 @pytest.mark.parametrize("node_id,label,reads_back", [
     (5, " Head one", False), (5, "Head one ", False), (5, "Head\none", False),
     (5, "Head\rone", False), (5, None, False), (5, 1, False),

@@ -104,13 +104,20 @@ WIDE_ENTRIES = st.one_of(st.text(), ENTRY)
 @given(thesauri(), st.data())
 def test_serialize_raises_or_reads_back(thesaurus, data):
     # A thesaurus built with any labels, ordinals and entry texts either
-    # serializes to a text that reads back as it, or raises.
+    # serializes to a text that reads back as it, or raises.  One built
+    # with a drawn group emptied of its references raises, naming it.
+    placed = [(ref.entry_text, ref.semicolon_group)
+              for ref in thesaurus.references]
+    emptied = data.draw(st.sampled_from(sorted({g for _, g in placed})))
+    with pytest.raises(InvalidNodeError,
+                       match="^semicolon group %d has no entries " % emptied):
+        serialize(Thesaurus(thesaurus.nodes, tree_references(
+            thesaurus.nodes, [(text, group) for text, group in placed
+                              if group != emptied])))
     nodes = thesaurus.nodes[:]
     for i in data.draw(st.lists(st.integers(0, len(nodes) - 1), max_size=8)):
         nodes[i] = dataclasses.replace(nodes[i], label=data.draw(WIDE_LABELS),
                                        ordinal=data.draw(st.integers()))
-    placed = [(ref.entry_text, ref.semicolon_group)
-              for ref in thesaurus.references]
     for i in data.draw(st.lists(st.integers(0, len(placed) - 1), max_size=4)):
         placed[i] = (data.draw(WIDE_ENTRIES), placed[i][1])
     built = Thesaurus(nodes, tree_references(nodes, placed))
@@ -371,8 +378,8 @@ def test_word_distance_on_references_out_of_key_order(seed):
     for few_pairs in (0, taxonomy._FEW_PAIRS):
         with mock.patch.object(taxonomy, "_FEW_PAIRS", few_pairs):
             for (w1, w2), (best, pairs) in expected.items():
-                assert thesaurus.min_distance(
-                    w1, thesaurus.lookup(w1), w2, thesaurus.lookup(w2)) == (
+                assert thesaurus._min_distance(
+                    thesaurus.lookup(w1), thesaurus.lookup(w2)) == (
                         best, len(pairs))
     for word, shifted in thesaurus._shifted.items():
         assert shifted == tuple(sorted(
@@ -380,7 +387,8 @@ def test_word_distance_on_references_out_of_key_order(seed):
             for ref in thesaurus.index[word]))
     # A kept word's own key is read without normalizing it again.
     with mock.patch.object(taxonomy, "normalize", side_effect=AssertionError):
-        assert thesaurus._word_keys("huge") is thesaurus._shifted["huge"]
+        assert thesaurus._word_keys(
+            thesaurus.lookup("huge")) is thesaurus._shifted["huge"]
 
 
 def placed_thesaurus(places):
@@ -400,7 +408,8 @@ def placed_thesaurus(places):
 
 
 def counted_min_distance(thesaurus, w1, w2, few_pairs=taxonomy._FEW_PAIRS):
-    """min_distance of two words and the bisect_left calls it made.
+    """_min_distance of two words' lookups and the bisect_left calls it
+    made.
 
     Each call is kept as (its arguments, its result).
     """
@@ -411,10 +420,11 @@ def counted_min_distance(thesaurus, w1, w2, few_pairs=taxonomy._FEW_PAIRS):
         calls.append((args, bisect.bisect_left(*args)))
         return calls[-1][1]
 
-    # min_distance reads bisect_left from its module's globals at call time.
+    # _min_distance reads bisect_left from its module's globals at call
+    # time.
     with mock.patch.object(taxonomy, "bisect_left", bisect_left), \
             mock.patch.object(taxonomy, "_FEW_PAIRS", few_pairs):
-        result = thesaurus.min_distance(w1, refs1, w2, refs2)
+        result = thesaurus._min_distance(refs1, refs2)
     best, pairs = pair_loop(thesaurus, w1, w2)
     assert result == (best, len(pairs))
     return result, calls
@@ -439,7 +449,7 @@ def test_the_path_is_chosen_by_the_number_of_pairs(few_pairs):
         for (w1, w2), (best, pairs) in expected.items():
             refs1, refs2 = thesaurus.lookup(w1), thesaurus.lookup(w2)
             measured.clear()
-            assert thesaurus.min_distance(w1, refs1, w2, refs2) == (
+            assert thesaurus._min_distance(refs1, refs2) == (
                 best, len(pairs))
             product = len(refs1) * len(refs2)
             assert len(measured) == (product if product <= few_pairs else 0)
@@ -473,7 +483,8 @@ def test_the_minimum_through_the_last_key_before_every_key():
     # nearer by XOR to big[-1] than to big[0].  The search reads big[-1]
     # at i == 0, so that pair gives the least XOR; both lie at distance 2.
     thesaurus = placed_thesaurus({"one": [0], "big": [1, 2]})
-    (k,), big = thesaurus._word_keys("one"), thesaurus._word_keys("big")
+    (k,), big = (thesaurus._word_keys(thesaurus.lookup(word))
+                 for word in ("one", "big"))
     assert k < big[0] and k ^ big[-1] < k ^ big[0]
     for w1, w2 in (("one", "big"), ("big", "one")):
         result, calls = counted_min_distance(thesaurus, w1, w2, 0)
@@ -610,7 +621,7 @@ def test_the_caches_keep_the_thesauruss_own_strings():
         ["Cat", "dog", "cat", " Dog", "tea", "TEA"], CHAIN_GROUPS))))
     for text in (" CAT ", "DOG", "Tea", "cat"):
         thesaurus.lookup(text)
-        thesaurus._word_keys(text.upper())
+        thesaurus._word_keys(thesaurus.lookup(text.upper()))
     held = {id(text) for text in [*thesaurus.index, *thesaurus._columns[0],
                                   *thesaurus.index._aliases.values()]}
     for cache in (thesaurus._records, thesaurus._shifted):

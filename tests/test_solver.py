@@ -248,10 +248,16 @@ def test_load_questions_rejects_malformed(line):
     (" \tpoem\ta\tb\tc\t0", "line 2, column 1: problem is empty"),
     ("ode\tpoem\ta\t \t\tc\t0", "line 2, column 4: choice 3 is empty"),
     ("ode\tpoem\ta\tb\t\u3000\tfive", "line 2, column 5: choice 4 is empty"),
+    ("ode\ta\tb\tc\td\tx",
+     "line 2, column 6: gold index 'x' is not an integer"),
+    ("ode\ta\tb\tc\td\t5", "line 2, column 6: gold_index must be in 0..3"),
+    ("ode\ta\tb\tc\td\t-1", "line 2, column 6: gold_index must be in 0..3"),
 ])
-def test_load_questions_rejects_an_empty_word(line, message, tmp_path):
+def test_load_questions_reports_a_bad_field_at_its_column(line, message,
+                                                          tmp_path):
     # An empty choice was never found, yet counted among no words not found;
-    # an empty problem read as not found.
+    # an empty problem read as not found.  A bad gold index is named at its
+    # own column, whether it is not an integer or out of range.
     text = "ode\tpoem\ta\tb\tc\t0\n%s\n" % line
     with pytest.raises(ParseError) as caught:
         load_questions(text)

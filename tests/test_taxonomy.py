@@ -133,30 +133,21 @@ def test_distance_rejects_foreign_reference(thesaurus):
             thesaurus.tree_path(stray, thesaurus.references[0])
 
 
-def test_an_absent_word_in_a_bisected_comparison_is_not_found(fixture_text):
-    # Nine pairs, so each word's keys are read: an absent word's raises,
-    # and nothing is kept under it.
+def test_an_absent_word_is_refused_before_anything_is_kept(fixture_text):
+    # word_min_distance refuses an absent word, naming each in the order
+    # given, before the kernel runs: only the present word's records, and
+    # its keys from one bisected comparison (nine pairs), are kept.
     thesaurus = parse_interchange(fixture_text)
-    refs = thesaurus.lookup("feline")
-    for w1, w2 in (("zzz", "feline"), ("feline", "zzz")):
-        with pytest.raises(WordNotFoundError, match="^not found: zzz$"):
-            thesaurus.min_distance(w1, refs, w2, refs)
-    assert list(thesaurus._shifted) == ["feline"]
-
-
-@pytest.mark.parametrize("few_pairs", [0, taxonomy._FEW_PAIRS])
-def test_an_empty_reference_list_is_not_found(thesaurus, few_pairs,
-                                              monkeypatch):
-    # No pair is no distance: each word whose list is empty is named, as
-    # word_min_distance names it, under either kernel's cut-off.
-    monkeypatch.setattr(taxonomy, "_FEW_PAIRS", few_pairs)
-    lynx = thesaurus.lookup("lynx")
-    for args, missing in ((("zzz", [], "lynx", lynx), ["zzz"]),
-                          (("lynx", lynx, "zzz", []), ["zzz"]),
-                          (("lynx", [], "feline", []), ["lynx", "feline"])):
-        with pytest.raises(WordNotFoundError) as info:
-            thesaurus.min_distance(*args)
+    word_min_distance(thesaurus, "feline", "feline")
+    for args, missing in ((("zzz", "feline"), ["zzz"]),
+                          (("feline", "zzz"), ["zzz"]),
+                          (("qqq", "zzz"), ["qqq", "zzz"])):
+        with pytest.raises(WordNotFoundError, match="^not found: %s$"
+                           % ", ".join(missing)) as info:
+            word_min_distance(thesaurus, *args)
         assert info.value.words == missing
+    assert list(thesaurus._records) == ["feline"]
+    assert list(thesaurus._shifted) == ["feline"]
 
 
 def test_a_lookup_makes_its_words_records_once(fixture_text):
@@ -191,8 +182,27 @@ def test_a_first_comparison_walks_each_words_ids_once(fixture_text,
         word_min_distance(thesaurus, "feline", "lynx")
         assert sorted(walked) == ["feline", "lynx"]
         # Only ``lookup`` normalizes, and only a text with no records kept:
-        # each word's keys are found by the index key it was read under.
+        # each word's keys are found by the index key of its records.
         assert normalized == expected
+
+
+def test_a_variant_is_normalized_only_by_its_lookup(fixture_text,
+                                                   monkeypatch):
+    # Nine pairs, so both words' keys are bisected.  Once warm, a case and
+    # space variant is normalized once, by its lookup: its keys are found
+    # by the index key of the records that lookup returned.
+    thesaurus = parse_interchange(fixture_text)
+    assert len(thesaurus.lookup("feline")) ** 2 > taxonomy._FEW_PAIRS
+    expected = word_min_distance(thesaurus, "feline", "feline")
+    word_min_distance(thesaurus, " FELINE ", "feline")
+    normalized, fold = [], taxonomy.normalize
+    monkeypatch.setattr(taxonomy, "normalize",
+                        lambda text: normalized.append(text) or fold(text))
+    result = word_min_distance(thesaurus, " FELINE ", "feline")
+    assert normalized == [" FELINE "]
+    assert (result.min_distance, result.pair_count) == (
+        expected.min_distance, expected.pair_count)
+    assert list(thesaurus._shifted) == ["feline"]
 
 
 def test_equal_copies_are_measured_without_new_records(fixture_text,
