@@ -18,8 +18,8 @@ O(s log b), not s*b distance computations (up to 6 pairs are measured
 one by one).  Past 6 pairs each word's sorted group keys come from a
 per-word cache in the thesaurus, filled from its records on its first
 such comparison.  Each key of the word with fewer references is
-bisected into the other's, and only the keys whose closest key is at the
-minimum are bisected again to count the pairs; the minimizing pairs
+bisected into the other's, and in the same pass each key as near as the
+best so far counts its pairs by two more bisects; the minimizing pairs
 themselves are built only when ``achieving_pairs`` is read.
 """
 

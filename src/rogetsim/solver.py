@@ -18,9 +18,10 @@ from .taxonomy import PartOfSpeech
 
 STOP_WORDS = frozenset({"and", "to", "be"})
 # A question's credit by whether the gold choice is among the tied ones and
-# how many are tied, so no question makes a Fraction of its own.
-_CREDITS = {(gold_tied, tied): Fraction(gold_tied, tied)
-            for gold_tied in (0, 1) for tied in range(1, 5)}
+# how many are tied (none when no choice is found), so no question makes a
+# Fraction of its own.
+_CREDITS = {(gold_tied, tied): Fraction(gold_tied, max(tied, 1))
+            for gold_tied in (0, 1) for tied in range(5)}
 
 
 @dataclass
@@ -151,23 +152,19 @@ def evaluate_choice(thesaurus, problem, choice, choice_index=0):
     token is evaluated and the shortest token distance stands in for the
     phrase, with pair counts summed over all tokens achieving it.
     """
-    evaluation = ChoiceEvaluation(choice_index=choice_index,
-                                  choice_text=choice,
-                                  effective_distance=None)
+    effective, count, contributing, kept, not_found = None, 0, None, None, []
     for token, refs in _resolve_phrase(thesaurus, choice):
         if not refs:
-            evaluation.tokens_not_found.append(token)
+            not_found.append(token)
             continue
         result = word_min_distance(thesaurus, problem, token)
-        if (evaluation.effective_distance is None
-                or result.min_distance < evaluation.effective_distance):
-            evaluation.effective_distance = result.min_distance
-            evaluation.pair_count = result.pair_count
-            evaluation.contributing_token = token
-            evaluation._result = result
-        elif result.min_distance == evaluation.effective_distance:
-            evaluation.pair_count += result.pair_count
-    return evaluation
+        if effective is None or result.min_distance < effective:
+            effective, count, contributing, kept = (
+                result.min_distance, result.pair_count, token, result)
+        elif result.min_distance == effective:
+            count += result.pair_count
+    return ChoiceEvaluation(choice_index, choice, effective, count,
+                            contributing, not_found, kept)
 
 
 def answer_question(thesaurus, question):
@@ -179,24 +176,22 @@ def answer_question(thesaurus, question):
         per_choice = [ChoiceEvaluation(choice_index=i, choice_text=c,
                                        effective_distance=None)
                       for i, c in enumerate(question.choices)]
-    found = [ev for ev in per_choice if ev.found]
-    if not found:
-        return QuestionResult(question=question, chosen_index=None,
-                              tie_after_tiebreak=False, tied_indices=[],
-                              per_choice=per_choice, correct=False,
-                              credit=_CREDITS[0, 1])
-
-    best_distance = min(ev.effective_distance for ev in found)
-    at_best = [ev for ev in found if ev.effective_distance == best_distance]
-    best_paths = max(ev.pair_count for ev in at_best)
-    tied = [ev.choice_index for ev in at_best if ev.pair_count == best_paths]
+    best, tied = None, []  # the least (distance, -pairs) found, its choices
+    for ev in per_choice:
+        if ev.effective_distance is not None:
+            rank = (ev.effective_distance, -ev.pair_count)
+            if not tied or rank < best:
+                best, tied = rank, [ev.choice_index]
+            elif rank == best:
+                tied.append(ev.choice_index)
     # A tie is never correct; the gold choice among the tied earns its share.
     tie = len(tied) > 1
-    return QuestionResult(question=question, chosen_index=tied[0],
+    return QuestionResult(question=question,
+                          chosen_index=tied[0] if tied else None,
                           tie_after_tiebreak=tie,
                           tied_indices=tied if tie else [],
                           per_choice=per_choice,
-                          correct=not tie and tied[0] == question.gold_index,
+                          correct=tied == [question.gold_index],
                           credit=_CREDITS[question.gold_index in tied,
                                           len(tied)])
 

@@ -45,17 +45,16 @@ _GROUP_LEVEL = 8  # the depth of every semicolon group; no node is deeper
 
 # Thesaurus._min_distance, word_min_distance's kernel, measures each pair
 # with reference_distance while there are at most this many pairs.  With
-# the keys cached, bisecting is the cheaper way from about 4 pairs.  Per
+# the keys cached, bisecting is the cheaper way from about 3 pairs.  Per
 # call, pair by pair against bisected, on a 2-vCPU VM with Python 3.11
 # (seed-1 benchmark thesaurus; per shape the median over 20 word pairs, each
-# the best of 9 interleaved runs of 500 calls; two runs): 1x1 0.5 and 1.5
-# us, 1x3 1.5-2.0 and 1.6-2.3, 2x2 1.9-2.0 and 1.9-2.0, 1x4 1.7-1.9 and
-# 1.6-1.7, 2x3 2.6-2.8 and 1.9-2.0, 3x3 4.0-4.1 and 2.3-2.4, and 4x4
-# 7.2-12.8 and 2.4-4.3.  The value is 6, not 4, because the traced
-# benchmark pins the per-pair reference_distance calls of its fixture's
-# feline x lynx comparison, 3 x 2 pairs; ROADMAP item 1 lowers it once the
-# benchmark stops counting those calls.  It is read at call time, so tests
-# can patch it here.
+# the best of 9 interleaved runs of 500 calls; two runs): 1x1 0.5 and 1.0
+# us, 1x3 1.4-1.5 and 1.0-1.1, 2x2 1.9 and 1.4, 1x4 1.8 and 1.1, 2x3 2.8
+# and 1.4, 3x3 4.0-4.1 and 1.7-1.8, and 4x4 7.2 and 2.1.  The value is 6,
+# not 3, because the traced benchmark pins the per-pair reference_distance
+# calls of its fixture's feline x lynx comparison, 3 x 2 pairs; ROADMAP item
+# 1 lowers it once the benchmark stops counting those calls.  It is read at
+# call time, so tests can patch it here.
 _FEW_PAIRS = 6
 
 
@@ -526,6 +525,11 @@ class Thesaurus:
             for length in range(self._shifts[0] + 1))
         self._distance = tuple(MAX_DISTANCE - 2 * level
                                for level in self._levels)
+        # By the bit length of the XOR of two keys shifted left one bit, as
+        # _word_keys keeps them, the shift s past the fields they share; s - 1
+        # is the bit length of that level's widest XOR of unshifted keys.
+        spans = [self._shifts[level] + 1 for level in self._levels]
+        self._count_shifts = (spans[0], *spans)
         # Each reference reads its paragraph's label, its first group's: that
         # of the group whose key's lowest field, its rank, is 1.
         ranks = (1 << self._shifts[_GROUP_LEVEL - 1]) - 1
@@ -675,10 +679,6 @@ class Thesaurus:
             "reference %r is not a member of its semicolon group in this "
             "thesaurus" % (ref,))
 
-    def _shift(self, distance):
-        """Shift s: groups within ``distance`` are those with k1>>s == k2>>s."""
-        return self._shifts[max((MAX_DISTANCE + 1 - distance) // 2, 0)]
-
     def reference_distance(self, r1, r2):
         """Edges on the shortest tree path between two references' groups."""
         return self._distance[(self._key(r1) ^ self._key(r2)).bit_length()]
@@ -694,12 +694,12 @@ class Thesaurus:
         ``_word_keys``, read from its records once and then kept: each key
         of the shorter list is bisected into the longer one, from where the
         key before it landed, and its closest key is its predecessor or its
-        successor there.  The pairs at the least of those distances are
-        counted by two more bisects for each key whose closest key is at
-        that distance, over the keys that agree with it down to the shared
-        level; no other key has any.  For s references of one word and
-        b >= s of the other that is O(s log b), so the cost hardly grows
-        with the larger word.  ``_FEW_PAIRS`` says why the cut-off is 6.
+        successor there.  In the same pass a key whose closest key is at
+        least as near as every earlier key's counts, by two more bisects,
+        the keys that agree with it down to that level; the count restarts
+        when a key is nearer than all before it.  For words of s and b >= s
+        references that is O(s log b), so the cost hardly grows with the
+        larger word.  ``_FEW_PAIRS`` says why the cut-off is 6.
         """
         pairs = len(refs1) * len(refs2)
         if pairs <= _FEW_PAIRS:
@@ -722,24 +722,25 @@ class Thesaurus:
         # so each search starts at the last key's place.  Capping i at
         # len(big) - 1 keeps big[i] a key; at 0, big[i - 1] is the last key,
         # so both stay real pairs, and a one-key big is compared with itself.
-        last, i, nearest = len(big) - 1, 0, []
+        # The keys of big sharing k's fields down to its nearest key's level
+        # are those in [start, start + (1 << s)).  The best level is kept as
+        # its shift, the root's at first: several bit lengths share a level.
+        count_shifts, last, i, count = self._count_shifts, len(big) - 1, 0, 0
+        # bound is 1 << shift: a key whose nearest XOR is below it is as near.
+        shift, bound = self._shifts[0] + 1, 2 << self._shifts[0]
         for k in small:
             i = bisect_left(big, k, i, last)
             x, y = k ^ big[i], k ^ big[i - 1]
-            nearest.append(x if x < y else y)
-        distance = self._distance[(min(nearest) >> 1).bit_length()]
-        # The keys of big that share k's fields down to the closest pairs'
-        # level are those in [start, start + step).  Only a k whose nearest
-        # key shares them has any, as the nearest key shares the longest
-        # prefix, so only such keys are bisected again.
-        shift = self._shift(distance) + 1
-        step, count = 1 << shift, 0
-        for k, x in zip(small, nearest):
-            if not x >> shift:
-                start = k >> shift << shift
-                count += (bisect_left(big, start + step)
-                          - bisect_left(big, start))
-        return distance, count
+            if y < x:
+                x = y
+            if x >= bound:
+                continue
+            s = count_shifts[x.bit_length()]
+            if s < shift:
+                shift, bound, count = s, 1 << s, 0
+            start = k >> s << s
+            count += bisect_left(big, start + bound) - bisect_left(big, start)
+        return self._distance[shift - 1], count
 
     def _word_keys(self, refs):
         """The sorted keys of a word's groups, shifted left one bit.
@@ -772,9 +773,11 @@ class Thesaurus:
         Both lists hold only this thesaurus's own records, as ``lookup``
         returns them, so each record's key is read from its group with no
         check.  Pairs come in document order (refs1 outer, refs2 inner),
-        lazily; ``distance`` is at least 0.
+        lazily; ``distance`` is at least 0, and groups within it have keys
+        that agree above ``shift``.
         """
-        shift, keys = self._shift(distance), self.keys
+        shift = self._shifts[max((MAX_DISTANCE + 1 - distance) // 2, 0)]
+        keys = self.keys
         near = {}
         for ref in refs2:
             near.setdefault(keys[ref.semicolon_group] >> shift, []).append(ref)

@@ -457,7 +457,13 @@ def test_the_path_is_chosen_by_the_number_of_pairs(few_pairs):
     assert products == {1, 2, 3, 4, 6, 8, 9, 12, 16}
 
 
-def test_only_keys_that_reach_the_minimum_are_bisected_again():
+def search_calls(calls):
+    """The search bisects of counted_min_distance's calls: those given a
+    ``lo``, as the counting bisects read all of the larger word's keys."""
+    return [call for call in calls if len(call[0]) == 4]
+
+
+def test_only_keys_as_near_as_the_best_so_far_are_bisected_again():
     # "big" is in the first group of the second paragraph (rank 0b010) of
     # the first eight POS paragraphs.  Two of "small"'s five keys share a
     # paragraph with one of them.  Group 8, in the third paragraph (rank
@@ -469,12 +475,57 @@ def test_only_keys_that_reach_the_minimum_are_bisected_again():
     for w1, w2 in (("small", "big"), ("big", "small")):
         result, calls = counted_min_distance(thesaurus, w1, w2)
         # One search bisect per key of "small", two counting ones for
-        # each of the two keys at distance 2.
+        # each of the two keys at distance 2, the least; the first key is
+        # one of them, so no farther key is ever as near as the best.
         assert (result, len(calls)) == ((2, 2), 5 + 2 * 2)
         # Each search starts where the one before it ended.
-        starts = [args[2] for args, _ in calls[:5]]
-        assert starts == [0] + [found for _, found in calls[:4]]
+        searches = search_calls(calls)
+        assert len(searches) == 5
+        starts = [args[2] for args, _ in searches]
+        assert starts == [0] + [found for _, found in searches[:4]]
         assert starts[-1] > 0
+
+
+def test_a_count_is_dropped_when_a_later_key_is_nearer():
+    # Of "small"'s keys, group 8 shares a POS paragraph with "big"'s group
+    # 4 (distance 4), so it is counted first; groups 37 and 38 share a
+    # paragraph with group 36 (distance 2), so group 8's count is dropped
+    # at group 37.  Groups 161 and 1023 are farther than 2.
+    thesaurus = placed_thesaurus({"big": range(4, 128, 16),
+                                  "small": [8, 37, 38, 161, 1023]})
+    # Per key of "small", in key order, as its places are, the distance of
+    # its nearest key.
+    big = thesaurus.lookup("big")
+    nearest = [min(thesaurus.reference_distance(r1, r2) for r2 in big)
+               for r1 in thesaurus.lookup("small")]
+    assert nearest == [4, 2, 2, 12, 16]
+    # One bisect per key, and two per key whose nearest key is at least as
+    # near as every earlier key's.
+    expected = len(nearest) + 2 * sum(
+        distance <= min(nearest[:i], default=MAX_DISTANCE)
+        for i, distance in enumerate(nearest))
+    assert expected == 5 + 2 * 3
+    for w1, w2 in (("small", "big"), ("big", "small")):
+        result, calls = counted_min_distance(thesaurus, w1, w2)
+        assert (result, len(calls)) == ((2, 2), expected)
+        assert len(search_calls(calls)) == 5
+
+
+def test_keys_of_one_level_are_counted_whatever_their_xors_bit_length():
+    # Two keys at distance 4, each sharing a POS paragraph but not a
+    # paragraph with its nearest key.  The paragraph ranks 1 and 4 (0b001,
+    # 0b100) of groups 0 and 12 differ in the field's top bit, the ranks 2
+    # and 3 (0b010, 0b011) of groups 20 and 24 in its lowest; the key with
+    # the shorter XOR comes second, and must not drop the first one's count.
+    thesaurus = placed_thesaurus({"a": [0, 20], "b": [12, 24]})
+    keys = {word: thesaurus._word_keys(thesaurus.lookup(word))
+            for word in ("a", "b")}
+    (first, second), (near_first, near_second) = keys["a"], keys["b"]
+    assert (first ^ near_first).bit_length() > (
+        second ^ near_second).bit_length()
+    for w1, w2 in (("a", "b"), ("b", "a")):
+        result, calls = counted_min_distance(thesaurus, w1, w2, 0)
+        assert (result, len(calls)) == ((4, 2), 2 + 2 * 2)
 
 
 def test_the_minimum_through_the_last_key_before_every_key():

@@ -6,6 +6,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rogetsim import (ParseError, ReportError, SynonymQuestion,
                       answer_question, evaluate_choice, filter_noun_only,
@@ -152,22 +154,67 @@ def test_choice_permutation_invariance(thesaurus):
         assert result.credit == baseline.credit
 
 
-def test_chosen_choice_dominates(thesaurus):
-    words = sorted(thesaurus.index)
-    rng = random.Random(19)
-    for _ in range(50):
-        problem = rng.choice(words)
-        choices = [rng.choice(words) for _ in range(4)]
-        result = answer_question(thesaurus,
-                                 SynonymQuestion(problem, choices, 0))
-        assert result.chosen_index is not None
-        chosen = result.per_choice[result.chosen_index]
-        for ev in result.per_choice:
-            if not ev.found:
-                continue
-            assert chosen.effective_distance <= ev.effective_distance
-            if ev.effective_distance == chosen.effective_distance:
-                assert chosen.pair_count >= ev.pair_count
+# Texts in no group of the fixture, and tokens for phrases that are not
+# indexed as a whole: each of a phrase's tokens is a key, a stop word or an
+# absent word.
+ABSENT = ["zzzz", "qqqq xxxx", "and to be"]
+TOKENS = ["heavy", "debt", "poem", "poetry", "cat", "eye", "love", "nag",
+          "surprise", "and", "to", "be", "zzzz"]
+
+
+@st.composite
+def question_texts(draw, keys):
+    """An index key, a phrase of TOKENS in any case or an absent text."""
+    kind = draw(st.sampled_from(["key", "phrase", "absent"]))
+    if kind == "key":
+        return draw(st.sampled_from(keys))
+    if kind == "absent":
+        return draw(st.sampled_from(ABSENT))
+    words = draw(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=3))
+    return draw(st.sampled_from([str.lower, str.title, str.upper]))(
+        " ".join(words))
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_the_answer_is_the_least_distance_then_the_most_pairs(thesaurus,
+                                                              data):
+    keys = sorted(thesaurus.index)
+    texts = question_texts(keys)
+    question = SynonymQuestion(data.draw(texts),
+                               [data.draw(texts) for _ in range(4)],
+                               data.draw(st.integers(0, 3)))
+    result = answer_question(thesaurus, question)
+    per_choice = result.per_choice
+    if thesaurus.lookup(question.problem):
+        assert per_choice == [
+            evaluate_choice(thesaurus, question.problem, choice, i)
+            for i, choice in enumerate(question.choices)]
+        # An index key is always found, so a question with one has an answer.
+        assert all(ev.found for ev, choice in zip(per_choice, question.choices)
+                   if choice in keys)
+    else:
+        assert not any(ev.found for ev in per_choice)
+    found = [ev for ev in per_choice if ev.found]
+    if not found:
+        assert (result.chosen_index, result.tied_indices,
+                result.tie_after_tiebreak, result.correct, result.credit) == (
+                    None, [], False, False, 0)
+        return
+    # Least distance first, then most pairs; ties in choice order.
+    least = min(ev.effective_distance for ev in found)
+    most = max(ev.pair_count for ev in found
+               if ev.effective_distance == least)
+    tied = [ev.choice_index for ev in found
+            if (ev.effective_distance, ev.pair_count) == (least, most)]
+    assert tied == sorted(tied) and [ev.choice_index for ev in per_choice] == [
+        0, 1, 2, 3]
+    tie = len(tied) > 1
+    assert result.chosen_index == tied[0]
+    assert result.tie_after_tiebreak == tie
+    assert result.tied_indices == (tied if tie else [])
+    assert result.correct == (not tie and tied[0] == question.gold_index)
+    assert result.credit == Fraction(question.gold_index in tied, len(tied))
 
 
 def test_score_test(thesaurus):
