@@ -14,8 +14,9 @@ of its stdout.
 For every end-to-end metric of this repository's ``BENCHMARK.json`` it
 prints each side's median and quartiles, how many pairs the change won
 (by the metric's ``better``; a tie is not a win) and whether the medians
-differ by more than the base's interquartile range.  The exit status is
-1 if any run was incorrect or failed, 0 otherwise.
+differ by more than the base's interquartile range.  Its last line is a
+JSON record of the comparison (``record``).  The exit status is 1 if any
+run was incorrect or failed, 0 otherwise.
 """
 
 import argparse
@@ -69,6 +70,20 @@ def report_lines(rows, pairs):
     return lines
 
 
+def record(workload, seed, pairs, runs, rows):
+    """The JSON object printed last: the workload, seed and number of pairs,
+    every run's metrics per side (``runs``, "base" and "change" to their
+    lists of runs, in pair order) and ``summarize``'s rows."""
+    return {"workload": workload, "seed": seed, "pairs": pairs, "runs": runs,
+            "summary": [{"metric": name, "unit": unit,
+                         "base": dict(zip(("q1", "median", "q3"), base_q)),
+                         "change": dict(zip(("q1", "median", "q3"),
+                                            change_q)),
+                         "won": wins, "gap_above_base_iqr": apart}
+                        for name, unit, base_q, change_q, wins, apart
+                        in rows]}
+
+
 def run_once(checkout, workload, seed, seconds):
     """The final JSON object of one benchmark run in ``checkout``."""
     with open(os.path.join(checkout, "BENCHMARK.json"),
@@ -120,9 +135,10 @@ def main(argv=None):
     if incorrect:
         print("%d incorrect or failed runs" % incorrect)
         return 1
-    for line in report_lines(summarize(metrics, runs["base"], runs["change"]),
-                             args.pairs):
+    rows = summarize(metrics, runs["base"], runs["change"])
+    for line in report_lines(rows, args.pairs):
         print(line)
+    print(json.dumps(record(args.workload, args.seed, args.pairs, runs, rows)))
     return 0
 
 

@@ -128,29 +128,63 @@ def index_digest(thesaurus):
     return digest.hexdigest()
 
 
+def key_listing(thesaurus):
+    """Each index key, in order, to the keys of its references' groups."""
+    keys = thesaurus.keys
+    return {key: [keys[r.semicolon_group] for r in refs]
+            for key, refs in thesaurus.index.items()}
+
+
 def rebuilt(seeds):
     # Seed 1's own nodes, every field their records do not write replaced,
-    # given to Thesaurus with its references as parsed and again with their
-    # groups in reverse order: the fields are read from the tree and the
-    # references kept in group order, so each build serializes to the
-    # pinned text, has the parse's structure and reads the pinned index.
+    # given to Thesaurus with its references as parsed, again with their
+    # groups in reverse order, and renumbered level by level with each
+    # paragraph's semicolon groups numbered in reverse paragraph order, so
+    # that group id order is not key order.  The fields are read from the
+    # tree and the references kept in document order, so each build
+    # serializes to the pinned text, has the parse's structure and lists its
+    # index keys, and each key's group keys, as the parse does.  The index
+    # pin holds group ids, so only the two builds numbered as parsed read it.
     thesaurus = seeds[1].thesaurus
     nodes = [dataclasses.replace(node, **{
         name: value for name, value in UNLIKE.items()
         if name not in WRITTEN[node.level]}) for node in thesaurus.nodes]
     references = list(thesaurus.references)
+    keys, parents, levels = thesaurus.keys, thesaurus.parents, thesaurus.levels
+    order = sorted(range(len(nodes)), key=lambda i: (
+        levels[i], -keys[parents[i]] if levels[i] == Level.SEMICOLON_GROUP
+        else 0, keys[i]))
+    new_id = {old: new for new, old in enumerate(order)}
+    new_id[-1] = -1
+    out_of_order = (
+        [dataclasses.replace(nodes[old], id=new, parent=new_id[parents[old]])
+         for new, old in enumerate(order)],
+        [Reference(r.entry_text, new_id[r.semicolon_group], r.pos,
+                   r.head_number, r.keyword) for r in references])
+    listing = key_listing(thesaurus)
     failed, details = 0, []
-    for order, given in (("as parsed", references), ("groups reversed", sorted(
-            references, key=lambda ref: -ref.semicolon_group))):
-        built = Thesaurus(nodes, given)
+    for name, (given_nodes, given), pinned in (
+            ("as parsed", (nodes, references), True),
+            ("groups reversed", (nodes, sorted(
+                references, key=lambda ref: -ref.semicolon_group)), True),
+            ("groups out of key order", out_of_order, False)):
+        built = Thesaurus(given_nodes, given)
         text = hashlib.sha256(serialize(built).encode()).hexdigest()
-        index = index_digest(built)
+        index = index_digest(built) if pinned else "not pinned"
         same = structure_signature(built) == structure_signature(thesaurus)
-        failed += not (text == FORMS_SHA256 and index == INDEX_SHA256
-                       and same)
+        built_listing = key_listing(built)
+        in_order = list(built_listing) == list(listing)
+        differing = sum(listing.get(key) != group_keys
+                        for key, group_keys in built_listing.items())
+        failed += not (text == FORMS_SHA256 and same and in_order
+                       and differing == 0
+                       and index in (INDEX_SHA256, "not pinned"))
         details.append("%s: serialize sha256 %s, index sha256 %s, structure"
-                       " %s" % (order, text, index,
-                                "equal" if same else "differs"))
+                       " %s, key order %s, %d keys' group keys unlike the "
+                       "parse's" % (name, text, index,
+                                    "equal" if same else "differs",
+                                    "equal" if in_order else "differs",
+                                    differing))
     return failed == 0, "; ".join(details)
 
 

@@ -304,7 +304,7 @@ def _reads_back(text, breaks):
 
 
 def serialize(thesaurus):
-    """Render a Thesaurus back to interchange text, nodes in key order.
+    """Render a Thesaurus back to interchange text, in document order.
 
     Raises InvalidNodeError for a label, and InvalidReferenceError for an
     entry text, that the document would not read back: one that is not a
@@ -314,7 +314,7 @@ def serialize(thesaurus):
     """
     t = thesaurus
     lines = []
-    for node_id in sorted(range(1, len(t.keys)), key=t.keys.__getitem__):
+    for node_id in t._document_order()[1:]:
         level, label = t.levels[node_id], t.labels.get(node_id)
         if level == Level.POS_PARAGRAPH:
             payload = t.poses[node_id].value
@@ -375,7 +375,7 @@ def validate_structure(thesaurus):
     sub-sections, head groups and paragraphs) must not share one, and no
     two heads may share a number; each repeat is reported once, in
     document order, naming the node that repeats and, for a head number,
-    the head that has it first.
+    the head that has it first in that order.
     """
     t = thesaurus
     report = StructureReport()
@@ -383,7 +383,8 @@ def validate_structure(thesaurus):
     for level, record in _RECORDS.items():
         setattr(report, record.counter, per_level[level])
     heads, ordinals = {}, set()  # heads: head number -> its first head
-    for node_id, (level, parent) in enumerate(zip(t.levels, t.parents)):
+    for node_id in t._document_order():
+        level, parent = t.levels[node_id], t.parents[node_id]
         ordinal = t.ordinals.get(node_id)
         if ordinal is not None:
             if (parent, ordinal) in ordinals:
@@ -412,14 +413,14 @@ def validate_structure(thesaurus):
 def structure_signature(thesaurus):
     """Fingerprint of the tree, for structural equality tests.
 
-    One tuple per node, in key order: with each node's level its depth,
-    the levels in that order fix the tree's shape.
+    One tuple per node, in document order: with each node's level its
+    depth, the levels in that order fix the tree's shape.
     """
     t = thesaurus
     return tuple((t.levels[i], t._ordinal(i), t._label(i),
                   t.head_numbers.get(i), t.poses[i].value if i in t.poses
                   else None, tuple(t._entry_texts(i)))
-                 for i in sorted(range(len(t.keys)), key=t.keys.__getitem__))
+                 for i in t._document_order())
 
 
 def load(path):

@@ -360,11 +360,9 @@ class Thesaurus:
     """A read-only taxonomy tree plus the references it defines.
 
     ``nodes`` lists each node at its id, parents before children, and
-    ``references`` are kept sorted stably by semicolon group id, each
-    group's in the order given: document order, as a parse keeps it, for
-    groups numbered in document order.  An order of the references across
-    groups is not kept, as no document can write it.  A node's fields that
-    its record does not write are not read (see ``TaxonomyNode``).  The
+    ``references`` are kept in document order: sorted stably by their
+    groups' keys (below), each group's in the order given.  A node's fields
+    that its record does not write are not read (see ``TaxonomyNode``).  The
     constructor raises ``InvalidNodeError`` for a node whose id is not an
     int at its position, a level that is not a ``Level``, a parent that is
     not an earlier node (node 0 is the one root, with parent -1), a level
@@ -383,19 +381,21 @@ class Thesaurus:
     id of every node whose record writes that field to its value.
     ``nodes`` is a read-only sequence that makes a ``TaxonomyNode`` from
     them, and from the tree, when read.  Each reference is kept as its
-    entry text and group, in that order, so a node's references are one run
-    of the reference ids.  ``references`` makes a new record from the
-    columns on each read, and ``members``, per node id, a tuple of the
-    records of a semicolon group's references (empty for every other
-    node), so every reference is a member.
+    entry text and group, in document order, so a node's references are one
+    run of the reference ids, which two per-node arrays start and end.
+    ``references`` makes a new record from the columns on each read, and
+    ``members``, per node id, a tuple of the records of a semicolon group's
+    references (empty for every other node), so every reference is a
+    member.
 
     Per node id, ``keys`` holds one int packing the node's root-first
     path: for each level d from 1 to 8, a bit field holding the 1-based
     rank of the node's level-d ancestor among its siblings (children of
     one parent, in id order), level 1 highest.  Levels below the node hold
     0 and the root's key is 0, so, as a node's level is its depth, the keys
-    sort into preorder with siblings in id order.  A level's field is as
-    wide as its largest family needs: on the benchmark's synthetic
+    sort into document order, preorder with siblings in id order, in which
+    ``_document_order`` lists the node ids.  A level's field is as wide as
+    its largest family needs: on the benchmark's synthetic
     thesaurus at the 1987 edition's scale a key takes 28 bits, so a key
     shifted left one bit, as ``_word_keys`` keeps it, still fits one 30-bit
     CPython int digit, and ``_min_distance`` bisects, XORs and shifts
@@ -471,15 +471,20 @@ class Thesaurus:
                 raise InvalidReferenceError(
                     "reference %r at node %r is not in a semicolon group at "
                     "depth %d" % (ref.entry_text, group, _GROUP_LEVEL))
-        # Kept sorted stably by group, as a parse lists them, so each
-        # group's references, in the order given, are one run of the ids.
-        kept = sorted(references, key=attrgetter("semicolon_group"))
+        # Kept sorted stably by their groups' keys, in document order, so
+        # each group's references, in the order given, are one run of the ids.
+        keys, shifts = _pack_keys(tree[0], tree[1])
+        kept = sorted(references, key=lambda ref: keys[ref.semicolon_group])
         groups = array("i", map(attrgetter("semicolon_group"), kept))
-        counts = [0] * len(nodes)
-        for group in groups:
-            counts[group] += 1
-        self._setup(tree, list(map(attrgetter("entry_text"), kept)), groups,
-                    counts)
+        starts = array("i", [0]) * len(nodes)
+        ends = starts[:]
+        for i, group in enumerate(groups):
+            if not ends[group]:
+                starts[group] = i
+            ends[group] = i + 1
+        self._setup(tree, (keys, shifts),
+                    list(map(attrgetter("entry_text"), kept)), groups, starts,
+                    ends)
         # Checked once the paragraph labels are read from the references.
         tree = self._columns[2]
         for ref in references:
@@ -493,30 +498,31 @@ class Thesaurus:
     def _from_columns(cls, tree, references):
         """A thesaurus of ``_columns``' output, well-formed by its rules.
 
-        ``references`` are the entry texts, their groups, which run in id
-        order, so each group's references are one run of the ids, and the
-        number of references of each node.
+        ``references`` are the entry texts, their groups and the number of
+        references of each node.  A document numbers its groups in document
+        order and lists the references in it, so each node's run of
+        reference ids starts where the previous node's ends.
         """
         texts, groups, counts = references
+        bounds = array("i", list(accumulate(counts, initial=0)))
         thesaurus = cls.__new__(cls)
-        thesaurus._setup(tree, texts, groups, counts)
+        thesaurus._setup(tree, _pack_keys(tree[0], tree[1]), texts, groups,
+                         bounds[:-1], bounds[1:])
         return thesaurus
 
-    def _setup(self, tree, texts, groups, counts):
-        """Keep the node and reference columns and build the keys, the
-        paragraph labels and the index.
+    def _setup(self, tree, packed, texts, groups, starts, ends):
+        """Keep the node and reference columns and build the paragraph
+        labels and the index.
 
-        The references' groups run in id order, and ``counts`` holds the
-        number of references of each node.
+        ``packed`` is ``_pack_keys``' output, the references are in document
+        order, and ``starts`` and ``ends`` hold, per node id, where its run
+        of reference ids starts and ends.
         """
         (self.parents, self.levels, self.labels, self.ordinals,
          self.head_numbers, self.poses) = tree
-        # Per node id, where its run of reference ids starts; one start more
-        # ends the last run.
-        self._member_starts = starts = array(
-            "i", list(accumulate(counts, initial=0)))
+        self._member_starts, self._member_ends = starts, ends
         self.root_id = 0
-        self.keys, self._shifts = _pack_keys(self.parents, self.levels)
+        self.keys, self._shifts = packed
         # Indexed by the bit length of k1 ^ k2: the deepest level two keys
         # share, and the distance between two depth-8 groups.
         self._levels = tuple(
@@ -535,7 +541,7 @@ class Thesaurus:
         ranks = (1 << self._shifts[_GROUP_LEVEL - 1]) - 1
         self._keywords = {  # paragraph id -> its label
             self.parents[node_id]: texts[starts[node_id]]
-            if starts[node_id] < starts[node_id + 1] else ""
+            if starts[node_id] < ends[node_id] else ""
             for node_id, key in enumerate(self.keys) if key & ranks == 1}
         self._columns = (texts, groups, (self.parents, self.head_numbers,
                                          self.poses, self._keywords))
@@ -560,16 +566,19 @@ class Thesaurus:
 
     def _member_ids_of(self, node_id):
         """The ids of a node's references, one run of the reference ids."""
-        starts = self._member_starts
-        return range(starts[node_id], starts[node_id + 1])
+        return range(self._member_starts[node_id], self._member_ends[node_id])
 
     def _members(self, node_id):
         return tuple(_made(self._columns, self._member_ids_of(node_id)))
 
     def _entry_texts(self, node_id):
         """The entry texts of a node's references, in their order."""
-        starts = self._member_starts
-        return self._columns[0][starts[node_id]:starts[node_id + 1]]
+        return self._columns[0][self._member_starts[node_id]:
+                                self._member_ends[node_id]]
+
+    def _document_order(self):
+        """The node ids in document order, the root first: sorted by key."""
+        return sorted(range(len(self.keys)), key=self.keys.__getitem__)
 
     @cached_property
     def child_ids(self):
@@ -743,14 +752,14 @@ class Thesaurus:
         return self._distance[shift - 1], count
 
     def _word_keys(self, refs):
-        """The sorted keys of a word's groups, shifted left one bit.
+        """The keys of a word's groups, shifted left one bit, sorted.
 
         ``refs`` is a non-empty list ``lookup`` returned, so it holds only
-        this thesaurus's own records of one index key: the key its first
-        entry text is an alias of, or that text itself.  The tuple is made
-        from the records on the word's first call and kept by that key.
-        Threads that make one word's tuple at once each build it;
-        ``setdefault`` keeps one.
+        this thesaurus's own records of one index key, the key its first
+        entry text is an alias of or that text itself, in document order and
+        so sorted by key.  The tuple is made from the records on the word's
+        first call and kept by that key.  Threads that make one word's tuple
+        at once each build it; ``setdefault`` keeps one.
         """
         text = refs[0].entry_text
         word = self.index._aliases.get(text, text)
@@ -760,11 +769,10 @@ class Thesaurus:
             # objects of ``keys`` lie scattered: with keys stored pre-shifted
             # and these tuples sharing them, a kernel that sorted both words'
             # keys ran 6-10% slower on the benchmark's synonym-test
-            # questions, whose op_p50_ms rose 7%.  A parsed thesaurus lists
-            # a word's references in key order, so the sort is one pass.
+            # questions, whose op_p50_ms rose 7%.
             keys = self.keys
-            shifted = self._shifted.setdefault(word, tuple(sorted([
-                keys[ref.semicolon_group] << 1 for ref in refs])))
+            shifted = self._shifted.setdefault(word, tuple([
+                keys[ref.semicolon_group] << 1 for ref in refs]))
         return shifted
 
     def _pairs_within(self, refs1, refs2, distance):

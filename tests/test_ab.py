@@ -1,6 +1,7 @@
 """The summary of scripts/ab.py, the alternating A/B benchmark runner."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -59,3 +60,48 @@ def test_fewer_than_one_pair_is_refused():
     with pytest.raises(SystemExit):
         ab.main(["base", "change", "--workload", "synonym-test", "--seed", "1",
                  "--pairs", "0"])
+
+
+def test_the_record_on_fixed_numbers():
+    base = runs([10, 11, 12, 13, 14], [100, 100, 100, 100, 100])
+    change = runs([8, 9, 12, 10, 15], [99, 101, 100, 100, 100])
+    record = ab.record("synonym-test", 1, 5, {"base": base, "change": change},
+                       ab.summarize(METRICS, base, change))
+    assert json.loads(json.dumps(record)) == record
+    assert record == {
+        "workload": "synonym-test", "seed": 1, "pairs": 5,
+        "runs": {"base": base, "change": change},
+        "summary": [
+            {"metric": "op_p50_ms", "unit": "ms",
+             "base": {"q1": 10.5, "median": 12, "q3": 13.5},
+             "change": {"q1": 8.5, "median": 10, "q3": 13.5},
+             "won": 3, "gap_above_base_iqr": False},
+            {"metric": "ops_per_s", "unit": "1/s",
+             "base": {"q1": 100, "median": 100, "q3": 100},
+             "change": {"q1": 99.5, "median": 100, "q3": 100.5},
+             "won": 1, "gap_above_base_iqr": False}]}
+
+
+def test_the_record_is_the_last_line(capsys, monkeypatch):
+    # Each base run reads 2 and each change run 1 for every metric.
+    with open(os.path.join(ab.ROOT, "BENCHMARK.json"),
+              encoding="utf-8") as handle:
+        metrics = json.load(handle)["end_to_end"]
+
+    def run_once(checkout, workload, seed, seconds):
+        value = {"base": 2, "change": 1}[checkout]
+        return {"correct": True, "failed": 0, "metrics": {
+            metric["name"]: {"value": value} for metric in metrics}}
+
+    monkeypatch.setattr(ab, "run_once", run_once)
+    assert ab.main(["base", "change", "--workload", "cli-cold", "--seed", "1",
+                    "--pairs", "2"]) == 0
+    record = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert (record["workload"], record["seed"], record["pairs"]) == (
+        "cli-cold", 1, 2)
+    assert record["runs"] == {side: [dict.fromkeys(
+        [metric["name"] for metric in metrics], value)] * 2
+        for side, value in (("base", 2), ("change", 1))}
+    assert [(row["metric"], row["won"]) for row in record["summary"]] == [
+        (metric["name"], 2 if metric["better"] == "lower" else 0)
+        for metric in metrics]

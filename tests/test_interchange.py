@@ -302,6 +302,23 @@ def test_round_trip(thesaurus, fixture_text):
     assert serialize(reparsed) == serialize(thesaurus)
 
 
+def renumbered(nodes, references, order):
+    """(nodes, references) of the same tree with node ``order[i]`` as node i.
+
+    ``order`` lists each parent before its children and each family's
+    children in their order, so the renumbered tree writes the same
+    document.
+    """
+    nodes = list(nodes)
+    new_id = {old: new for new, old in enumerate(order)}
+    new_id[-1] = -1
+    return ([dataclasses.replace(nodes[old], id=new, children=[],
+                                 parent=new_id[nodes[old].parent])
+             for new, old in enumerate(order)],
+            [dataclasses.replace(ref, semicolon_group=new_id[
+                ref.semicolon_group]) for ref in references])
+
+
 def breadth_first(thesaurus):
     """The same tree built directly, its ids in breadth-first order.
 
@@ -310,15 +327,8 @@ def breadth_first(thesaurus):
     """
     order = sorted(range(len(thesaurus.nodes)),
                    key=thesaurus.levels.__getitem__)
-    new_id = {old: new for new, old in enumerate(order)}
-    new_id[-1] = -1
-    nodes = [dataclasses.replace(thesaurus.nodes[old], id=new, children=[],
-                                 parent=new_id[thesaurus.parents[old]])
-             for new, old in enumerate(order)]
-    references = [dataclasses.replace(
-        ref, semicolon_group=new_id[ref.semicolon_group])
-        for ref in thesaurus.references]
-    return Thesaurus(nodes, references)
+    return Thesaurus(*renumbered(thesaurus.nodes, thesaurus.references,
+                                 order))
 
 
 TWO_CLASSES = MINIMAL + (

@@ -17,11 +17,11 @@ from rogetsim import (MAX_DISTANCE, GutenbergImportError, InvalidNodeError,
                       Level, ParseError, PartOfSpeech, Reference, RogetError,
                       TaxonomyNode, Thesaurus, evaluate_choice,
                       import_gutenberg_1911, interchange, load_pairs,
-                      load_questions, parse_interchange, normalize, serialize,
-                      structure_signature, taxonomy, validate_structure,
-                      word_min_distance)
+                      load_questions, parse_interchange, normalize,
+                      path_headers, serialize, structure_signature, taxonomy,
+                      validate_structure, word_min_distance)
 from tests.conftest import data_path
-from tests.test_interchange import MINIMAL
+from tests.test_interchange import MINIMAL, renumbered
 from tests.test_taxonomy import (bfs_distance, tree_from_parents,
                                  walk_ancestors, walk_lca)
 
@@ -339,14 +339,14 @@ SCATTERED = {"huge": (240, 0), "wide": (60, 0), "twice": (12, 6),
 
 
 def scattered_thesaurus(seed):
-    """A directly built thesaurus whose references are in no key order.
+    """A directly built thesaurus whose references are given in no key
+    order.
 
     The tree has three classes and one to three children per node below
     them, and its semicolon groups are numbered in a random order; each
     word of SCATTERED is in that many random groups, and the references are
-    shuffled.  A thesaurus keeps its references in group id order, so the
-    index lists a word's references in an order its group keys do not sort
-    in.
+    shuffled.  Neither the order given nor group id order is key order, the
+    order the thesaurus keeps.
     """
     rng = random.Random(seed)
     nodes, level_ids = layered_nodes(
@@ -366,11 +366,12 @@ def scattered_thesaurus(seed):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_word_distance_on_references_out_of_key_order(seed):
+def test_word_distance_on_references_kept_in_key_order(seed):
     thesaurus = scattered_thesaurus(seed)
-    keys = [thesaurus.keys[ref.semicolon_group]
-            for ref in thesaurus.lookup("huge")]
-    assert keys != sorted(keys)
+    for word in thesaurus.index:
+        keys = [thesaurus.keys[ref.semicolon_group]
+                for ref in thesaurus.lookup(word)]
+        assert keys == sorted(keys)
     expected = {(w1, w2): pair_loop(thesaurus, w1, w2)
                 for w1 in SCATTERED for w2 in SCATTERED}
     # A cut-off of 0 sends every pair through the bisecting kernel, the
@@ -567,16 +568,23 @@ def test_every_key_is_counted_at_distance_16():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_a_built_thesaurus_keeps_the_references_given(seed):
-    # Random groups, and spellings that share an index key, in no group or
-    # key order.
+    # A tree numbered parents first at random, so its groups' ids are not in
+    # key order; random groups, and spellings that share an index key, in
+    # no group or key order.
     rng = random.Random(seed)
-    nodes, groups = layered_nodes(lambda depth, last: rng.randint(1, 2))
+    layered, _ = layered_nodes(lambda depth, last: rng.randint(1, 2))
+    nodes, _ = renumbered(layered, [], parents_first(
+        Thesaurus(layered, []).child_ids, rng))
+    groups = [node.id for node in nodes if node.level == Level.SEMICOLON_GROUP]
     references = tree_references(nodes, [
         (rng.choice(["a", "A", "b", "B b", "c"]), rng.choice(groups))
         for _ in range(80)])
     thesaurus = Thesaurus(nodes, references)
-    # Sorted stably by group: each group's references in the order given.
-    kept = sorted(references, key=attrgetter("semicolon_group"))
+    assert sorted(groups, key=thesaurus.keys.__getitem__) != groups
+    # Sorted stably by their groups' keys: each group's references in the
+    # order given.
+    kept = sorted(references,
+                  key=lambda ref: thesaurus.keys[ref.semicolon_group])
     assert list(thesaurus.references) == kept
     assert list(thesaurus.members) == [
         tuple(r for r in references if r.semicolon_group == node_id)
@@ -586,6 +594,78 @@ def test_a_built_thesaurus_keeps_the_references_given(seed):
         for key in dict.fromkeys(normalize(r.entry_text) for r in kept)]
     for key in thesaurus.index:
         assert thesaurus.lookup(key) == list(thesaurus.index[key])
+
+
+def parents_first(child_ids, rng):
+    """Node ids in a random order that lists each parent before its
+    children and each family's children in their order (``child_ids``)."""
+    order, families = [0], [list(reversed(child_ids[0]))]
+    while families:
+        i = rng.randrange(len(families))
+        node = families[i].pop()
+        if not families[i]:
+            del families[i]
+        order.append(node)
+        if child_ids[node]:
+            families.append(list(reversed(child_ids[node])))
+    return order
+
+
+@settings(deadline=None)
+@given(thesauri(words=st.sampled_from(["a", "b", "c"])),
+       st.randoms(use_true_random=False))
+def test_any_parents_first_numbering_reads_as_its_document(thesaurus, rng):
+    # The same tree with its nodes numbered in any parents-first order that
+    # keeps each family's order, and its references shuffled, reads as the
+    # parse of its own text.  Each group's references keep their order, as
+    # the first is its paragraph's keyword.
+    nodes, references = renumbered(thesaurus.nodes, thesaurus.references,
+                                   parents_first(thesaurus.child_ids, rng))
+    slots = [ref.semicolon_group for ref in references]
+    rng.shuffle(slots)
+    runs = {}
+    for ref in reversed(references):
+        runs.setdefault(ref.semicolon_group, []).append(ref)
+    built = Thesaurus(nodes, [runs[group].pop() for group in slots])
+    reparsed = parse_interchange(serialize(built))
+    assert ([ref.entry_text for ref in built.references]
+            == [ref.entry_text for ref in reparsed.references])
+    assert list(built.index) == list(reparsed.index)
+    words = list(built.index)
+    for i, w1 in enumerate(words):
+        for w2 in words[i:]:
+            assert path_headers(built, w1, w2) == path_headers(reparsed, w1,
+                                                               w2)
+
+
+@pytest.mark.parametrize("reverse", [False, True],
+                         ids=["level-by-level", "families-reversed"])
+def test_validate_structure_reports_in_document_order(reverse):
+    # Two classes of two sections each, and one child below every other
+    # node.  Class 1's heads (15 and 16) share a number and class 2's
+    # sections (5 and 6) an ordinal: the head repeat comes first in the
+    # document, though level by level the sections have the lower ids.
+    # With each level's families numbered in reverse order of their
+    # parents, head 16 also has a lower id than head 15, which the document
+    # lists first.
+    nodes, groups = layered_nodes(lambda depth, last: 2 if depth < 2 else 1)
+    first = {}
+    for node in nodes:
+        node.ordinal = node.id + 1 - first.setdefault(node.parent, node.id)
+    nodes[16].head_number = nodes[15].head_number
+    nodes[6].ordinal = nodes[5].ordinal
+    references = tree_references(nodes, [("w", group) for group in groups])
+    order = sorted(range(len(nodes)), key=lambda i: (
+        nodes[i].level, -nodes[i].parent if reverse else 0, i))
+    new = {old: new for new, old in enumerate(order)}
+    assert (new[16] < new[15]) == reverse
+    report = validate_structure(Thesaurus(*renumbered(nodes, references,
+                                                      order)))
+    assert report.violations == [
+        "node %d (head) repeats head number 15 of node %d"
+        % (new[16], new[15]),
+        "node %d (section) repeats ordinal 1 under node %d (class)"
+        % (new[6], new[2])]
 
 
 # A tree of two children per node: 256 semicolon groups.
@@ -614,11 +694,11 @@ def grouped_by_key(references):
 
 def check_index(references):
     """Build a thesaurus of the references and check its index against
-    ``grouped_by_key`` of them sorted stably by group, the order the
-    thesaurus keeps; return the thesaurus."""
+    ``grouped_by_key`` of them sorted stably by their groups' keys, the
+    order the thesaurus keeps; return the thesaurus."""
     thesaurus = Thesaurus(CHAIN_NODES, references)
-    grouped = grouped_by_key(sorted(references,
-                                    key=attrgetter("semicolon_group")))
+    grouped = grouped_by_key(sorted(
+        references, key=lambda ref: thesaurus.keys[ref.semicolon_group]))
     assert list(thesaurus.index) == list(grouped)  # first-seen key order
     assert len(thesaurus.index) == len(grouped)
     for key, refs in grouped.items():
