@@ -76,8 +76,7 @@ def _load_thesaurus(args):
             "no thesaurus given: use --thesaurus or set $%s" % ENV_THESAURUS,
             EXIT_INPUT)
     try:
-        args.loaded_thesaurus = load(path)  # kept until exit: see run()
-        return args.loaded_thesaurus
+        return load(path)
     except OSError as exc:
         raise _cannot_read(path, exc)
     except ParseError as exc:
@@ -242,16 +241,14 @@ def run():
 
     The entry point of the ``roget`` script and of ``python -m
     rogetsim.cli``.  Once stdout and stderr are flushed the process ends
-    with ``os._exit``, so the loaded thesaurus (some 250,000 objects at the
-    1987 edition's scale) is never freed object by object; ``args`` keeps it
-    referenced until then.  Argparse's exits (``--help``, a usage error)
-    end the same way, with their own codes.  A closed stdout ends the
-    process with exit 1 and nothing on stderr.
+    with ``os._exit``, so the interpreter is not torn down; the loaded
+    thesaurus is freed when its command returns.  Argparse's exits
+    (``--help``, a usage error) end the same way, with their own codes.  A
+    closed stdout ends the process with exit 1 and nothing on stderr.
     """
     try:
         try:
-            code = _execute(build_parser().parse_args(), sys.stdout,
-                            sys.stderr)
+            code = main()
         except SystemExit as exc:  # argparse's --help and usage errors
             code = exc.code
         sys.stdout.flush()

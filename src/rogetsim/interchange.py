@@ -33,7 +33,6 @@ time.  No node or ``Reference`` objects are built.  ``serialize``,
 
 import io
 import re
-from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -189,7 +188,7 @@ def _first_empty(payloads, line_numbers):
 
 
 def _columns(source):
-    """(Node fields, (entry texts, groups, counts)) of the interchange text.
+    """(Node fields, (entry texts, groups, sizes)) of the interchange text.
 
     The loop over the lines keeps the tree: it appends each record's parent
     and level to the per-node columns, puts what it writes, by node id, in
@@ -197,10 +196,10 @@ def _columns(source):
     Every ``_BLOCK`` groups, and after the last line, the payloads kept are
     joined, split into entries and stripped, each in one pass over the
     block, and the entry texts are appended to one per-reference column,
-    equal texts sharing one string; ``counts`` holds the number of each
-    node's references.  Errors are raised in document order: one the loop
-    raises gives way to an empty entry in a group not yet split, which
-    comes before it.
+    equal texts sharing one string; ``groups`` holds each semicolon
+    group's node id and ``sizes`` its number of entries.  Errors are raised
+    in document order: one the loop raises gives way to an empty entry in a
+    group not yet split, which comes before it.
     """
     parents, levels = [-1], [0]
     labels, ordinals, head_numbers, poses = {}, {}, {}, {}
@@ -288,12 +287,8 @@ def _columns(source):
         raise
     if payloads:
         split_payloads()
-    counts = [0] * len(parents)  # references per node
-    for group, size in zip(groups, sizes):
-        counts[group] = size
-    groups = array("i", list(chain.from_iterable(map(repeat, groups, sizes))))
     return ((tuple(parents), tuple(levels), labels, ordinals, head_numbers,
-             poses), (texts, groups, counts))
+             poses), (texts, groups, sizes))
 
 
 def _reads_back(text, breaks):
@@ -401,7 +396,7 @@ def validate_structure(thesaurus):
                 report.violations.append(
                     "node %d (head) repeats head number %d of node %d"
                     % (node_id, number, first))
-        if level == Level.SEMICOLON_GROUP and not t._member_ids_of(node_id):
+        if level == Level.SEMICOLON_GROUP and not t._entry_texts(node_id):
             report.violations.append("semicolon group %d has no entries"
                                      % node_id)
     report.entries = len(t.references)

@@ -35,7 +35,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum, IntEnum
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import chain, islice, repeat
 from operator import attrgetter
 
 from .errors import InvalidNodeError, InvalidReferenceError
@@ -383,6 +383,8 @@ class Thesaurus:
     them, and from the tree, when read.  Each reference is kept as its
     entry text and group, in document order, so a node's references are one
     run of the reference ids, which two per-node arrays start and end.
+    ``_setup`` builds them, for a parse and the constructor alike, from the
+    id and size of each group's run, in document order.
     ``references`` makes a new record from the columns on each read, and
     ``members``, per node id, a tuple of the records of a semicolon group's
     references (empty for every other node), so every reference is a
@@ -472,19 +474,14 @@ class Thesaurus:
                     "reference %r at node %r is not in a semicolon group at "
                     "depth %d" % (ref.entry_text, group, _GROUP_LEVEL))
         # Kept sorted stably by their groups' keys, in document order, so
-        # each group's references, in the order given, are one run of the ids.
+        # each group's references, in the order given, are one run, and the
+        # groups are counted in that order.
         keys, shifts = _pack_keys(tree[0], tree[1])
         kept = sorted(references, key=lambda ref: keys[ref.semicolon_group])
-        groups = array("i", map(attrgetter("semicolon_group"), kept))
-        starts = array("i", [0]) * len(nodes)
-        ends = starts[:]
-        for i, group in enumerate(groups):
-            if not ends[group]:
-                starts[group] = i
-            ends[group] = i + 1
+        runs = Counter(map(attrgetter("semicolon_group"), kept))
         self._setup(tree, (keys, shifts),
-                    list(map(attrgetter("entry_text"), kept)), groups, starts,
-                    ends)
+                    list(map(attrgetter("entry_text"), kept)), runs.keys(),
+                    runs.values())
         # Checked once the paragraph labels are read from the references.
         tree = self._columns[2]
         for ref in references:
@@ -496,31 +493,35 @@ class Thesaurus:
 
     @classmethod
     def _from_columns(cls, tree, references):
-        """A thesaurus of ``_columns``' output, well-formed by its rules.
-
-        ``references`` are the entry texts, their groups and the number of
-        references of each node.  A document numbers its groups in document
-        order and lists the references in it, so each node's run of
-        reference ids starts where the previous node's ends.
-        """
-        texts, groups, counts = references
-        bounds = array("i", list(accumulate(counts, initial=0)))
+        """A thesaurus of ``_columns``' output, well-formed by its rules:
+        the tree and the references' entry texts, group ids and sizes."""
         thesaurus = cls.__new__(cls)
-        thesaurus._setup(tree, _pack_keys(tree[0], tree[1]), texts, groups,
-                         bounds[:-1], bounds[1:])
+        thesaurus._setup(tree, _pack_keys(tree[0], tree[1]), *references)
         return thesaurus
 
-    def _setup(self, tree, packed, texts, groups, starts, ends):
-        """Keep the node and reference columns and build the paragraph
-        labels and the index.
+    def _setup(self, tree, packed, texts, groups, sizes):
+        """Keep the node and reference columns and build the member runs,
+        the paragraph labels and the index.
 
-        ``packed`` is ``_pack_keys``' output, the references are in document
-        order, and ``starts`` and ``ends`` hold, per node id, where its run
-        of reference ids starts and ends.
+        ``packed`` is ``_pack_keys``' output, ``texts`` the references'
+        entry texts in document order, and ``groups`` and ``sizes`` the id
+        and reference count of each group with references, in that order:
+        each group's run of reference ids starts where the one before ends,
+        and a group left out has an empty run.
         """
         (self.parents, self.levels, self.labels, self.ordinals,
          self.head_numbers, self.poses) = tree
+        starts = array("i", [0]) * len(self.parents)
+        ends = starts[:]
+        end = 0
+        for group, size in zip(groups, sizes):
+            starts[group] = end
+            end += size
+            ends[group] = end
         self._member_starts, self._member_ends = starts, ends
+        # From here on, per reference, the id of its group.
+        groups = array("i", list(chain.from_iterable(map(repeat, groups,
+                                                         sizes))))
         self.root_id = 0
         self.keys, self._shifts = packed
         # Indexed by the bit length of k1 ^ k2: the deepest level two keys
@@ -564,12 +565,9 @@ class Thesaurus:
     def _reference(self, i):
         return _made(self._columns, (i,))[0]
 
-    def _member_ids_of(self, node_id):
-        """The ids of a node's references, one run of the reference ids."""
-        return range(self._member_starts[node_id], self._member_ends[node_id])
-
     def _members(self, node_id):
-        return tuple(_made(self._columns, self._member_ids_of(node_id)))
+        return tuple(_made(self._columns, range(self._member_starts[node_id],
+                                                self._member_ends[node_id])))
 
     def _entry_texts(self, node_id):
         """The entry texts of a node's references, in their order."""

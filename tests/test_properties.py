@@ -566,18 +566,34 @@ def test_every_key_is_counted_at_distance_16():
         assert (result, len(calls)) == ((MAX_DISTANCE, 3 * 7), 3 + 2 * 3)
 
 
-@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("seed", [*range(3), "empty ends"])
 def test_a_built_thesaurus_keeps_the_references_given(seed):
     # A tree numbered parents first at random, so its groups' ids are not in
     # key order; random groups, and spellings that share an index key, in
-    # no group or key order.
+    # no group or key order.  With "empty ends", no reference is in the
+    # first or the last group in document order, nor in the first group of
+    # the middle paragraph.
     rng = random.Random(seed)
-    layered, _ = layered_nodes(lambda depth, last: rng.randint(1, 2))
-    nodes, _ = renumbered(layered, [], parents_first(
-        Thesaurus(layered, []).child_ids, rng))
+    layered, in_order = layered_nodes(lambda depth, last: rng.randint(1, 2))
+    first = {}
+    for node in layered:  # ordinals 1, 2, ... in each family
+        node.ordinal = node.id + 1 - first.setdefault(node.parent, node.id)
+    order = parents_first(Thesaurus(layered, []).child_ids, rng)
+    nodes, _ = renumbered(layered, [], order)
+    new_id = {old: new for new, old in enumerate(order)}
+    in_order = [new_id[group] for group in in_order]  # in document order
     groups = [node.id for node in nodes if node.level == Level.SEMICOLON_GROUP]
+    paragraphs = {}  # paragraph id -> its first group, in document order
+    for group in in_order:
+        paragraphs.setdefault(nodes[group].parent, group)
+    empty = set()
+    if seed == "empty ends":
+        assert len(paragraphs) >= 3
+        middle = list(paragraphs)[len(paragraphs) // 2]
+        empty = {in_order[0], in_order[-1], paragraphs[middle]}
     references = tree_references(nodes, [
-        (rng.choice(["a", "A", "b", "B b", "c"]), rng.choice(groups))
+        (rng.choice(["a", "A", "b", "B b", "c"]),
+         rng.choice([group for group in groups if group not in empty]))
         for _ in range(80)])
     thesaurus = Thesaurus(nodes, references)
     assert sorted(groups, key=thesaurus.keys.__getitem__) != groups
@@ -594,6 +610,18 @@ def test_a_built_thesaurus_keeps_the_references_given(seed):
         for key in dict.fromkeys(normalize(r.entry_text) for r in kept)]
     for key in thesaurus.index:
         assert thesaurus.lookup(key) == list(thesaurus.index[key])
+    # A paragraph's label is its first group's first entry, "" if none.
+    for paragraph, group in paragraphs.items():
+        assert thesaurus.nodes[paragraph].label == next(
+            (r.entry_text for r in references if r.semicolon_group == group),
+            "")
+    if seed == "empty ends":
+        assert thesaurus.nodes[middle].label == ""
+    placed = {ref.semicolon_group for ref in references}
+    assert empty.isdisjoint(placed)
+    assert validate_structure(thesaurus).violations == [
+        "semicolon group %d has no entries" % group
+        for group in in_order if group not in placed]
 
 
 def parents_first(child_ids, rng):
