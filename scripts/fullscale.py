@@ -315,15 +315,26 @@ def frequent_word_distances(seeds):
     return failed == 0, "; ".join(details)
 
 
+def rendered(path, r1, r2, distance):
+    """Whether render_path's ``path`` of a pair ``distance`` apart starts
+    and ends with the pair's entry texts and has one arrow per edge, or
+    one at distance 0, as tree_path's docstring says."""
+    arrows = path.count(" → ") + path.count(" ← ")
+    return (path.startswith(r1.entry_text + " ")
+            and path.endswith(" " + r2.entry_text)
+            and arrows == max(distance, 1))
+
+
 def pairs_within(seeds):
     # achieving_pairs, listed from the lookup lists word_min_distance keeps,
     # on every pair of the 50 most frequent seed-1 words (a word with itself
-    # too): as many pairs as the oracle counts, each at the oracle's minimum.
+    # too): as many pairs as the oracle counts, each at the oracle's minimum,
+    # and each rendered by render_path to a path of that many edges.
     seed = seeds[1]
     thesaurus, oracle = seed.thesaurus, seed.oracle
     group_of = {chain[-1]: group for group, chain in enumerate(oracle.ancestors)}
     words = seed.ranked[:50]
-    listed = mismatches = 0
+    listed = mismatches = misrendered = 0
     for i, w1 in enumerate(words):
         for w2 in words[i:]:
             distance, count = oracle.word_distance(w1, w2)
@@ -333,11 +344,15 @@ def pairs_within(seeds):
                 oracle.group_distance(group_of[r1.semicolon_group],
                                       group_of[r2.semicolon_group]) != distance
                 for r1, r2 in pairs)
-    return mismatches == 0, (
+            misrendered += sum(
+                not rendered(thesaurus.render_path(r1, r2), r1, r2, distance)
+                for r1, r2 in pairs)
+    return mismatches == misrendered == 0, (
         "%d pairs of words with %d to %d references, %d achieving pairs,"
-        " %d mismatches" % (len(words) * (len(words) + 1) // 2,
-                            len(thesaurus.index[words[-1]]),
-                            len(thesaurus.index[words[0]]), listed, mismatches))
+        " %d mismatches, %d paths misrendered" % (
+            len(words) * (len(words) + 1) // 2,
+            len(thesaurus.index[words[-1]]), len(thesaurus.index[words[0]]),
+            listed, mismatches, misrendered))
 
 
 IN_PROCESS = (key_width, serialize_round_trip, rebuilt, index_pin,

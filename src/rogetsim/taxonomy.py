@@ -22,9 +22,10 @@ the thesaurus.  A node keeps only the fields its record writes; the
 others are read from the tree.  A word's references are made on its first
 ``lookup`` or ``index`` read and then kept, so later reads return the same
 objects; ``references`` and ``members`` make new, equal records on each
-read.  ``Thesaurus`` rejects a node whose level is not its depth and a
-reference outside a semicolon group or unlike its group (see
-``Reference``).
+read.  Every record carries its thesaurus's mark, by which the thesaurus
+knows it as a member; any other reference is checked by value.
+``Thesaurus`` rejects a node whose level is not its depth and a reference
+outside a semicolon group or unlike its group (see ``Reference``).
 """
 
 import unicodedata
@@ -45,16 +46,17 @@ _GROUP_LEVEL = 8  # the depth of every semicolon group; no node is deeper
 
 # Thesaurus._min_distance, word_min_distance's kernel, measures each pair
 # with reference_distance while there are at most this many pairs.  With
-# the keys cached, bisecting is the cheaper way from about 3 pairs.  Per
-# call, pair by pair against bisected, on a 2-vCPU VM with Python 3.11
+# the keys cached, bisecting is the cheaper way from 3 pairs.  Per call,
+# pair by pair against bisected, on a shared 2-vCPU VM with Python 3.11
 # (seed-1 benchmark thesaurus; per shape the median over 20 word pairs, each
-# the best of 9 interleaved runs of 500 calls; two runs): 1x1 0.5 and 1.0
-# us, 1x3 1.4-1.5 and 1.0-1.1, 2x2 1.9 and 1.4, 1x4 1.8 and 1.1, 2x3 2.8
-# and 1.4, 3x3 4.0-4.1 and 1.7-1.8, and 4x4 7.2 and 2.1.  The value is 6,
-# not 3, because the traced benchmark pins the per-pair reference_distance
-# calls of its fixture's feline x lynx comparison, 3 x 2 pairs; ROADMAP item
-# 1 lowers it once the benchmark stops counting those calls.  It is read at
-# call time, so tests can patch it here.
+# the best of 9 interleaved runs of 500 calls; four runs): 1x1 0.4-0.7 and
+# 1.0-1.7 us, 1x3 1.0-2.0 and 1.0-1.8, 2x2 1.3-2.7 and 1.3-2.5, 1x4 1.3-2.3
+# and 1.0-1.8, 2x3 1.8-3.3 and 1.3-2.2, 3x3 2.6-5.1 and 1.5-2.6, and 4x4
+# 4.2-6.4 and 2.0-3.0; bisecting was the cheaper from 1x3 in every run,
+# by 7-12% there.  The value is 6, not 3, because the traced benchmark pins
+# the per-pair reference_distance calls of its fixture's feline x lynx
+# comparison, 3 x 2 pairs; ROADMAP item 1 lowers it once the benchmark stops
+# counting those calls.  It is read at call time, so tests can patch it here.
 _FEW_PAIRS = 6
 
 
@@ -98,7 +100,9 @@ class Reference:
     ``pos``, ``head_number`` and ``keyword`` are read from the group's POS
     paragraph, head and paragraph, whose label, its first group's first
     entry, is the keyword of the printed form ``cat 365 N.``; a
-    ``Thesaurus`` rejects a reference whose fields are not its group's.
+    ``Thesaurus`` rejects a reference whose fields are not its group's, and
+    checks by value any record it did not mark in the private ``_made_by``,
+    which ``repr``, ``==``, ``hash`` and the constructor leave out.
     """
 
     entry_text: str
@@ -106,6 +110,8 @@ class Reference:
     pos: PartOfSpeech
     head_number: int
     keyword: str
+    _made_by: object = field(default=None, init=False, repr=False,
+                             compare=False)
 
     @property
     def display(self):
@@ -149,8 +155,8 @@ class TaxonomyNode:
 
 
 _new = object.__new__
-(_set_text, _set_group, _set_pos, _set_head,
- _set_keyword) = (getattr(Reference, f.name).__set__ for f in fields(Reference))
+(_set_text, _set_group, _set_pos, _set_head, _set_keyword, _set_made_by) = (
+    getattr(Reference, f.name).__set__ for f in fields(Reference))
 
 
 def _group_fields(tree, group):
@@ -165,12 +171,12 @@ def _group_fields(tree, group):
 def _made(columns, ids):
     """New records of the reference ids, read from a Thesaurus's columns.
 
-    ``columns`` are a Thesaurus's ``_columns``: entry texts, groups and
-    node fields.  Each record is made by ``object.__new__`` and filled
+    ``columns`` are a Thesaurus's ``_columns``: entry texts, groups, node
+    fields and the mark.  Each record is made by ``object.__new__`` and filled
     through the slot descriptors, at about half the cost of ``Reference``,
     whose frozen ``__init__`` calls ``object.__setattr__`` per field.
     """
-    texts, groups, tree = columns
+    texts, groups, tree, mark = columns
     refs = []
     for i in ids:
         group = groups[i]
@@ -181,6 +187,7 @@ def _made(columns, ids):
         _set_pos(ref, pos)
         _set_head(ref, head)
         _set_keyword(ref, keyword)
+        _set_made_by(ref, mark)
         refs.append(ref)
     return refs
 
@@ -388,7 +395,8 @@ class Thesaurus:
     ``references`` makes a new record from the columns on each read, and
     ``members``, per node id, a tuple of the records of a semicolon group's
     references (empty for every other node), so every reference is a
-    member.
+    member.  ``_key`` takes a record marked with the last item of
+    ``_columns`` as a member, and checks any other reference by value.
 
     Per node id, ``keys`` holds one int packing the node's root-first
     path: for each level d from 1 to 8, a bit field holding the 1-based
@@ -545,7 +553,8 @@ class Thesaurus:
             if starts[node_id] < ends[node_id] else ""
             for node_id, key in enumerate(self.keys) if key & ranks == 1}
         self._columns = (texts, groups, (self.parents, self.head_numbers,
-                                         self.poses, self._keywords))
+                                         self.poses, self._keywords),
+                         object())  # the mark of every record _made makes
         self.index = build_index(self)
         self._records = self.index._records  # index key -> its references
         self._shifted = {}  # index key -> _word_keys(lookup(key)), lazily
@@ -663,24 +672,15 @@ class Thesaurus:
     def _key(self, ref):
         """Key of a reference's group, if the reference is a member."""
         group, text = ref.semicolon_group, ref.entry_text
-        # Identity first, with the kept records of the word the entry text
-        # is indexed under: the references queried are nearly always this
-        # thesaurus's own, from ``lookup``, and Reference equality is a
-        # Python-level call.
-        kept = self._records.get(text)
-        if kept is None:
-            kept = self._records.get(self.index._aliases.get(text), ())
-        for own in kept:
-            if own is ref:
-                return self.keys[group]
-        # Then by value, as Reference equality would compare it, with no
+        # A record this thesaurus made carries its mark.  Any other is
+        # checked by value, as Reference equality would compare it, with no
         # record made: the group has the text, and its fields are the
         # reference's.  A thesaurus's groups are ints among its node ids.
-        if (type(ref) is Reference and type(group) is int
-                and 0 <= group < len(self.parents)
+        if type(ref) is Reference and (ref._made_by is self._columns[3] or (
+                type(group) is int and 0 <= group < len(self.parents)
                 and text in self._entry_texts(group)
                 and _group_fields(self._columns[2], group) == (
-                    ref.pos, ref.head_number, ref.keyword)):
+                    ref.pos, ref.head_number, ref.keyword))):
             return self.keys[group]
         raise InvalidReferenceError(
             "reference %r is not a member of its semicolon group in this "

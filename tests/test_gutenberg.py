@@ -64,6 +64,13 @@ def test_one_leading_byte_order_mark_is_dropped(excerpt):
         import_gutenberg_1911(body))
 
 
+def test_lines_after_the_end_marker_are_skipped(excerpt):
+    # A trailing paragraph after "*** END OF" would add a class and a head.
+    assert excerpt.rstrip("\n").endswith("***")
+    trailing = excerpt + "\nCLASS IX\n\n#999. Extra.-- N. extra, more.\n"
+    assert import_gutenberg_1911(trailing) == import_gutenberg_1911(excerpt)
+
+
 def test_line_endings_convert_alike(excerpt):
     assert "\r" not in excerpt
     converted = [import_gutenberg_1911(excerpt.replace("\n", ending))

@@ -248,8 +248,7 @@ def test_word_distance_cost_is_bounded(monkeypatch):
 
 def test_achieving_pairs_of_frequent_words_check_no_reference(monkeypatch):
     # The lists come from ``lookup``, so listing the pairs reads each
-    # record's key from its group: no per-reference ``_key`` check, whose
-    # identity scan would make the listing grow as m*n.
+    # record's key from its group, with no per-reference ``_key`` check.
     thesaurus = frequent_words_thesaurus()
     key_calls, key = [], Thesaurus._key
 

@@ -2,9 +2,12 @@
 
 import dataclasses
 import gc
+import inspect
+import pickle
 import random
 import weakref
 from collections import deque
+from collections.abc import Mapping
 
 import pytest
 
@@ -231,6 +234,158 @@ def test_equal_copies_are_measured_without_new_records(fixture_text,
         stray = dataclasses.replace(ref, **change)
         with pytest.raises(InvalidReferenceError):
             thesaurus.reference_distance(ref, stray)
+
+
+FIELDS = ("entry_text", "semicolon_group", "pos", "head_number", "keyword")
+NOT_A_MEMBER = ("reference %r is not a member of its semicolon group in this "
+                "thesaurus")
+
+
+def by_value_checks(monkeypatch):
+    """The groups of the references ``_key`` checks by value from now on.
+
+    Each such check of a reference whose text is in its group reads
+    ``taxonomy._group_fields`` once; nothing else that ``reference_distance``
+    or ``tree_path`` runs reads it.
+    """
+    checked, read = [], taxonomy._group_fields
+    monkeypatch.setattr(taxonomy, "_group_fields",
+                        lambda tree, group: checked.append(group)
+                        or read(tree, group))
+    return checked
+
+
+def measured(thesaurus, refs):
+    """The distance and tree path of each pair of refs and refs reversed."""
+    return [(thesaurus.reference_distance(r1, r2), thesaurus.tree_path(r1, r2))
+            for r1, r2 in zip(refs, reversed(refs))]
+
+
+class CountedReads(Mapping):
+    """A read-only view of a dict that counts the keys it is asked for."""
+
+    def __init__(self, data):
+        self.data, self.reads = data, 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return self.data[key]
+
+    def __iter__(self):
+        return iter(self.data)
+
+    def __len__(self):
+        return len(self.data)
+
+
+def count_cache_reads(thesaurus):
+    """Put counting views in place of the per-word record cache and the
+    alias map; return them."""
+    records = CountedReads(thesaurus._records)
+    aliases = CountedReads(thesaurus.index._aliases)
+    thesaurus._records = thesaurus.index._records = records
+    thesaurus.index._aliases = aliases
+    return records, aliases
+
+
+def test_a_thesauruss_own_records_are_members_by_their_mark(fixture_text,
+                                                           monkeypatch):
+    thesaurus = parse_interchange(fixture_text)
+    read = {"lookup": thesaurus.lookup("feline") + thesaurus.lookup("lynx"),
+            "index": [*thesaurus.index["cat"], *thesaurus.index["nag"]],
+            "references": list(thesaurus.references),
+            "members": [ref for members in thesaurus.members
+                        for ref in members]}
+    checked = by_value_checks(monkeypatch)
+    checks = {}
+    for source, refs in read.items():
+        checked.clear()
+        measured(thesaurus, refs)
+        checks[source] = len(checked)
+    assert checks == dict.fromkeys(read, 0)
+
+
+def test_other_equal_records_are_checked_by_value(fixture_text, monkeypatch):
+    thesaurus = parse_interchange(fixture_text)
+    own = list(thesaurus.references)
+    copies = {
+        "constructed": [Reference(*(getattr(ref, name) for name in FIELDS))
+                        for ref in own],
+        "replaced": [dataclasses.replace(ref) for ref in own],
+        "unpickled": pickle.loads(pickle.dumps(own)),
+        "parsed again": list(parse_interchange(fixture_text).references)}
+    checked = by_value_checks(monkeypatch)
+    expected = measured(thesaurus, own)
+    assert checked == []
+    for source, refs in copies.items():
+        assert refs == own, source
+        checked.clear()
+        assert measured(thesaurus, refs) == expected, source
+        # Two references per query, two queries per pair.
+        assert len(checked) == 4 * len(own), source
+
+
+def test_a_non_member_is_refused_without_reading_a_per_word_cache(
+        fixture_text):
+    thesaurus = parse_interchange(fixture_text)
+    feline, nag = thesaurus.lookup("feline")[0], thesaurus.lookup("nag")[0]
+    strays = [
+        # Another group's record moved to feline's group.
+        dataclasses.replace(nag, semicolon_group=feline.semicolon_group),
+        # Another thesaurus's record, at a group of this one.
+        parse_interchange(MINIMAL).references[0],
+        # A record of another case of a word this thesaurus holds.
+        dataclasses.replace(feline, entry_text="Feline")]
+    records, aliases = count_cache_reads(thesaurus)
+    for stray in strays:
+        for query in (thesaurus.reference_distance, thesaurus.tree_path):
+            with pytest.raises(InvalidReferenceError) as info:
+                query(feline, stray)
+            assert str(info.value) == NOT_A_MEMBER % (stray,)
+    assert (records.reads, aliases.reads) == (0, 0)
+
+
+def test_a_records_mark_is_private(fixture_text):
+    thesaurus = parse_interchange(fixture_text)
+    own = thesaurus.lookup("feline")[0]
+    built = Reference(*(getattr(own, name) for name in FIELDS))
+    # The mark is its thesaurus's: another parse marks its records with
+    # another, and a record made by the constructor carries none.
+    assert own._made_by is thesaurus.references[0]._made_by
+    assert own._made_by is not parse_interchange(fixture_text).lookup(
+        "feline")[0]._made_by
+    assert own._made_by is not None and built._made_by is None
+    # Neither repr, equality, hashing nor matching reads it, and the
+    # constructor and replace do not take it.
+    assert (repr(own), hash(own)) == (repr(built), hash(built))
+    assert own == built
+    assert Reference.__match_args__ == FIELDS
+    assert tuple(inspect.signature(Reference).parameters) == FIELDS
+    assert tuple(f.name for f in dataclasses.fields(Reference)) == (
+        *FIELDS, "_made_by")
+    match own:
+        case Reference(text, group, pos, head, keyword):
+            assert (text, group, pos, head, keyword) == tuple(
+                getattr(built, name) for name in FIELDS)
+    with pytest.raises(TypeError):
+        Reference(*(getattr(own, name) for name in FIELDS),
+                  _made_by=own._made_by)
+    with pytest.raises(ValueError):
+        dataclasses.replace(built, _made_by=own._made_by)
+
+
+def test_paths_of_words_sharing_many_groups_read_no_per_word_cache():
+    # ROADMAP item 7's paths case: "a" and "b" share each of k groups, so
+    # their k pairs at distance 0 are all listed and rendered.
+    k = 2000
+    thesaurus = parse_interchange(MINIMAL.replace("; word\n", "; a | b\n" * k))
+    result = word_min_distance(thesaurus, "a", "b")
+    pairs = result.achieving_pairs
+    assert (result.min_distance, len(pairs)) == (0, k)
+    records, aliases = count_cache_reads(thesaurus)
+    assert [thesaurus.render_path(r1, r2) for r1, r2 in pairs] == [
+        "a → b"] * k
+    assert (records.reads, aliases.reads) == (0, 0)
 
 
 def test_bool_node_ids_are_refused(thesaurus):
@@ -509,3 +664,9 @@ def test_mutating_what_a_thesaurus_returns_changes_no_answer():
     assert thesaurus.nodes[apex].label == "cat"
     assert enumerate_shortest_paths(thesaurus, "feline", "lynx") == [
         "feline → cat ← lynx"]
+
+
+def test_a_record_sequence_is_unlike_a_list(thesaurus):
+    assert thesaurus.nodes == thesaurus.nodes
+    assert (thesaurus.nodes == list(thesaurus.nodes)) is False
+    assert thesaurus.nodes != list(thesaurus.nodes)
