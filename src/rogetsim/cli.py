@@ -2,7 +2,8 @@
 
 Commands: import, validate, distance, sim, paths, solve, bench.  The
 thesaurus is given with --thesaurus or the ROGET_THESAURUS environment
-variable; there is no implicit default path.
+variable; there is no implicit default path.  import, solve and bench
+import their modules when they run, so the other commands never load them.
 
 Exit codes: 0 success, 1 lookup/answer-domain failures, a validate report
 with violations and a closed stdout, 2 input, parse and IO failures.
@@ -12,11 +13,8 @@ import argparse
 import os
 import sys
 
-from . import bench as bench_mod
-from . import solver as solver_mod
 from .errors import (CorrelationUndefinedError, GutenbergImportError,
                      ParseError, RogetError)
-from .gutenberg import import_gutenberg_1911
 from .interchange import load, utf8_lines, validate_structure
 from .similarity import path_headers, similarity_tier, word_min_distance
 from .taxonomy import MAX_DISTANCE
@@ -76,7 +74,8 @@ def _load_thesaurus(args):
             "no thesaurus given: use --thesaurus or set $%s" % ENV_THESAURUS,
             EXIT_INPUT)
     try:
-        return load(path)
+        args.loaded_thesaurus = load(path)  # kept until os._exit: see run()
+        return args.loaded_thesaurus
     except OSError as exc:
         raise _cannot_read(path, exc)
     except ParseError as exc:
@@ -84,6 +83,7 @@ def _load_thesaurus(args):
 
 
 def cmd_import(args, out, err):
+    from .gutenberg import import_gutenberg_1911
     document, report = _parse_file(args.source, import_gutenberg_1911)
     out.write(document)
     for line in report.lines():
@@ -129,11 +129,12 @@ def _choice_line(problem, evaluation):
 
 
 def cmd_solve(args, out, err):
+    from . import solver
     thesaurus = _load_thesaurus(args)
-    questions = _parse_file(args.questions, solver_mod.load_questions)
+    questions = _parse_file(args.questions, solver.load_questions)
     if args.nouns_only:
-        questions = solver_mod.filter_noun_only(thesaurus, questions)
-    report = solver_mod.score_test(thesaurus, questions)
+        questions = solver.filter_noun_only(thesaurus, questions)
+    report = solver.score_test(thesaurus, questions)
     tsv = args.format == "tsv"
     for result in report.results:
         q = result.question
@@ -141,7 +142,7 @@ def cmd_solve(args, out, err):
             chosen = "" if result.unanswerable else q.choices[result.chosen_index]
             out.write("%s\t%s\t%s\t%s\n" % (
                 q.problem, chosen, result.verdict,
-                solver_mod.format_number(result.credit)))
+                solver.format_number(result.credit)))
             continue
         if result.unanswerable:
             out.write("Roget cannot find %s: NOT-FOUND\n" % q.problem)
@@ -157,10 +158,11 @@ def cmd_solve(args, out, err):
 
 
 def cmd_bench(args, out, err):
+    from . import bench
     thesaurus = _load_thesaurus(args)
-    scale, pairs = _parse_file(args.pairs, bench_mod.load_pairs)
+    scale, pairs = _parse_file(args.pairs, bench.load_pairs)
     try:
-        report = bench_mod.evaluate_pairs(thesaurus, pairs, scale,
+        report = bench.evaluate_pairs(thesaurus, pairs, scale,
                                           policy=args.policy)
     except CorrelationUndefinedError as exc:
         raise CommandError("correlation undefined: %s" % exc, EXIT_DOMAIN)
@@ -241,14 +243,16 @@ def run():
 
     The entry point of the ``roget`` script and of ``python -m
     rogetsim.cli``.  Once stdout and stderr are flushed the process ends
-    with ``os._exit``, so the interpreter is not torn down; the loaded
-    thesaurus is freed when its command returns.  Argparse's exits
-    (``--help``, a usage error) end the same way, with their own codes.  A
-    closed stdout ends the process with exit 1 and nothing on stderr.
+    with ``os._exit``, so the interpreter is not torn down and the loaded
+    thesaurus is never freed: ``args`` keeps it referenced until then
+    (``main`` frees it when it returns).  Argparse's exits (``--help``, a
+    usage error) end the same way, with their own codes.  A closed stdout
+    ends the process with exit 1 and nothing on stderr.
     """
     try:
         try:
-            code = main()
+            args = build_parser().parse_args()
+            code = _execute(args, sys.stdout, sys.stderr)
         except SystemExit as exc:  # argparse's --help and usage errors
             code = exc.code
         sys.stdout.flush()

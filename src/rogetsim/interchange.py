@@ -33,22 +33,19 @@ time.  No node or ``Reference`` objects are built.  ``serialize``,
 
 import io
 import re
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import NamedTuple
 
 from .errors import InvalidNodeError, InvalidReferenceError, ParseError
 from .taxonomy import Level, PartOfSpeech, Thesaurus
 from .taxonomy import build_index, normalize  # noqa: F401  (public names)
 
 
-class _Record(NamedTuple):
-    keyword: str  # leading keyword in the interchange format
-    name: str     # record name in messages
-    counter: str  # StructureReport counter field
-    row: str      # StructureReport.lines() row label
-
+# A record kind of the interchange format: its leading keyword, its name
+# in messages, its StructureReport counter field and its row label in
+# StructureReport.lines().
+_Record = namedtuple("_Record", "keyword name counter row")
 
 _RECORDS = {
     Level.CLASS: _Record("C", "class", "classes", "Classes"),
