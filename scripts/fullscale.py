@@ -98,9 +98,9 @@ class Seed:
 
 
 def key_width(seeds):
-    # word_min_distance's kernel bisects each word's cached keys, kept shifted
-    # left one bit; each key must stay below 2**29 so that a cached key is
-    # one 30-bit CPython int digit, which the kernel's speed rests on.
+    # word_min_distance's kernel bisects each word's cached keys, the ints of
+    # Thesaurus.keys themselves, whose speed rests on each being one 30-bit
+    # CPython int digit.  The bound is 2**29, one bit inside that digit.
     widest = max(seeds[1].thesaurus.keys)
     return widest < 2 ** 29, "key bits: %d" % widest.bit_length()
 

@@ -27,8 +27,17 @@ class ScoredPair:
 
 @dataclass(frozen=True)
 class PairScale:
+    """The human scores' bounds: finite, with ``high`` above ``low``."""
+
     low: float
     high: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.low) and math.isfinite(self.high)):
+            raise ValueError("scale bounds must be finite, got %r and %r"
+                             % (self.low, self.high))
+        if self.high <= self.low:
+            raise ValueError("scale high must exceed scale low")
 
 
 @dataclass
@@ -166,10 +175,10 @@ def load_pairs(source):
                     raise ParseError("scale %s %s is not a finite number"
                                      % (name, text), line=line_no,
                                      column=column)
-            scale = PairScale(*bounds)
-            if scale.high <= scale.low:
+            if bounds[1] <= bounds[0]:
                 raise ParseError("scale max must exceed scale min",
                                  line=line_no)
+            scale = PairScale(*bounds)
             continue
         if len(fields) != 3:
             raise ParseError(

@@ -16,7 +16,8 @@ import sys
 from .errors import (CorrelationUndefinedError, GutenbergImportError,
                      ParseError, RogetError)
 from .interchange import load, utf8_lines, validate_structure
-from .similarity import path_headers, similarity_tier, word_min_distance
+from .similarity import (_pair_header, path_headers, similarity_tier,
+                         word_min_distance)
 from .taxonomy import MAX_DISTANCE
 
 ENV_THESAURUS = "ROGET_THESAURUS"
@@ -123,9 +124,8 @@ def _choice_line(problem, evaluation):
     if not evaluation.found:
         return "%s to %s: not found" % (problem, evaluation.choice_text)
     ref_p, ref_c = evaluation.best_pair
-    return "%s %s to %s %s, length = %d, %d path(s) of this length" % (
-        problem, ref_p.pos.display, evaluation.choice_text, ref_c.pos.display,
-        evaluation.effective_distance, evaluation.pair_count)
+    return _pair_header(problem, ref_p.pos, evaluation.choice_text, ref_c.pos,
+                        evaluation.effective_distance, evaluation.pair_count)
 
 
 def cmd_solve(args, out, err):

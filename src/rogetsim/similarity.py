@@ -104,6 +104,12 @@ def enumerate_shortest_paths(thesaurus, w1, w2):
     return [thesaurus.render_path(r1, r2) for r1, r2 in result.achieving_pairs]
 
 
+def _pair_header(w1, pos1, w2, pos2, distance, count):
+    """``ode N. to poem N., length = 2, 2 path(s) of this length``."""
+    return "%s %s to %s %s, length = %d, %d path(s) of this length" % (
+        w1, pos1.display, w2, pos2.display, distance, count)
+
+
 def path_headers(thesaurus, w1, w2):
     """Headers in the printed style ``ode N. to poem N., length = 2, ...``.
 
@@ -117,8 +123,7 @@ def path_headers(thesaurus, w1, w2):
         by_pos.setdefault((r1.pos, r2.pos), []).append((r1, r2))
     out = []
     for key, pairs in by_pos.items():
-        header = "%s %s to %s %s, length = %d, %d path(s) of this length" % (
-            w1, key[0].display, w2, key[1].display,
-            result.min_distance, len(pairs))
+        header = _pair_header(w1, key[0], w2, key[1], result.min_distance,
+                              len(pairs))
         out.append((header, [thesaurus.render_path(r1, r2) for r1, r2 in pairs]))
     return out

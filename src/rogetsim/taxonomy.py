@@ -405,13 +405,13 @@ class Thesaurus:
     0 and the root's key is 0, so, as a node's level is its depth, the keys
     sort into document order, preorder with siblings in id order, in which
     ``_document_order`` lists the node ids.  A level's field is as wide as
-    its largest family needs: on the benchmark's synthetic
-    thesaurus at the 1987 edition's scale a key takes 28 bits, so a key
-    shifted left one bit, as ``_word_keys`` keeps it, still fits one 30-bit
+    its largest family needs: on the benchmark's synthetic thesaurus at
+    the 1987 edition's scale a key takes 28 bits, so it fits one 30-bit
     CPython int digit, and ``_min_distance`` bisects, XORs and shifts
-    one-digit ints.  Two nodes first differ at the level whose field holds
-    the top set bit of ``k1 ^ k2``, so a reference distance is one table
-    lookup by that bit length.  ``index`` is ``build_index(self)``, which
+    one-digit ints, the very objects of ``keys`` that ``_word_keys`` keeps.
+    Two nodes first differ at the level whose field holds the top set bit
+    of ``k1 ^ k2``, so a reference distance is one table lookup by that
+    bit length.  ``index`` is ``build_index(self)``, which
     chains each word's reference ids and walks them on the word's first
     read.  ``word_min_distance``, the only entry to the word distance,
     passes ``_min_distance`` the two lists ``lookup`` returned.  For s
@@ -430,7 +430,7 @@ class Thesaurus:
     tuples.  Each cache is filled by ``setdefault`` with one tuple per
     index key at most, so each is bounded by the index: the records of a
     word's references, made on its first ``lookup`` or ``index`` read,
-    and the sorted shifted keys of ``_word_keys``.
+    and the sorted group keys of ``_word_keys``.
     """
 
     def __init__(self, nodes, references):
@@ -540,11 +540,10 @@ class Thesaurus:
             for length in range(self._shifts[0] + 1))
         self._distance = tuple(MAX_DISTANCE - 2 * level
                                for level in self._levels)
-        # By the bit length of the XOR of two keys shifted left one bit, as
-        # _word_keys keeps them, the shift s past the fields they share; s - 1
-        # is the bit length of that level's widest XOR of unshifted keys.
-        spans = [self._shifts[level] + 1 for level in self._levels]
-        self._count_shifts = (spans[0], *spans)
+        # And the shift past the fields two keys share: its bits below hold
+        # the fields they may differ in.
+        self._count_shifts = tuple(self._shifts[level]
+                                   for level in self._levels)
         # Each reference reads its paragraph's label, its first group's: that
         # of the group whose key's lowest field, its rank, is 1.
         ranks = (1 << self._shifts[_GROUP_LEVEL - 1]) - 1
@@ -557,7 +556,7 @@ class Thesaurus:
                          object())  # the mark of every record _made makes
         self.index = build_index(self)
         self._records = self.index._records  # index key -> its references
-        self._shifted = {}  # index key -> _word_keys(lookup(key)), lazily
+        self._group_keys = {}  # index key -> _word_keys(lookup(key)), lazily
 
     @property
     def nodes(self):
@@ -731,7 +730,8 @@ class Thesaurus:
         # so both stay real pairs, and a one-key big is compared with itself.
         # The keys of big sharing k's fields down to its nearest key's level
         # are those in [start, start + (1 << s)).  The best level is kept as
-        # its shift, the root's at first: several bit lengths share a level.
+        # its shift, at first one past the root's, so the first key sets it:
+        # several bit lengths share a level.
         count_shifts, last, i, count = self._count_shifts, len(big) - 1, 0, 0
         # bound is 1 << shift: a key whose nearest XOR is below it is as near.
         shift, bound = self._shifts[0] + 1, 2 << self._shifts[0]
@@ -747,31 +747,27 @@ class Thesaurus:
                 shift, bound, count = s, 1 << s, 0
             start = k >> s << s
             count += bisect_left(big, start + bound) - bisect_left(big, start)
-        return self._distance[shift - 1], count
+        return self._distance[shift], count
 
     def _word_keys(self, refs):
-        """The keys of a word's groups, shifted left one bit, sorted.
+        """The keys of a word's groups, sorted: ``keys``' own int objects.
 
         ``refs`` is a non-empty list ``lookup`` returned, so it holds only
         this thesaurus's own records of one index key, the key its first
         entry text is an alias of or that text itself, in document order and
-        so sorted by key.  The tuple is made from the records on the word's
-        first call and kept by that key.  Threads that make one word's tuple
-        at once each build it; ``setdefault`` keeps one.
+        so sorted by key.  The tuple, one key per record in that order, is
+        made on the word's first call and kept by that key.  Threads that
+        make one word's tuple at once each build it; ``setdefault`` keeps
+        one.
         """
         text = refs[0].entry_text
         word = self.index._aliases.get(text, text)
-        shifted = self._shifted.get(word)
-        if shifted is None:
-            # Fresh ints, made together, lie close in memory, where the
-            # objects of ``keys`` lie scattered: with keys stored pre-shifted
-            # and these tuples sharing them, a kernel that sorted both words'
-            # keys ran 6-10% slower on the benchmark's synonym-test
-            # questions, whose op_p50_ms rose 7%.
+        group_keys = self._group_keys.get(word)
+        if group_keys is None:
             keys = self.keys
-            shifted = self._shifted.setdefault(word, tuple([
-                keys[ref.semicolon_group] << 1 for ref in refs]))
-        return shifted
+            group_keys = self._group_keys.setdefault(word, tuple([
+                keys[ref.semicolon_group] for ref in refs]))
+        return group_keys
 
     def _pairs_within(self, refs1, refs2, distance):
         """Yield each pair of refs1 x refs2 at most ``distance`` apart.
@@ -779,10 +775,11 @@ class Thesaurus:
         Both lists hold only this thesaurus's own records, as ``lookup``
         returns them, so each record's key is read from its group with no
         check.  Pairs come in document order (refs1 outer, refs2 inner),
-        lazily; ``distance`` is at least 0, and groups within it have keys
+        lazily; ``distance`` is a minimum ``_min_distance`` returned, an even
+        count from 0 to ``MAX_DISTANCE``, and groups within it have keys
         that agree above ``shift``.
         """
-        shift = self._shifts[max((MAX_DISTANCE + 1 - distance) // 2, 0)]
+        shift = self._shifts[(MAX_DISTANCE - distance) // 2]
         keys = self.keys
         near = {}
         for ref in refs2:

@@ -160,6 +160,23 @@ def test_outlier_report_empty_when_aligned(thesaurus):
     assert outlier_report(report, threshold=4.0) == []
 
 
+@pytest.mark.parametrize("low, high", [
+    (4.0, 0.0), (1.0, 1.0), (0.0, -0.5)])
+def test_pair_scale_refuses_a_high_not_above_low(low, high):
+    # PairScale(4.0, 0.0) would invert outlier_report's normalization and
+    # PairScale(1.0, 1.0) would divide by zero there.
+    with pytest.raises(ValueError, match="^scale high must exceed scale low$"):
+        PairScale(low, high)
+
+
+@pytest.mark.parametrize("low, high", [
+    (math.inf, 4.0), (0.0, math.inf), (-math.inf, 4.0), (math.nan, 4.0),
+    (0.0, math.nan)])
+def test_pair_scale_refuses_a_bound_that_is_not_finite(low, high):
+    with pytest.raises(ValueError, match="^scale bounds must be finite"):
+        PairScale(low, high)
+
+
 def test_load_pairs_file():
     with open(data_path("pairs_fixture.tsv"), encoding="utf-8") as source:
         scale, pairs = load_pairs(source.read())

@@ -178,6 +178,13 @@ def pair_loop(thesaurus, w1, w2):
     return best, pairs
 
 
+def assert_keys_are_the_trees(thesaurus, group_keys, refs):
+    """Each of a word's cached keys is its record's group's key itself."""
+    assert len(group_keys) == len(refs)
+    for key, ref in zip(group_keys, refs):
+        assert key is thesaurus.keys[ref.semicolon_group]
+
+
 def check_word_distances(thesaurus, few_pairs):
     """Every ordered pair of words, w1 == w2 included, against pair_loop.
 
@@ -186,7 +193,7 @@ def check_word_distances(thesaurus, few_pairs):
     pairs are checked twice, the second time with every word's keys
     cached, then once more with the arguments of each pair reversed.
     """
-    thesaurus._shifted.clear()  # thesauri may be shared between tests
+    thesaurus._group_keys.clear()  # thesauri may be shared between tests
     words = sorted(thesaurus.index)
     expected = {(w1, w2): pair_loop(thesaurus, w1, w2)
                 for w1 in words for w2 in words}
@@ -200,12 +207,12 @@ def check_word_distances(thesaurus, few_pairs):
             tuple(map(id, p)) for p in pairs]
         best_pair = evaluate_choice(thesaurus, w1, w2).best_pair
         assert tuple(map(id, best_pair)) == tuple(map(id, pairs[0]))
-    # The cache holds each word's shifted keys once, by its index key.
-    for word, shifted in thesaurus._shifted.items():
-        assert shifted == tuple(thesaurus.keys[ref.semicolon_group] << 1
-                                for ref in thesaurus.index[word])
+    # The cache holds each word's group keys once, by its index key: the
+    # very ints of ``keys``, in the order of its records.
+    for word, group_keys in thesaurus._group_keys.items():
+        assert_keys_are_the_trees(thesaurus, group_keys, thesaurus.index[word])
     if few_pairs == 0:
-        assert thesaurus._shifted.keys() == thesaurus.index.keys()
+        assert thesaurus._group_keys.keys() == thesaurus.index.keys()
 
 
 @pytest.mark.parametrize("few_pairs", [0, taxonomy._FEW_PAIRS, 10 ** 6])
@@ -382,14 +389,13 @@ def test_word_distance_on_references_kept_in_key_order(seed):
                 assert thesaurus._min_distance(
                     thesaurus.lookup(w1), thesaurus.lookup(w2)) == (
                         best, len(pairs))
-    for word, shifted in thesaurus._shifted.items():
-        assert shifted == tuple(sorted(
-            thesaurus.keys[ref.semicolon_group] << 1
-            for ref in thesaurus.index[word]))
+    for word, group_keys in thesaurus._group_keys.items():
+        assert group_keys == tuple(sorted(group_keys))
+        assert_keys_are_the_trees(thesaurus, group_keys, thesaurus.index[word])
     # A kept word's own key is read without normalizing it again.
     with mock.patch.object(taxonomy, "normalize", side_effect=AssertionError):
         assert thesaurus._word_keys(
-            thesaurus.lookup("huge")) is thesaurus._shifted["huge"]
+            thesaurus.lookup("huge")) is thesaurus._group_keys["huge"]
 
 
 def placed_thesaurus(places):
@@ -783,7 +789,7 @@ def test_the_caches_keep_the_thesauruss_own_strings():
         thesaurus._word_keys(thesaurus.lookup(text.upper()))
     held = {id(text) for text in [*thesaurus.index, *thesaurus._columns[0],
                                   *thesaurus.index._aliases.values()]}
-    for cache in (thesaurus._records, thesaurus._shifted):
+    for cache in (thesaurus._records, thesaurus._group_keys):
         assert list(cache) == ["cat", "dog", "tea"]
         assert {id(key) for key in cache} <= held
 

@@ -349,7 +349,7 @@ def test_first_word_distances_from_several_threads():
                 thread.join(timeout=60)
                 assert not thread.is_alive()
             assert outcomes == {turn: serial for turn in range(8)}
-            assert sorted(thesaurus._shifted) == sorted(words)
+            assert sorted(thesaurus._group_keys) == sorted(words)
             # One tuple of records is kept per word, and every thread's
             # first lookup returned its records, equal to the serial ones.
             assert sorted(thesaurus._records) == sorted(words)

@@ -150,7 +150,7 @@ def test_an_absent_word_is_refused_before_anything_is_kept(fixture_text):
             word_min_distance(thesaurus, *args)
         assert info.value.words == missing
     assert list(thesaurus._records) == ["feline"]
-    assert list(thesaurus._shifted) == ["feline"]
+    assert list(thesaurus._group_keys) == ["feline"]
 
 
 def test_a_lookup_makes_its_words_records_once(fixture_text):
@@ -205,7 +205,22 @@ def test_a_variant_is_normalized_only_by_its_lookup(fixture_text,
     assert normalized == [" FELINE "]
     assert (result.min_distance, result.pair_count) == (
         expected.min_distance, expected.pair_count)
-    assert list(thesaurus._shifted) == ["feline"]
+    assert list(thesaurus._group_keys) == ["feline"]
+
+
+def test_a_bisected_comparison_keeps_the_trees_own_keys(fixture_text,
+                                                        monkeypatch):
+    # Each word's cached keys are the ints of ``keys`` themselves, one per
+    # record in the order lookup returns them: no copies, no shifted forms.
+    thesaurus = parse_interchange(fixture_text)
+    monkeypatch.setattr(taxonomy, "_FEW_PAIRS", 0)  # every pair bisects
+    word_min_distance(thesaurus, "feline", "lynx")
+    assert list(thesaurus._group_keys) == ["feline", "lynx"]
+    for word, group_keys in thesaurus._group_keys.items():
+        refs = thesaurus.lookup(word)
+        assert len(group_keys) == len(refs)
+        assert all(key is thesaurus.keys[ref.semicolon_group]
+                   for key, ref in zip(group_keys, refs))
 
 
 def test_equal_copies_are_measured_without_new_records(fixture_text,
