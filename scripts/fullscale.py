@@ -3,10 +3,11 @@
     PYTHONPATH=perfbench:src python3 scripts/fullscale.py
 
 Generates seeds 1 and 2 of the benchmark's synthetic thesaurus
-(``perfbench/synth.py``) once each.  The in-process checks share each
-seed's text, one parse of it and one oracle (``perfbench/oracle.py``,
-which does not use rogetsim); ``lookup-forms`` parses seed 1 again, as
-it needs a thesaurus with no records made.  The pins belong to seed 1.
+(``perfbench/synth.py``) once each, with their benchmark pairs and
+questions.  The in-process checks share each seed's text, one parse of it
+and one oracle (``perfbench/oracle.py``, which does not use rogetsim);
+``lookup-forms`` and ``concurrent-queries`` parse seed 1 again, as each
+needs a thesaurus with no records made.  The pins belong to seed 1.
 Then the benchmark harness, ``perfbench/run.py --seconds 1``, runs each
 of its answer checks in a process of its own.  Every check runs, even after one
 has failed, and prints one line: ``ok`` or ``FAIL``, its name, its
@@ -24,16 +25,19 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import traceback
 from functools import cached_property
 
 import synth
 from oracle import Oracle
-from rogetsim import (Level, PartOfSpeech, Reference, Thesaurus, load,
+from rogetsim import (Level, PartOfSpeech, Reference, SynonymQuestion,
+                      Thesaurus, WordNotFoundError, answer_question, load,
                       normalize, parse_interchange, serialize,
                       structure_signature, word_min_distance)
 
@@ -55,6 +59,11 @@ WRITTEN.update(dict.fromkeys([Level.CLASS, Level.SECTION, Level.SUB_SECTION,
 # A value for each node field unlike any a seed's tree gives it.
 UNLIKE = {"label": "", "ordinal": -1, "head_number": 1,
           "pos": PartOfSpeech.ADVERB}
+# Threads of the concurrency check, each of which runs every seed-1 pair
+# and question.
+THREADS = 4
+# Seconds the check waits for each of them: a run takes about 10 s.
+JOIN_TIMEOUT = 300
 # The harness runs: (workload, seed, trace).
 RUNS = (("synonym-test", 1, 0), ("synonym-test", 2, 0),
         ("cli-cold", 1, 0), ("pairs-uniform", 1, 0), ("pairs-uniform", 2, 0),
@@ -62,15 +71,24 @@ RUNS = (("synonym-test", 1, 0), ("synonym-test", 2, 0),
 
 
 class Seed:
-    """One seed's interchange text, and its parse and oracle, each made once."""
+    """One seed's generated text, pairs and questions, and its parse and
+    oracle, each made once."""
 
     def __init__(self, number):
         self.number = number
         self.references_made = None
 
     @cached_property
+    def generated(self):
+        """The interchange text, the pairs-uniform pairs and the synonym-test
+        questions; the generator's other tables are not kept."""
+        model = synth.generate(self.number)
+        return (model.text, synth.pair_list(model, self.number),
+                synth.question_list(model, self.number))
+
+    @property
     def text(self):
-        return synth.generate(self.number).text
+        return self.generated[0]
 
     @cached_property
     def thesaurus(self):
@@ -355,9 +373,90 @@ def pairs_within(seeds):
             listed, mismatches, misrendered))
 
 
+def queried(thesaurus, pairs, questions):
+    """Each pair's (distance, pair count, achieving pairs listed), or None
+    for an absent word, then each question's (chosen index, verdict,
+    per-choice (distance, pair count))."""
+    out = []
+    for w1, w2 in pairs:
+        try:
+            result = word_min_distance(thesaurus, w1, w2)
+        except WordNotFoundError:
+            out.append(None)
+        else:
+            out.append((result.min_distance, result.pair_count,
+                        len(result.achieving_pairs)))
+    for question in questions:
+        result = answer_question(thesaurus, question)
+        out.append((result.chosen_index, result.verdict, [
+            (e.effective_distance, e.pair_count) for e in result.per_choice]))
+    return out
+
+
+def concurrent_queries(seeds):
+    # The thesaurus is safe to query concurrently: on a fresh seed-1 parse,
+    # THREADS threads, switching as often as the interpreter lets them, each
+    # run all of the benchmark's pairs-uniform pairs in a shuffled order of
+    # their own, listing each result's achieving pairs, then its synonym-test
+    # questions.  Every answer must be the oracle's, and each per-word cache
+    # must hold index keys only, so at most one entry per key.
+    seed = seeds[1]
+    oracle = seed.oracle
+    _, pairs, questions = seed.generated
+    expected = {}  # pair -> queried's answer: the pair count listed too
+    for pair in pairs:
+        best = oracle.word_distance(*pair)
+        expected[pair] = None if best is None else (*best, best[1])
+    asked = [SynonymQuestion(problem, list(choices), gold)
+             for problem, choices, gold in questions]
+    answers = [oracle.answer(*question) for question in questions]
+    thesaurus = parse_interchange(seed.text)
+    outcomes = [None] * THREADS
+
+    def run(number):
+        order = pairs[:]
+        random.Random(number).shuffle(order)
+        want = [expected[pair] for pair in order] + answers
+        try:
+            got = queried(thesaurus, order, asked)
+        except Exception as error:  # reported by the check's thread
+            outcomes[number] = error
+            return
+        outcomes[number] = sum(g != w for g, w in zip(got, want))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(number,), daemon=True)
+                   for number in range(THREADS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(JOIN_TIMEOUT)
+    finally:
+        sys.setswitchinterval(interval)
+    running = sum(thread.is_alive() for thread in threads)
+    if running:
+        return False, "%d of %d threads still running after %d s" % (
+            running, THREADS, JOIN_TIMEOUT)
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    keys = thesaurus.index.keys()
+    caches = {"records": thesaurus._records,
+              "group keys": thesaurus._group_keys}
+    strays = {name: len(cache.keys() - keys) for name, cache in caches.items()}
+    return sum(outcomes) == 0 and not any(strays.values()), (
+        "%d threads, each %d pairs and %d questions, %d mismatches; %s"
+        % (THREADS, len(pairs), len(questions), sum(outcomes), ", ".join(
+            "%s cache: %d words, %d not index keys"
+            % (name, len(cache), strays[name])
+            for name, cache in caches.items())))
+
+
 IN_PROCESS = (key_width, serialize_round_trip, rebuilt, index_pin,
               lookup_forms, index_order, input_forms, frequent_word_distances,
-              pairs_within)
+              pairs_within, concurrent_queries)
 
 
 def harness_run(workload, seed, trace):

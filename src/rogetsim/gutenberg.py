@@ -32,18 +32,24 @@ _ROMAN = {"I": 1, "V": 5, "X": 10, "L": 50, "C": 100}
 
 _CLASS_RE = re.compile(r"^\s*CLASS\s+([IVXLC]+)\.?\s*$")
 _SECTION_RE = re.compile(r"^\s*SECTION\s+([IVXLC]+)\.?\s*(.*)$")
-_SUBSECTION_RE = re.compile(r"^\s*(\d+)\.\s+([A-Z][A-Z0-9 ,.:;'()-]*)\s*$")
+# Headings are matched against a line stripped of white space at both ends,
+# so a sub-section label, whose class holds a space, needs no trailing \s*,
+# which was retried at each space of a long run before a stray character.
+_SUBSECTION_RE = re.compile(r"^\s*(\d+)\.\s+([A-Z][A-Z0-9 ,.:;'()-]*)$")
 _HEAD_RE = re.compile(r"^\s*%?#(\d+[a-z]?)\.\s*(.*)$")
 _HEADINGS = (_CLASS_RE, _SECTION_RE, _SUBSECTION_RE, _HEAD_RE)
 _START_RE = re.compile(r"\*\*\*\s*START OF.*?\*\*\*")
 _END_RE = re.compile(r"\*\*\*\s*END OF.*?\*\*\*")
 _POS_SPLIT_RE = re.compile(r"(?:^|(?<=\s))(N|V|Adj|Adv|Int|Phr)\.(?:\s|--|$)")
 # "&c. 494" points at another head: the whole entry is dropped.  "&c. adj."
-# just abbreviates "as above" within the head: the marker is stripped.
-_CROSS_REF_RE = re.compile(r"&c\.?\s*(?:\([^)]*\)\s*)?\d+[a-z]?")
-_ETC_RE = re.compile(r"&c\.?\s*(?:\([^)]*\)\s*)?(?:n|v|adj|adv)?\.?",
+# just abbreviates "as above" within the head: the marker is stripped.  A
+# bracketed or parenthesized span holds no opening bracket of its kind, so
+# a scan from an unclosed one stops at the next: of nested spans, the
+# innermost is taken.
+_CROSS_REF_RE = re.compile(r"&c\.?\s*(?:\([^()]*\)\s*)?\d+[a-z]?")
+_ETC_RE = re.compile(r"&c\.?\s*(?:\([^()]*\)\s*)?(?:n|v|adj|adv)?\.?",
                      re.IGNORECASE)
-_BRACKETED_RE = re.compile(r"\[[^\]]*\]")
+_BRACKETED_RE = re.compile(r"\[[^\[\]]*\]")
 
 _POS_MAP = {"N": "N", "Adj": "ADJ", "V": "VB", "Adv": "ADV"}
 # Interchange keyword and placeholder label of the levels the builder opens.
@@ -142,7 +148,7 @@ class _DocumentBuilder:
         text = line.strip()
         if not text:
             return
-        headings = [pattern.match(line) for pattern in _HEADINGS]
+        headings = [pattern.match(text) for pattern in _HEADINGS]
         if not any(headings):
             if self.head:
                 self.head.append(text)

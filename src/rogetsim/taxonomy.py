@@ -45,18 +45,20 @@ MAX_DISTANCE = 16
 _GROUP_LEVEL = 8  # the depth of every semicolon group; no node is deeper
 
 # Thesaurus._min_distance, word_min_distance's kernel, measures each pair
-# with reference_distance while there are at most this many pairs.  With
-# the keys cached, bisecting is the cheaper way from 3 pairs.  Per call,
-# pair by pair against bisected, on a shared 2-vCPU VM with Python 3.11
+# with reference_distance while there are at most this many pairs, reading
+# the keys of lookup's own records in place.  Per call, pair by pair against
+# bisected with the keys cached, on a shared 2-vCPU VM with Python 3.11
 # (seed-1 benchmark thesaurus; per shape the median over 20 word pairs, each
-# the best of 9 interleaved runs of 500 calls; four runs): 1x1 0.4-0.7 and
-# 1.0-1.7 us, 1x3 1.0-2.0 and 1.0-1.8, 2x2 1.3-2.7 and 1.3-2.5, 1x4 1.3-2.3
-# and 1.0-1.8, 2x3 1.8-3.3 and 1.3-2.2, 3x3 2.6-5.1 and 1.5-2.6, and 4x4
-# 4.2-6.4 and 2.0-3.0; bisecting was the cheaper from 1x3 in every run,
-# by 7-12% there.  The value is 6, not 3, because the traced benchmark pins
-# the per-pair reference_distance calls of its fixture's feline x lynx
-# comparison, 3 x 2 pairs; ROADMAP item 1 lowers it once the benchmark stops
-# counting those calls.  It is read at call time, so tests can patch it here.
+# the best of 9 interleaved runs of 500 calls; six runs): 1x1 0.21-0.24 and
+# 0.71-0.84 us, 1x2 0.47-0.53 and 0.75-0.86, 1x3 0.63-0.71 and 0.80-0.93, 2x2
+# 0.81-0.86 and 1.06-1.14, 1x4 0.78-0.87 and 0.79-0.90, 2x3 1.09-2.20 and
+# 1.06-2.19, 3x3 1.58-3.23 and 1.33-2.70, and 4x4 2.61-2.90 and 1.62-1.74.
+# Pair by pair was the cheaper at 1x3 and 2x2 in every run, the two were
+# within 3% at 1x4 and 2x3, and bisecting was the cheaper from 3x3, so 6 is
+# the break-even.  The traced benchmark also pins the value: it counts the
+# per-pair reference_distance calls of its fixture's feline x lynx
+# comparison, 3 x 2 pairs.  It is read at call time, so tests can patch it
+# here.
 _FEW_PAIRS = 6
 
 
@@ -395,8 +397,9 @@ class Thesaurus:
     ``references`` makes a new record from the columns on each read, and
     ``members``, per node id, a tuple of the records of a semicolon group's
     references (empty for every other node), so every reference is a
-    member.  ``_key`` takes a record marked with the last item of
-    ``_columns`` as a member, and checks any other reference by value.
+    member.  A record marked with the last item of ``_columns`` is a
+    member: ``reference_distance`` reads two such records in place, and
+    ``_key`` takes one at once and checks any other reference by value.
 
     Per node id, ``keys`` holds one int packing the node's root-first
     path: for each level d from 1 to 8, a bit field holding the 1-based
@@ -686,7 +689,18 @@ class Thesaurus:
             "thesaurus" % (ref,))
 
     def reference_distance(self, r1, r2):
-        """Edges on the shortest tree path between two references' groups."""
+        """Edges on the shortest tree path between two references' groups.
+
+        Two records this thesaurus marked are read in place, each key from
+        its group with no call; any other pair goes through ``_key``, which
+        checks by value a reference the thesaurus did not mark.
+        """
+        mark = self._columns[3]
+        if (type(r1) is Reference and type(r2) is Reference
+                and r1._made_by is mark and r2._made_by is mark):
+            keys = self.keys
+            return self._distance[(keys[r1.semicolon_group]
+                                   ^ keys[r2.semicolon_group]).bit_length()]
         return self._distance[(self._key(r1) ^ self._key(r2)).bit_length()]
 
     def _min_distance(self, refs1, refs2):

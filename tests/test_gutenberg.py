@@ -3,6 +3,7 @@
 import hashlib
 import io
 import os
+import time
 
 import pytest
 
@@ -223,6 +224,26 @@ def test_excerpt_is_pinned(excerpt):
     assert document.count("\n") == 129
     assert report.lines() == _report(sections=2, sub_sections=3, heads=5,
                                      entries_skipped=18)
+
+
+# One line of n = 200,000 characters added after the excerpt's first head
+# line, each of a kind that a backtracking pattern reads in quadratic time
+# (minutes at this n): a heading-like line with a long run of spaces before
+# a stray character, an entry of unclosed "&c (" markers, and one of
+# unclosed brackets.
+LONG_LINES = {"heading-with-a-run-of-spaces": "1. A" + " " * 200_000 + "x",
+              "unclosed-etc-parentheses": "&c (" * 50_000,
+              "unclosed-brackets": "[" * 200_000}
+
+
+@pytest.mark.parametrize("line", LONG_LINES.values(), ids=LONG_LINES.keys())
+def test_a_long_line_converts_in_linear_time(excerpt, line):
+    head = excerpt.index("\n", excerpt.index("\n#1.") + 1) + 1
+    text = excerpt[:head] + line + "\n" + excerpt[head:]
+    start = time.perf_counter()
+    _, report = import_gutenberg_1911(text)
+    assert time.perf_counter() - start < 5
+    assert report.heads_converted == 5
 
 
 def test_empty_input_rejected():

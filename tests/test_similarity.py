@@ -60,7 +60,8 @@ def test_not_found_names_missing_words(thesaurus):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of Thesaurus.reference_distance and _pairs_within calls."""
+    """Counts of Thesaurus.reference_distance, _pairs_within and _key
+    calls."""
     counts = Counter()
 
     def counted(name):
@@ -71,12 +72,14 @@ def calls(monkeypatch):
             return original(*args)
         return wrapper
 
-    for name in ("reference_distance", "_pairs_within"):
+    for name in ("reference_distance", "_pairs_within", "_key"):
         monkeypatch.setattr(Thesaurus, name, counted(name))
     return counts
 
 
 def test_few_pairs_are_measured_one_by_one(thesaurus, calls):
+    # One reference_distance call per pair, each reading the two records'
+    # keys in place: lookup returns own records, so no _key call is made.
     words = sorted(thesaurus.index)
     products = set()
     for w1 in words:
@@ -88,7 +91,7 @@ def test_few_pairs_are_measured_one_by_one(thesaurus, calls):
             word_min_distance(thesaurus, w1, w2)
             assert calls == {"reference_distance": pairs}
             products.add(pairs)
-    assert {1, 2, 4} <= products
+    assert products == {1, 2, 3, 4, 6}
 
 
 def test_similarity_never_builds_the_achieving_pairs(thesaurus, calls):

@@ -1,5 +1,6 @@
 """Tree queries: LCA, edge distance, path rendering."""
 
+import copy
 import dataclasses
 import gc
 import inspect
@@ -11,8 +12,8 @@ from collections.abc import Mapping
 
 import pytest
 
-from rogetsim import (InvalidNodeError, InvalidReferenceError, Level,
-                      PartOfSpeech, Reference, TaxonomyNode, Thesaurus,
+from rogetsim import (MAX_DISTANCE, InvalidNodeError, InvalidReferenceError,
+                      Level, PartOfSpeech, Reference, TaxonomyNode, Thesaurus,
                       WordNotFoundError, enumerate_shortest_paths, load,
                       parse_interchange, taxonomy, word_min_distance)
 from tests.conftest import FIXTURE_PATH, TIER_PAIRS
@@ -338,6 +339,44 @@ def test_other_equal_records_are_checked_by_value(fixture_text, monkeypatch):
         assert measured(thesaurus, refs) == expected, source
         # Two references per query, two queries per pair.
         assert len(checked) == 4 * len(own), source
+
+
+def test_own_records_and_equal_copies_measure_alike(fixture_text):
+    # Each pair's distance is the same whether an argument is an own record
+    # or an equal copy, in either order, and with one of each.
+    thesaurus = parse_interchange(fixture_text)
+    own = list(thesaurus.references)
+    copies = {"replaced": [dataclasses.replace(ref) for ref in own],
+              "unpickled": pickle.loads(pickle.dumps(own)),
+              "copied": [copy.copy(ref) for ref in own],
+              "parsed again": list(parse_interchange(fixture_text).references)}
+    distance = thesaurus.reference_distance
+    for source, refs in copies.items():
+        assert refs == own, source
+        for (a, b), (c, d) in zip(zip(own, reversed(own)),
+                                  zip(refs, reversed(refs))):
+            assert {distance(a, b), distance(c, d), distance(d, c),
+                    distance(a, d), distance(d, a)} == {distance(b, a)}, source
+
+
+def test_only_an_argument_not_marked_is_checked_by_value(fixture_text,
+                                                        monkeypatch):
+    thesaurus = parse_interchange(fixture_text)
+    feline, nag = thesaurus.lookup("feline")[0], thesaurus.lookup("nag")[0]
+    equal = (dataclasses.replace(nag),
+             parse_interchange(fixture_text).lookup("nag")[0])
+    # A record whose text is not in its group.
+    stray = dataclasses.replace(nag, semicolon_group=feline.semicolon_group)
+    checked = by_value_checks(monkeypatch)
+    for other in equal:
+        for r1, r2 in ((feline, other), (other, feline)):
+            checked.clear()
+            assert thesaurus.reference_distance(r1, r2) == MAX_DISTANCE
+            assert checked == [nag.semicolon_group]
+    for r1, r2 in ((feline, stray), (stray, feline)):
+        with pytest.raises(InvalidReferenceError) as info:
+            thesaurus.reference_distance(r1, r2)
+        assert str(info.value) == NOT_A_MEMBER % (stray,)
 
 
 def test_a_non_member_is_refused_without_reading_a_per_word_cache(
